@@ -20,6 +20,7 @@ from .errors import (
     InvalidConfig,
     MissingTreatmentsOutcomes,
 )
+from .estimators import Estimand, _policy_target
 from .nuisance import NuisanceSet, OutcomeModel, PropensityModel
 
 __all__ = [
@@ -78,7 +79,7 @@ def calib_value_covariates_only(
         raise EmptyCalibration("no calibration rows (s = 0)")
     x0 = data.x[calib]
     d0 = np.asarray(policy(x0), dtype=float)
-    return float(np.mean(outcome.cte(x0) * d0))
+    return float(np.mean(_policy_target(outcome, x0, d0, Estimand.CONTRAST)))
 
 
 def calib_value_ipw(

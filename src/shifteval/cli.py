@@ -35,7 +35,7 @@ from .data_model import (
     split_cross_fit_folds,
     write_dataset_csv,
 )
-from .errors import InvalidConfig, ShiftEvalError
+from .errors import DimensionMismatch, InvalidConfig, NonFiniteValue, ShiftEvalError
 from .estimators import (
     Estimand,
     FitRecipe,
@@ -44,7 +44,7 @@ from .estimators import (
     estimate_efficient,
 )
 from .montecarlo import EstimatorSpec, McConfig, run_replications
-from .nuisance import KernelSpec, NuisanceSet, gaussian_oracle_nuisances
+from .nuisance import KernelSpec, gaussian_oracle_nuisances
 
 PI_A_NOTE = (
     "The policy-action propensity pi_A(d|x,s) is evaluated as pi_A(d(x)|x,s) "
@@ -60,42 +60,91 @@ def canonical_hash(config: dict) -> str:
 
 def _load_json(path) -> dict:
     with open(path) as fh:
-        return json.load(fh)
+        payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise InvalidConfig(f"{path}: expected a JSON object, got {type(payload).__name__}")
+    return payload
 
 
 def _write_json(path, payload: dict) -> None:
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as e:
+        raise NonFiniteValue(f"{path}: {e}") from None
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
-def _policy_from_dict(d: dict) -> LinearPolicy:
+def _required(config: dict, key: str):
+    try:
+        return config[key]
+    except KeyError:
+        raise InvalidConfig(f"config missing required field {key!r}") from None
+
+
+def _check_policy_dimension(policy: LinearPolicy, p: int) -> LinearPolicy:
+    if policy.coeffs.shape[0] != p:
+        raise DimensionMismatch(
+            f"policy {policy.label!r} has {policy.coeffs.shape[0]} coefficients "
+            f"but the data have p={p} covariates"
+        )
+    return policy
+
+
+def _policy_from_dict(d: dict, p: int) -> LinearPolicy:
     try:
         if d["type"] != "linear":
             raise InvalidConfig(f"unsupported policy type {d['type']!r}")
-        return LinearPolicy(
+        policy = LinearPolicy(
             intercept=float(d["intercept"]),
             coeffs=np.asarray(d["coeffs"], dtype=float),
             label=d.get("label", "linear"),
         )
     except KeyError as e:
         raise InvalidConfig(f"policy specification missing field {e}") from e
+    except (TypeError, ValueError) as e:
+        raise InvalidConfig(f"malformed policy specification: {e}") from None
+    return _check_policy_dimension(policy, p)
 
 
-def _sim_config_from_truth(truth: dict) -> SimulationConfig:
-    return SimulationConfig.from_json_dict(truth)
-
-
-def _oracle_from_truth(truth_path, rho_hat: float) -> NuisanceSet:
-    truth = _load_json(truth_path)
-    return gaussian_oracle_nuisances(_sim_config_from_truth(truth), rho_hat=rho_hat)
-
-
-def _kind_from_string(text: str) -> DatasetKind:
+def _enum_from_string(enum_cls, text, what: str):
     try:
-        return DatasetKind(text)
+        return enum_cls(text)
     except ValueError:
-        raise InvalidConfig(f"unknown dataset kind {text!r}") from None
+        choices = ", ".join(repr(m.value) for m in enum_cls)
+        raise InvalidConfig(f"unknown {what} {text!r}, expected one of {choices}") from None
+
+
+def _kernel_from_config(config: dict) -> KernelSpec | None:
+    k = config.get("kernel")
+    if k is None:
+        return None
+    return KernelSpec(
+        family=k.get("family", "rbf"),
+        bandwidth=k.get("bandwidth"),
+        ridge=k.get("ridge"),
+    )
+
+
+def _recipe_from_config(config: dict, data, default_weights: str) -> FitRecipe:
+    """Nuisance backends named in ``config``; oracle components come from the
+    simulation recorded in the ``truth`` file, with rho_hat = n1/n of ``data``."""
+    weights = config.get("weights", default_weights)
+    propensity = config.get("propensity", "oracle")
+    outcome = config.get("outcome", "oracle")
+    oracle = None
+    if "oracle" in (weights, propensity, outcome):
+        if "truth" not in config:
+            raise InvalidConfig("oracle nuisances requested but no 'truth' path configured")
+        sim = SimulationConfig.from_json_dict(_load_json(config["truth"]))
+        oracle = gaussian_oracle_nuisances(sim, rho_hat=data.n1 / data.n)
+    return FitRecipe(
+        weights=weights,
+        propensity=propensity,
+        outcome=outcome,
+        oracle=oracle,
+        kernel=_kernel_from_config(config),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -132,17 +181,6 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _kernel_from_config(config: dict) -> KernelSpec | None:
-    k = config.get("kernel")
-    if k is None:
-        return None
-    return KernelSpec(
-        family=k.get("family", "rbf"),
-        bandwidth=k.get("bandwidth"),
-        ridge=k.get("ridge"),
-    )
-
-
 def cmd_estimate(args) -> int:
     config = _load_json(args.config)
     if args.variant is not None:
@@ -156,41 +194,27 @@ def cmd_estimate(args) -> int:
     if args.seed is not None:
         config["seed"] = args.seed
 
-    data = read_dataset_csv(config["dataset"])
-    estimand = Estimand(config.get("estimand", "theta"))
-    kind = _kind_from_string(config["kind"]) if "kind" in config else data.kind
-    policy = _policy_from_dict(config["policy"])
-    weights = config.get("weights", "oracle")
-    propensity = config.get("propensity", "oracle")
-    outcome = config.get("outcome", "oracle")
+    data = read_dataset_csv(_required(config, "dataset"))
+    estimand = _enum_from_string(Estimand, config.get("estimand", "theta"), "estimand")
+    kind = data.kind
+    if "kind" in config:
+        kind = _enum_from_string(DatasetKind, config["kind"], "dataset kind")
+    policy = _policy_from_dict(_required(config, "policy"), data.p)
     level = float(config.get("level", 0.95))
     crossfit = int(config.get("crossfit", 0))
     seed = int(config.get("seed", 0))
 
     eval_data = data.as_type2() if kind is DatasetKind.TYPE2 and data.kind is DatasetKind.TYPE1 else data
-    oracle = None
-    if "oracle" in (weights, propensity, outcome):
-        if "truth" not in config:
-            raise InvalidConfig("oracle nuisances requested but no 'truth' path configured")
-        oracle = _oracle_from_truth(config["truth"], rho_hat=eval_data.n1 / eval_data.n)
-    recipe = FitRecipe(
-        weights=weights,
-        propensity=propensity,
-        outcome=outcome,
-        oracle=oracle,
-        kernel=_kernel_from_config(config),
-    )
-
+    recipe = _recipe_from_config(config, eval_data, default_weights="oracle")
     if crossfit >= 2:
         folds = split_cross_fit_folds(eval_data, crossfit, seed=seed)
         report = cross_fit_estimate(
             eval_data, folds, recipe, policy, estimand, kind=kind, level=level
         )
     else:
-        all_oracle = (weights, propensity, outcome) == ("oracle",) * 3
-        nuisances = oracle if all_oracle else assemble_nuisances(eval_data, recipe)
         report = estimate_efficient(
-            eval_data, nuisances, policy, estimand, kind=kind, level=level
+            eval_data, assemble_nuisances(eval_data, recipe), policy, estimand,
+            kind=kind, level=level,
         )
 
     out = Path(args.out)
@@ -213,27 +237,15 @@ def cmd_calibrate(args) -> int:
     config = _load_json(args.config)
     if args.seed is not None:
         config["seed"] = args.seed
-    data = read_dataset_csv(config["dataset"])
-    with open(config["candidates"]) as fh:
+    data = read_dataset_csv(_required(config, "dataset"))
+    with open(_required(config, "candidates")) as fh:
         candidates = candidates_from_json(fh.read())
+    for _, policy in candidates.candidates:
+        _check_policy_dimension(policy, data.p)
     method = config.get("method", "covariates_only")
     stratum = int(config.get("ipw_propensity_stratum", 1))
 
-    weights = config.get("weights", "aipsw")
-    propensity = config.get("propensity", "oracle")
-    outcome = config.get("outcome", "oracle")
-    oracle = None
-    if "oracle" in (weights, propensity, outcome):
-        if "truth" not in config:
-            raise InvalidConfig("oracle nuisances requested but no 'truth' path configured")
-        oracle = _oracle_from_truth(config["truth"], rho_hat=data.n1 / data.n)
-    recipe = FitRecipe(
-        weights=weights,
-        propensity=propensity,
-        outcome=outcome,
-        oracle=oracle,
-        kernel=_kernel_from_config(config),
-    )
+    recipe = _recipe_from_config(config, data, default_weights="aipsw")
     nuisances = assemble_nuisances(data, recipe)
     result = select_policy(
         candidates, data, method, nuisances, ipw_propensity_stratum=stratum
@@ -259,26 +271,26 @@ def cmd_montecarlo(args) -> int:
     if args.seed is not None:
         config.setdefault("base", {})
         config["base"]["seed"] = args.seed
-    base = SimulationConfig.from_json_dict(config["base"])
-    policy = _policy_from_dict(config["policy"])
+    base = SimulationConfig.from_json_dict(_required(config, "base"))
+    policy = _policy_from_dict(_required(config, "policy"), base.p)
     try:
         specs = tuple(
             EstimatorSpec(
                 name=e["name"],
-                estimand=Estimand(e.get("estimand", "theta")),
-                kind=_kind_from_string(e.get("kind", "type2")),
+                estimand=_enum_from_string(Estimand, e.get("estimand", "theta"), "estimand"),
+                kind=_enum_from_string(DatasetKind, e.get("kind", "type2"), "dataset kind"),
                 weights=e.get("weights", "oracle"),
                 propensity=e.get("propensity", "oracle"),
                 outcome=e.get("outcome", "oracle"),
                 crossfit=bool(e.get("crossfit", False)),
             )
-            for e in config["estimators"]
+            for e in _required(config, "estimators")
         )
     except KeyError as e:
         raise InvalidConfig(f"estimator entry missing field {e}") from e
     mc = McConfig(
         base=base,
-        replications=int(config["replications"]),
+        replications=int(_required(config, "replications")),
         policy=policy,
         estimators=specs,
         crossfit_k=int(config.get("crossfit_k", 5)),

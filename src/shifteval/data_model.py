@@ -526,13 +526,16 @@ def read_dataset_csv(path) -> PooledDataset:
         for line_no, row in enumerate(reader, start=2):
             if len(row) != p + 3:
                 raise DimensionMismatch(f"line {line_no}: expected {p + 3} cells")
-            xs.append([float(v) for v in row[:p]])
             a_cell, y_cell, s_cell = row[p], row[p + 1], row[p + 2]
             if (a_cell == "") != (y_cell == ""):
                 raise MissingnessMismatch(f"line {line_no}: a and y must be missing together")
-            as_.append(np.nan if a_cell == "" else float(a_cell))
-            ys.append(np.nan if y_cell == "" else float(y_cell))
-            ss.append(int(s_cell))
+            try:
+                xs.append([float(v) for v in row[:p]])
+                as_.append(np.nan if a_cell == "" else float(a_cell))
+                ys.append(np.nan if y_cell == "" else float(y_cell))
+                ss.append(int(s_cell))
+            except ValueError as e:
+                raise InvalidConfig(f"line {line_no}: {e}") from None
     a = np.asarray(as_)
     kind = DatasetKind.TYPE2 if np.isnan(a).any() else DatasetKind.TYPE1
     return PooledDataset.from_arrays(np.asarray(xs), a, np.asarray(ys), np.asarray(ss), kind)

@@ -82,6 +82,10 @@ class VariantMismatch(ShiftEvalError):
     pass
 
 
+class NonFiniteValue(ShiftEvalError):
+    """A nuisance value or report field is NaN or infinite."""
+
+
 # calibration
 class EmptyCalibration(ShiftEvalError):
     pass

@@ -11,7 +11,9 @@ sampling rate is always replaced by the realized n1/n (and 1 - rho by n0/n).
 
 Per-row efficient-influence-function contributions drive the reported
 standard errors; with the self-consistent point estimate their sample mean
-is zero by construction.
+is zero by construction. The plain and cross-fitted efficient estimators
+share one aggregation core: cross-fitting only changes which fitted
+nuisances are evaluated on which rows.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from .errors import (
     InvalidLevel,
     MissingField,
     MissingStratum,
+    NonFiniteValue,
     ShiftEvalError,
 )
 from .nuisance import (
@@ -129,10 +132,9 @@ class TheoreticalVariance:
     nu_se: float = 0.0
     zeta_se: float = 0.0
 
-    def sqrt_n_target(self, n1: int, n0: int) -> float:
-        """Variance of sqrt(n)(estimate - truth): gamma1^2 nu + gamma0^2 zeta."""
-        n = n1 + n0
-        return (n / n1) * self.nu_eff + (n / n0) * self.zeta_eff
+    def sqrt_n_target(self, rho: float) -> float:
+        """Variance of sqrt(n)(estimate - truth) at sampling rate rho = n1/n."""
+        return self.nu_eff / rho + self.zeta_eff / (1.0 - rho)
 
 
 def wald_ci(estimate: float, se: float, level: float = DEFAULT_LEVEL) -> tuple:
@@ -151,23 +153,30 @@ def wald_ci(estimate: float, se: float, level: float = DEFAULT_LEVEL) -> tuple:
 
 
 @dataclass(eq=False)
+class _Stratum:
+    """One stratum's rows, in data order: inputs gathered once, nuisance
+    values written in place by :func:`_fill_parts`. The (a, y, pi, resid)
+    arrays are None for calibration rows under Type-2 evaluation, which
+    never reads calibration (a, y)."""
+
+    s: int
+    x: NDArray  # (m, p)
+    d: NDArray  # (m,) policy decisions
+    a: NDArray | None = None  # (m,)
+    y: NDArray | None = None  # (m,)
+    pi: NDArray | None = None  # (m,) pi_A(A_i | X_i, s)
+    resid: NDArray | None = None  # (m,) Y_i - Q(X_i, A_i)
+
+
+@dataclass(eq=False)
 class _PerRowParts:
-    """Row-level quantities entering the estimator sums.
+    """Row-level quantities entering the estimator sums."""
 
-    Training arrays follow the order of rows with s = 1, calibration arrays
-    the order of rows with s = 0. Calibration residual pieces are None for
-    Type-2 evaluation, which never reads calibration (a, y).
-    """
-
-    d: NDArray  # (n,) policy decisions
-    w_tr: NDArray  # (n1,)
-    pi_tr: NDArray  # (n1,) pi_A(A_i | X_i, 1)
-    resid_tr: NDArray  # (n1,) Y_i - Q(X_i, A_i)
-    a_tr: NDArray  # (n1,)
-    target_cal: NDArray  # (n0,) Q(X_i, d) or C(X_i) d(X_i)
-    pi_cal: NDArray | None = None  # (n0,) pi_A(A_i | X_i, 0)
-    resid_cal: NDArray | None = None  # (n0,)
-    a_cal: NDArray | None = None  # (n0,)
+    train: NDArray  # (n,) s == 1
+    tr: _Stratum
+    cal: _Stratum
+    w_tr: NDArray  # (n1,) weights at the training rows
+    target_cal: NDArray  # (n0,) Q(X_i, d) or C(X_i) d(X_i) at the calibration rows
 
 
 def _coupler(estimand: Estimand, d: NDArray, a: NDArray) -> NDArray:
@@ -176,86 +185,101 @@ def _coupler(estimand: Estimand, d: NDArray, a: NDArray) -> NDArray:
     return d * a
 
 
+def _policy_target(outcome, x: NDArray, d: NDArray, estimand: Estimand) -> NDArray:
+    """Q(x, d) for the policy value, C(x) d for the contrast."""
+    if estimand is Estimand.VALUE:
+        return outcome.q(x, d)
+    return outcome.cte(x) * d
+
+
 def _check_positive(name: str, arr: NDArray) -> None:
     if np.any(arr <= 0.0):
         raise DegenerateDenominator(f"{name} contains non-positive values")
 
 
-def _build_parts(
-    data: PooledDataset,
-    nuisances: NuisanceSet,
-    policy: Policy,
-    estimand: Estimand,
-    kind: DatasetKind,
-) -> _PerRowParts:
+def _stratum(data: PooledDataset, rows: NDArray, d: NDArray, s: int, with_ay: bool) -> _Stratum:
+    st = _Stratum(s=s, x=data.x[rows], d=d[rows])
+    if with_ay:
+        st.a, st.y = data.a[rows], data.y[rows]
+        st.pi, st.resid = np.empty_like(st.y), np.empty_like(st.y)
+    return st
+
+
+def _empty_parts(data: PooledDataset, policy: Policy, kind: DatasetKind) -> _PerRowParts:
+    """Gather the per-stratum inputs and allocate the nuisance-value arrays."""
     train = data.s == 1
-    calib = ~train
+    type1 = kind is DatasetKind.TYPE1
+    if type1 and not data.observed[~train].all():
+        raise MissingField("Type-1 evaluation requires observed (a, y) on calibration rows")
     d = np.asarray(policy(data.x), dtype=float)
-
-    x_tr = data.x[train]
-    a_tr = data.a[train]
-    w_tr = np.asarray(nuisances.weight(x_tr), dtype=float)
-    pi_tr = np.asarray(nuisances.propensity.prob(a_tr, x_tr, 1), dtype=float)
-    _check_positive("training propensities", pi_tr)
-    resid_tr = data.y[train] - nuisances.outcome.q(x_tr, a_tr)
-
-    x_cal = data.x[calib]
-    d_cal = d[calib]
-    if estimand is Estimand.VALUE:
-        target_cal = nuisances.outcome.q(x_cal, d_cal)
-    else:
-        target_cal = nuisances.outcome.cte(x_cal) * d_cal
-
-    parts = _PerRowParts(
-        d=d, w_tr=w_tr, pi_tr=pi_tr, resid_tr=resid_tr, a_tr=a_tr, target_cal=target_cal
+    tr = _stratum(data, train, d, 1, with_ay=True)
+    cal = _stratum(data, ~train, d, 0, with_ay=type1)
+    return _PerRowParts(
+        train=train, tr=tr, cal=cal, w_tr=np.empty(data.n1), target_cal=np.empty(data.n0)
     )
-    if kind is DatasetKind.TYPE1:
-        if not data.observed[calib].all():
-            raise MissingField(
-                "Type-1 evaluation requires observed (a, y) on calibration rows"
-            )
-        a_cal = data.a[calib]
-        pi_cal = np.asarray(nuisances.propensity.prob(a_cal, x_cal, 0), dtype=float)
-        _check_positive("calibration propensities", pi_cal)
-        parts.pi_cal = pi_cal
-        parts.resid_cal = data.y[calib] - nuisances.outcome.q(x_cal, a_cal)
-        parts.a_cal = a_cal
-    return parts
+
+
+def _fill_parts(
+    parts: _PerRowParts, tr, cal, nuisances: NuisanceSet, estimand: Estimand
+) -> None:
+    """Evaluate ``nuisances`` at training positions ``tr`` and calibration
+    positions ``cal`` (index arrays or slices into the per-stratum arrays)."""
+    parts.w_tr[tr] = nuisances.weight(parts.tr.x[tr])
+    parts.target_cal[cal] = _policy_target(
+        nuisances.outcome, parts.cal.x[cal], parts.cal.d[cal], estimand
+    )
+    for st, idx in ((parts.tr, tr), (parts.cal, cal)):
+        if st.a is not None:
+            x, a = st.x[idx], st.a[idx]
+            st.pi[idx] = nuisances.propensity.prob(a, x, st.s)
+            st.resid[idx] = st.y[idx] - nuisances.outcome.q(x, a)
 
 
 def _combine(
     data: PooledDataset, parts: _PerRowParts, estimand: Estimand, kind: DatasetKind
 ):
     """Point estimate and per-row influence contributions at the estimate."""
-    n, n1, n0 = data.n, data.n1, data.n0
-    train = data.s == 1
-    d = parts.d
-    coup_tr = _coupler(estimand, d[train], parts.a_tr)
-    term_tr = parts.w_tr * coup_tr / parts.pi_tr * parts.resid_tr
+    tr, cal = parts.tr, parts.cal
+    for name, arr in (
+        ("training weights", parts.w_tr),
+        ("training propensities", tr.pi),
+        ("training outcome residuals", tr.resid),
+        ("calibration targets", parts.target_cal),
+        ("calibration propensities", cal.pi),
+        ("calibration outcome residuals", cal.resid),
+    ):
+        if arr is not None and not np.isfinite(arr).all():
+            raise NonFiniteValue(f"{name} contain NaN or infinite values")
+    _check_positive("training propensities", tr.pi)
+    if cal.pi is not None:
+        _check_positive("calibration propensities", cal.pi)
 
+    n, n1, n0 = data.n, data.n1, data.n0
+    train = parts.train
+    term_tr = parts.w_tr * _coupler(estimand, tr.d, tr.a) / tr.pi * tr.resid
+    eif = np.empty(n)
     if kind is DatasetKind.TYPE2:
         phi = float(np.mean(term_tr))
         estimate = phi + float(np.mean(parts.target_cal))
-        eif = np.empty(n)
         eif[train] = (n / n1) * term_tr
         eif[~train] = (n / n0) * (parts.target_cal - estimate)
     else:
-        coup_cal = _coupler(estimand, d[~train], parts.a_cal)
-        term_cal = coup_cal / parts.pi_cal * parts.resid_cal
+        term_cal = _coupler(estimand, cal.d, cal.a) / cal.pi * cal.resid
         estimate = (n1 / n) * float(np.mean(term_tr)) + float(
             np.mean((n0 / n) * term_cal + parts.target_cal)
         )
-        eif = np.empty(n)
         eif[train] = term_tr
         eif[~train] = term_cal + (n / n0) * (parts.target_cal - estimate)
     return estimate, eif
 
 
 def _finish_report(
-    data, estimate, eif, variant, method, nuisance, level
+    data, estimate, terms, variant, method, nuisance, level
 ) -> EstimateReport:
-    n = data.n
-    se = float(np.std(eif, ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+    """Report with se = sample standard deviation of the per-row ``terms``
+    divided by the square root of their count."""
+    m = terms.shape[0]
+    se = float(np.std(terms, ddof=1) / np.sqrt(m)) if m > 1 else 0.0
     return EstimateReport(
         estimate=estimate,
         se=se,
@@ -264,7 +288,7 @@ def _finish_report(
         variant=variant,
         method=method,
         nuisance=nuisance,
-        n=n,
+        n=data.n,
         n1=data.n1,
         n0=data.n0,
     )
@@ -292,7 +316,8 @@ def estimate_efficient(
     sqrt(n).
     """
     kind = data.kind if kind is None else kind
-    parts = _build_parts(data, nuisances, policy, estimand, kind)
+    parts = _empty_parts(data, policy, kind)
+    _fill_parts(parts, slice(None), slice(None), nuisances, estimand)
     estimate, eif = _combine(data, parts, estimand, kind)
     return _finish_report(
         data,
@@ -313,6 +338,9 @@ def eif_contribution(
     theta_ref: float,
 ) -> float:
     """Influence-function value at one observation.
+
+    A scalar reference written independently of the vectorised aggregation
+    core, against which the core's per-row values are checked.
 
     The sampling rate rho is taken from ``nuisances.rho_hat`` (the n1/n
     plug-in when the set was built for a concrete dataset).
@@ -371,20 +399,16 @@ def estimate_plugin_identification(
     if form not in _PLUGIN_FORMS:
         raise InvalidConfig(f"unknown identification form {form!r}")
     train = data.s == 1
-
-    def target_on(x, d):
-        if estimand is Estimand.VALUE:
-            return nuisances.outcome.q(x, d)
-        return nuisances.outcome.cte(x) * d
-
     if form == "calibration_mean":
         if not (~train).any():
             raise MissingStratum("calibration_mean requires calibration rows")
         x0 = data.x[~train]
-        terms = target_on(x0, np.asarray(policy(x0), dtype=float))
+        terms = _policy_target(
+            nuisances.outcome, x0, np.asarray(policy(x0), dtype=float), estimand
+        )
     else:
         d = np.asarray(policy(data.x), dtype=float)
-        target = target_on(data.x, d)
+        target = _policy_target(nuisances.outcome, data.x, d, estimand)
         w = np.asarray(nuisances.weight(data.x[train]), dtype=float)
         if form == "weighted_pooled":
             terms = target.copy()
@@ -393,22 +417,16 @@ def estimate_plugin_identification(
             terms = np.zeros(data.n)
             terms[train] = (data.n / data.n1) * w * target[train]
 
-    estimate = float(np.mean(terms))
-    m = terms.shape[0]
-    se = float(np.std(terms, ddof=1) / np.sqrt(m)) if m > 1 else 0.0
     nuis = dict(nuisances.provenance())
     nuis["form"] = form
-    return EstimateReport(
-        estimate=estimate,
-        se=se,
-        ci=wald_ci(estimate, se, level),
-        level=level,
-        variant=EifVariant(estimand, data.kind),
-        method=f"plugin:{form}",
-        nuisance=nuis,
-        n=data.n,
-        n1=data.n1,
-        n0=data.n0,
+    return _finish_report(
+        data,
+        float(np.mean(terms)),
+        terms,
+        EifVariant(estimand, data.kind),
+        f"plugin:{form}",
+        nuis,
+        level,
     )
 
 
@@ -452,13 +470,18 @@ class FitRecipe:
 
 
 def assemble_nuisances(data: PooledDataset, recipe: FitRecipe) -> NuisanceSet:
-    """Fit (or take from the oracle) all three nuisance functions on ``data``."""
+    """Fit (or take from the oracle) all three nuisance functions on ``data``.
+
+    A missing ``recipe.kernel`` resolves to ``KernelSpec()`` for both kernel
+    backends.
+    """
+    kernel = recipe.kernel or KernelSpec()
     if recipe.weights == "oracle":
         weight = recipe.oracle.weight
     elif recipe.weights == "aipsw":
         weight = fit_weights_aipsw(data)
     elif recipe.weights == "kulsif":
-        weight = fit_weights_kulsif(data, recipe.kernel or KernelSpec())
+        weight = fit_weights_kulsif(data, kernel)
     else:
         weight = fit_weights_entropy_balancing(
             data, recipe.instruments or InstrumentSet.default(data.p)
@@ -474,7 +497,7 @@ def assemble_nuisances(data: PooledDataset, recipe: FitRecipe) -> NuisanceSet:
     if recipe.outcome == "oracle":
         outcome = recipe.oracle.outcome
     else:
-        outcome = fit_outcome_regression(data, method=recipe.outcome, spec=recipe.kernel)
+        outcome = fit_outcome_regression(data, method=recipe.outcome, spec=kernel)
 
     return NuisanceSet(
         weight=weight, propensity=propensity, outcome=outcome, rho_hat=data.n1 / data.n
@@ -500,22 +523,7 @@ def cross_fit_estimate(
     kind = data.kind if kind is None else kind
     if folds.bag_of.shape[0] != data.n:
         raise InvalidConfig("fold assignment does not match dataset size")
-    train = data.s == 1
-    calib = ~train
-    n1, n0 = data.n1, data.n0
-    tr_pos = np.cumsum(train) - 1  # global row -> training-array position
-    cal_pos = np.cumsum(calib) - 1
-
-    d = np.asarray(policy(data.x), dtype=float)
-    w_tr = np.empty(n1)
-    pi_tr = np.empty(n1)
-    resid_tr = np.empty(n1)
-    target_cal = np.empty(n0)
-    pi_cal = np.empty(n0) if kind is DatasetKind.TYPE1 else None
-    resid_cal = np.empty(n0) if kind is DatasetKind.TYPE1 else None
-    if kind is DatasetKind.TYPE1 and not data.observed[calib].all():
-        raise MissingField("Type-1 evaluation requires observed (a, y) on calibration rows")
-
+    parts = _empty_parts(data, policy, kind)
     per_bag = []
     for k in range(1, folds.k + 1):
         in_bag = folds.bag_of == k
@@ -523,46 +531,19 @@ def cross_fit_estimate(
             nus = assemble_nuisances(data.subset(~in_bag), recipe)
         except ShiftEvalError as e:
             raise type(e)(f"bag {k}: {e}") from e
-
-        bt = in_bag & train
-        if bt.any():
-            xb, ab = data.x[bt], data.a[bt]
-            idx = tr_pos[bt]
-            w_tr[idx] = nus.weight(xb)
-            pi_tr[idx] = nus.propensity.prob(ab, xb, 1)
-            resid_tr[idx] = data.y[bt] - nus.outcome.q(xb, ab)
-        bc = in_bag & calib
-        if bc.any():
-            xb, db = data.x[bc], d[bc]
-            idx = cal_pos[bc]
-            if estimand is Estimand.VALUE:
-                target_cal[idx] = nus.outcome.q(xb, db)
-            else:
-                target_cal[idx] = nus.outcome.cte(xb) * db
-            if kind is DatasetKind.TYPE1:
-                ab = data.a[bc]
-                pi_cal[idx] = nus.propensity.prob(ab, xb, 0)
-                resid_cal[idx] = data.y[bc] - nus.outcome.q(xb, ab)
+        _fill_parts(
+            parts,
+            np.flatnonzero(in_bag[parts.train]),
+            np.flatnonzero(in_bag[~parts.train]),
+            nus,
+            estimand,
+        )
         diag = {"bag": k, "nuisance": nus.provenance()}
         for key in ("converged", "iterations"):
             if key in nus.weight.info:
                 diag[f"weight_{key}"] = nus.weight.info[key]
         per_bag.append(diag)
 
-    _check_positive("training propensities", pi_tr)
-    if pi_cal is not None:
-        _check_positive("calibration propensities", pi_cal)
-    parts = _PerRowParts(
-        d=d,
-        w_tr=w_tr,
-        pi_tr=pi_tr,
-        resid_tr=resid_tr,
-        a_tr=data.a[train],
-        target_cal=target_cal,
-        pi_cal=pi_cal,
-        resid_cal=resid_cal,
-        a_cal=data.a[calib] if kind is DatasetKind.TYPE1 else None,
-    )
     estimate, eif = _combine(data, parts, estimand, kind)
     nuis = recipe.describe()
     nuis["crossfit_k"] = folds.k
@@ -616,10 +597,7 @@ def theoretical_variance(
 
     x0 = truth.sample_calibration(rng, mc_draws)
     d0 = np.asarray(policy(x0), dtype=float)
-    if variant.estimand is Estimand.VALUE:
-        target = nus.outcome.q(x0, d0)
-    else:
-        target = nus.outcome.cte(x0) * d0
+    target = _policy_target(nus.outcome, x0, d0, variant.estimand)
     centered = target - np.mean(target)
     var_target = float(np.mean(centered**2))
     var_target_se = float(

@@ -74,9 +74,6 @@ class EstimatorSpec:
     def variant(self) -> EifVariant:
         return EifVariant(self.estimand, self.kind)
 
-    def is_oracle(self) -> bool:
-        return (self.weights, self.propensity, self.outcome) == ("oracle",) * 3
-
 
 @dataclass(frozen=True, eq=False)
 class McConfig:
@@ -197,12 +194,8 @@ def _run_one_estimator(
     spec: EstimatorSpec, data: PooledDataset, oracle, config: McConfig, rep_seed: int
 ):
     eval_data = data.as_type2() if spec.kind is DatasetKind.TYPE2 else data
-    needs_oracle = "oracle" in (spec.weights, spec.propensity, spec.outcome)
     recipe = FitRecipe(
-        weights=spec.weights,
-        propensity=spec.propensity,
-        outcome=spec.outcome,
-        oracle=oracle if needs_oracle else None,
+        weights=spec.weights, propensity=spec.propensity, outcome=spec.outcome, oracle=oracle
     )
     if spec.crossfit:
         folds = split_cross_fit_folds(eval_data, config.crossfit_k, seed=rep_seed)
@@ -210,10 +203,9 @@ def _run_one_estimator(
             eval_data, folds, recipe, config.policy, spec.estimand, kind=spec.kind,
             level=config.level,
         )
-    nuisances = oracle if spec.is_oracle() else assemble_nuisances(eval_data, recipe)
     return estimate_efficient(
-        eval_data, nuisances, config.policy, spec.estimand, kind=spec.kind,
-        level=config.level,
+        eval_data, assemble_nuisances(eval_data, recipe), config.policy, spec.estimand,
+        kind=spec.kind, level=config.level,
     )
 
 
@@ -260,7 +252,6 @@ def run_replications(config: McConfig) -> McSummary:
     truth_obj = gaussian_shift_truth(config.base)
     variance_cache: dict[EifVariant, TheoreticalVariance] = {}
     n = config.base.n
-    rho = config.base.rho_s
     summaries = []
     for j, spec in enumerate(config.estimators):
         if spec.variant not in variance_cache:
@@ -286,7 +277,7 @@ def run_replications(config: McConfig) -> McSummary:
                 coverage=float(np.mean(cov[:, j])),
                 nu_eff=tv.nu_eff,
                 zeta_eff=tv.zeta_eff,
-                target_sqrt_n=tv.nu_eff / rho + tv.zeta_eff / (1.0 - rho),
+                target_sqrt_n=tv.sqrt_n_target(config.base.rho_s),
                 target_sqrt_n0=tv.zeta_eff,
                 mean_runtime_s=float(np.mean(rts[:, j])),
             )
@@ -309,17 +300,16 @@ def compare_to_bound(
 ) -> list:
     """Empirical-to-theoretical variance ratios for the matching variant.
 
-    ``design`` is the (n1, n0) pair fixing the scale factors; ``scaling``
-    selects the sqrt(n) target gamma1^2 nu + gamma0^2 zeta or the small-
-    calibration sqrt(n0) target zeta. Returns one pass/fail row per
+    ``design`` is the (n1, n0) pair fixing the sampling rate rho = n1/n;
+    ``scaling`` selects the sqrt(n) target nu/rho + zeta/(1 - rho) or the
+    small-calibration sqrt(n0) target zeta. Returns one pass/fail row per
     matching estimator.
     """
     if scaling not in ("sqrt_n", "sqrt_n0"):
         raise InvalidConfig(f"unknown scaling {scaling!r}")
     n1, n0 = design
-    n = n1 + n0
     if scaling == "sqrt_n":
-        bound = (n / n1) * target.nu_eff + (n / n0) * target.zeta_eff
+        bound = target.sqrt_n_target(n1 / (n1 + n0))
     else:
         bound = target.zeta_eff
     rows = []

@@ -226,11 +226,6 @@ class OutcomeModel:
         x = _as_matrix(x)
         return self.q(x, 1) - self.q(x, -1)
 
-    def q_policy(self, x: NDArray, policy) -> NDArray:
-        """Q(x, d(x)) for a decision rule d."""
-        x = _as_matrix(x)
-        return self.q(x, policy(x))
-
 
 @dataclass(frozen=True, eq=False)
 class WeightModel:
@@ -792,8 +787,14 @@ def check_positivity(
     n_worst: int = 5,
 ) -> PositivityReport:
     """Flag rows whose fitted propensities or implied selection probabilities
-    fall below the positivity thresholds. Diagnostic only; never raises."""
-    p1 = nuisances.propensity.prob(1, data.x, data.s)
+    fall below the positivity thresholds. Diagnostic only; never raises.
+
+    Propensities are scored only on rows with observed (a, y), since a
+    Type-2 fit has no calibration-stratum model; reported row indices are
+    positions in ``data``.
+    """
+    obs_rows = np.flatnonzero(data.observed)
+    p1 = nuisances.propensity.prob(1, data.x[obs_rows], data.s[obs_rows])
     min_arm = np.minimum(p1, 1.0 - p1)
     flagged_prop = min_arm < tau
 
@@ -812,7 +813,7 @@ def check_positivity(
         n_rows=data.n,
         n_flagged_propensity=int(flagged_prop.sum()),
         n_flagged_selection=int(flagged_sel.sum()),
-        worst_propensity=[(int(i), float(min_arm[i])) for i in order_prop],
+        worst_propensity=[(int(obs_rows[i]), float(min_arm[i])) for i in order_prop],
         worst_selection=[(int(i), float(min_stratum[i])) for i in order_sel],
     )
 

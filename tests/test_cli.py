@@ -5,6 +5,7 @@ from pathlib import Path
 
 import jsonschema
 import numpy as np
+import pytest
 
 from shifteval import (
     Estimand,
@@ -13,7 +14,9 @@ from shifteval import (
     read_dataset_csv,
     simulate_gaussian_shift,
 )
+from shifteval import cli
 from shifteval.cli import main
+from shifteval.errors import NonFiniteValue
 from shifteval.data_model import true_weight_gaussian
 
 from conftest import make_config
@@ -170,6 +173,23 @@ class TestEstimate:
         assert (out1 / "estimate_report.json").read_bytes() == (out2 / "estimate_report.json").read_bytes()
 
 
+    def test_kernel_ridge_without_kernel_block(self, tmp_path):
+        sim_out = simulate_to(tmp_path)
+        est_cfg = write_json(
+            tmp_path / "est.json",
+            {
+                "dataset": str(sim_out / "dataset.csv"),
+                "policy": POLICY,
+                "weights": "kulsif",
+                "propensity": "logistic",
+                "outcome": "kernel_ridge",
+            },
+        )
+        assert main(["estimate", "--config", est_cfg, "--out", str(tmp_path / "est")]) == 0
+        report = json.loads((tmp_path / "est" / "estimate_report.json").read_text())
+        assert report["nuisance"]["outcome"] == "kernel_ridge"
+
+
 class TestCalibrate:
     def test_selection_output(self, tmp_path):
         sim_cfg = write_json(tmp_path / "sim.json", sim_config_dict(n=300, seed=11))
@@ -257,7 +277,67 @@ class TestMonteCarloCommand:
             assert s1[key] == s3[key]
 
 
+def simulate_to(tmp_path, n=200, seed=30):
+    sim_cfg = write_json(tmp_path / "sim.json", sim_config_dict(n=n, seed=seed))
+    sim_out = tmp_path / "sim"
+    assert main(["simulate", "--config", sim_cfg, "--out", str(sim_out)]) == 0
+    return sim_out
+
+
 class TestErrorsAndExitCodes:
+    @pytest.mark.parametrize(
+        "case, error",
+        [
+            ("missing_dataset", "InvalidConfig"),
+            ("unknown_estimand", "InvalidConfig"),
+            ("coeffs_length", "DimensionMismatch"),
+            ("non_numeric_cell", "InvalidConfig"),
+            ("top_level_list", "InvalidConfig"),
+        ],
+    )
+    def test_bad_estimate_input_is_structured_before_fitting(
+        self, tmp_path, capsys, monkeypatch, case, error
+    ):
+        def no_fitting(*args, **kwargs):
+            raise AssertionError("nuisances fitted before the input was checked")
+
+        monkeypatch.setattr(cli, "assemble_nuisances", no_fitting)
+        sim_out = simulate_to(tmp_path)
+        config = {
+            "dataset": str(sim_out / "dataset.csv"),
+            "policy": POLICY,
+            "weights": "aipsw",
+            "propensity": "logistic",
+            "outcome": "linear",
+        }
+        if case == "missing_dataset":
+            del config["dataset"]
+        elif case == "unknown_estimand":
+            config["estimand"] = "thetaX"
+        elif case == "coeffs_length":
+            config["policy"] = POLICY | {"coeffs": [1.0, -1.0, 0.5]}
+        elif case == "non_numeric_cell":
+            bad = tmp_path / "bad.csv"
+            lines = (sim_out / "dataset.csv").read_text().splitlines()
+            lines[3] = "abc," + lines[3].split(",", 1)[1]
+            bad.write_text("\n".join(lines) + "\n")
+            config["dataset"] = str(bad)
+        else:
+            config = [config]
+        capsys.readouterr()
+        code = main(["estimate", "--config", write_json(tmp_path / "est.json", config),
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == error
+        assert err["message"]
+
+    def test_non_finite_payload_is_not_written(self, tmp_path):
+        with pytest.raises(NonFiniteValue):
+            cli._write_json(tmp_path / "r.json", {"estimate": float("nan")})
+        assert not (tmp_path / "r.json").exists()
+
+
     def test_unknown_subcommand_exit_2(self):
         assert main(["frobnicate"]) == 2
 

@@ -28,6 +28,7 @@ from shifteval import (
     theoretical_variance,
     wald_ci,
 )
+from shifteval import estimators
 from shifteval.errors import (
     InvalidConfig,
     InvalidLevel,
@@ -44,6 +45,13 @@ def toy_type2_dataset():
     return PooledDataset.from_arrays(
         x, [1, -1, np.nan, np.nan], [2.0, 0.0, np.nan, np.nan], [1, 1, 0, 0], DatasetKind.TYPE2
     )
+
+
+def core_influence(data, nuisances, policy, estimand, kind):
+    """Point estimate and per-row influence vector from the aggregation core."""
+    parts = estimators._empty_parts(data, policy, kind)
+    estimators._fill_parts(parts, slice(None), slice(None), nuisances, estimand)
+    return estimators._combine(data, parts, estimand, kind)
 
 
 def toy_oracle(q_plus=0.0):
@@ -114,6 +122,23 @@ class TestEstimateEfficient:
         with pytest.raises(DegenerateDenominator):
             estimate_efficient(data, nus, constant_policy(1, 1), Estimand.VALUE)
 
+    def test_non_finite_weight_raises_named_error(self, policy):
+        from shifteval.errors import NonFiniteValue
+        from shifteval.nuisance import NuisanceSet, WeightModel
+
+        data, oracle = simulate_gaussian_shift(make_config(n=200, seed=24))
+        inf_weight = WeightModel(backend="oracle", evaluator=lambda x: np.full(x.shape[0], np.inf))
+        nus = NuisanceSet(
+            weight=inf_weight, propensity=oracle.propensity, outcome=oracle.outcome,
+            rho_hat=oracle.rho_hat,
+        )
+        with pytest.raises(NonFiniteValue, match="training weights"):
+            estimate_efficient(data, nus, policy, Estimand.VALUE)
+        recipe = FitRecipe(weights="oracle", propensity="oracle", outcome="oracle", oracle=nus)
+        with pytest.raises(NonFiniteValue, match="training weights"):
+            cross_fit_estimate(data, split_cross_fit_folds(data, 2, seed=0), recipe, policy,
+                               Estimand.VALUE)
+
     @given(st.integers(0, 10_000))
     @settings(max_examples=25, deadline=None)
     def test_contrast_antisymmetry_exact(self, seed):
@@ -154,6 +179,15 @@ class TestEstimateEfficient:
                     for ob in data.rows
                 ]
                 assert abs(float(np.mean(vals))) <= 1e-10
+
+    @pytest.mark.parametrize("estimand", list(Estimand))
+    @pytest.mark.parametrize("kind", list(DatasetKind))
+    def test_scalar_reference_matches_core_row_by_row(self, policy, estimand, kind):
+        data, oracle = simulate_gaussian_shift(make_config(n=200, seed=23))
+        estimate, eif = core_influence(data, oracle, policy, estimand, kind)
+        variant = EifVariant(estimand, kind)
+        ref = [eif_contribution(ob, oracle, policy, variant, estimate) for ob in data.rows]
+        assert eif == pytest.approx(ref, rel=0, abs=1e-12)
 
     def test_report_json_shape(self, policy):
         data, oracle = simulate_gaussian_shift(make_config(n=100, seed=10))
@@ -202,12 +236,14 @@ class TestCrossFit:
     def test_oracle_recipe_equals_plain_estimate(self, policy):
         data, oracle = simulate_gaussian_shift(make_config(n=400, seed=14))
         recipe = FitRecipe(weights="oracle", propensity="oracle", outcome="oracle", oracle=oracle)
-        plain = estimate_efficient(data, oracle, policy, Estimand.VALUE)
-        for k, seed in ((2, 0), (5, 99)):
-            folds = split_cross_fit_folds(data, k, seed=seed)
-            cf = cross_fit_estimate(data, folds, recipe, policy, Estimand.VALUE)
-            assert cf.estimate == plain.estimate
-            assert cf.se == plain.se
+        for estimand in Estimand:
+            for kind in DatasetKind:
+                plain = estimate_efficient(data, oracle, policy, estimand, kind=kind)
+                for k, seed in ((2, 0), (5, 99)):
+                    folds = split_cross_fit_folds(data, k, seed=seed)
+                    cf = cross_fit_estimate(data, folds, recipe, policy, estimand, kind=kind)
+                    assert cf.estimate == plain.estimate
+                    assert cf.se == plain.se
 
     def test_fitted_recipe_close_to_truth(self, policy):
         cfg = make_config(n=4000, seed=15)

@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 
 from shifteval import (
     DatasetKind,
+    FitRecipe,
     InstrumentSet,
     KernelSpec,
     PooledDataset,
+    assemble_nuisances,
     check_balance,
     check_positivity,
     fit_outcome_regression,
@@ -405,6 +407,21 @@ class TestDiagnostics:
         assert rep.n_flagged_selection > 0
         assert len(rep.worst_selection) == 5
         json.dumps(rep.to_json_dict())
+
+    def test_positivity_type2_fitted_propensity_does_not_raise(self):
+        data, _ = simulate_gaussian_shift(make_config(n=400, seed=77))
+        masked = data.as_type2()
+        nus = assemble_nuisances(
+            masked, FitRecipe(weights="aipsw", propensity="logistic", outcome="linear")
+        )
+        rep = check_positivity(nus, masked, tau=0.6, delta=0.05)
+        # only training rows carry (a, y); each is flagged at tau = 0.6
+        assert rep.n_rows == masked.n
+        assert rep.n_flagged_propensity == masked.n1
+        for i, v in rep.worst_propensity:
+            assert masked.s[i] == 1
+            p1 = nus.propensity.prob(1, masked.x[i : i + 1], 1)[0]
+            assert v == pytest.approx(min(p1, 1.0 - p1), rel=1e-12)
 
     def test_weight_model_json(self):
         data, _ = simulate_gaussian_shift(make_config(n=200, seed=76))
