@@ -55,18 +55,12 @@ def candidates_from_json(text: str) -> CandidateSet:
     entries = []
     for item in raw:
         try:
-            c = float(item["c"])
-            rule = item["rule"]
-            if rule["type"] != "linear":
-                raise InvalidConfig(f"unsupported rule type {rule['type']!r}")
-            policy = LinearPolicy(
-                intercept=float(rule["intercept"]),
-                coeffs=np.asarray(rule["coeffs"], dtype=float),
-                label=f"linear(c={c:g})",
-            )
+            c, rule = float(item["c"]), item["rule"]
         except KeyError as e:
             raise InvalidConfig(f"candidate entry missing field {e}") from e
-        entries.append((c, policy))
+        except (TypeError, ValueError) as e:
+            raise InvalidConfig(f"malformed candidate entry {item!r}: {e}") from None
+        entries.append((c, LinearPolicy.from_json_dict(rule, label=f"linear(c={c:g})")))
     return CandidateSet(candidates=tuple(entries))
 
 

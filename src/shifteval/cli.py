@@ -22,8 +22,6 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .calibration import candidates_from_json, select_policy
 from .data_model import (
@@ -32,16 +30,17 @@ from .data_model import (
     SimulationConfig,
     read_dataset_csv,
     simulate_gaussian_shift,
-    split_cross_fit_folds,
     write_dataset_csv,
 )
 from .errors import DimensionMismatch, InvalidConfig, NonFiniteValue, ShiftEvalError
 from .estimators import (
+    BACKENDS,
+    DEFAULT_LEVEL,
     Estimand,
     FitRecipe,
     assemble_nuisances,
-    cross_fit_estimate,
-    estimate_efficient,
+    check_level,
+    fit_and_estimate,
 )
 from .montecarlo import EstimatorSpec, McConfig, run_replications
 from .nuisance import KernelSpec, gaussian_oracle_nuisances
@@ -75,11 +74,34 @@ def _write_json(path, payload: dict) -> None:
         fh.write(text + "\n")
 
 
+def _emit(out_dir, name, payload: dict, config: dict, note: str | None = None) -> Path:
+    """Stamp ``payload`` with the hash of ``config``, the package version and
+    ``note``, and write it to ``out_dir/name`` (creating the directory)."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    payload["config_sha256"] = canonical_hash(config)
+    payload["spec_version"] = __version__
+    if note is not None:
+        payload["notes"] = [note]
+    _write_json(out / name, payload)
+    return out / name
+
+
 def _required(config: dict, key: str):
     try:
         return config[key]
     except KeyError:
         raise InvalidConfig(f"config missing required field {key!r}") from None
+
+
+def _field(config: dict, key: str, cast, default=None):
+    """``cast(config[key])``, or ``cast(default)`` when the key is absent; the
+    key is required when ``default`` is None."""
+    value = _required(config, key) if default is None else config.get(key, default)
+    try:
+        return cast(value)
+    except (TypeError, ValueError) as e:
+        raise InvalidConfig(f"config field {key!r}: {e}") from None
 
 
 def _check_policy_dimension(policy: LinearPolicy, p: int) -> LinearPolicy:
@@ -92,38 +114,21 @@ def _check_policy_dimension(policy: LinearPolicy, p: int) -> LinearPolicy:
 
 
 def _policy_from_dict(d: dict, p: int) -> LinearPolicy:
-    try:
-        if d["type"] != "linear":
-            raise InvalidConfig(f"unsupported policy type {d['type']!r}")
-        policy = LinearPolicy(
-            intercept=float(d["intercept"]),
-            coeffs=np.asarray(d["coeffs"], dtype=float),
-            label=d.get("label", "linear"),
-        )
-    except KeyError as e:
-        raise InvalidConfig(f"policy specification missing field {e}") from e
-    except (TypeError, ValueError) as e:
-        raise InvalidConfig(f"malformed policy specification: {e}") from None
-    return _check_policy_dimension(policy, p)
-
-
-def _enum_from_string(enum_cls, text, what: str):
-    try:
-        return enum_cls(text)
-    except ValueError:
-        choices = ", ".join(repr(m.value) for m in enum_cls)
-        raise InvalidConfig(f"unknown {what} {text!r}, expected one of {choices}") from None
+    return _check_policy_dimension(LinearPolicy.from_json_dict(d), p)
 
 
 def _kernel_from_config(config: dict) -> KernelSpec | None:
     k = config.get("kernel")
     if k is None:
         return None
-    return KernelSpec(
-        family=k.get("family", "rbf"),
-        bandwidth=k.get("bandwidth"),
-        ridge=k.get("ridge"),
-    )
+    try:
+        return KernelSpec(
+            family=k.get("family", "rbf"),
+            bandwidth=k.get("bandwidth"),
+            ridge=k.get("ridge"),
+        )
+    except (AttributeError, TypeError) as e:
+        raise InvalidConfig(f"malformed kernel block {k!r}: {e}") from None
 
 
 def _recipe_from_config(config: dict, data, default_weights: str) -> FitRecipe:
@@ -164,14 +169,11 @@ def cmd_simulate(args) -> int:
         data = data.as_type2()
 
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    write_dataset_csv(data, out / "dataset.csv")
     truth = sim.to_json_dict()
     truth["model"] = "gaussian_shift_linear"
     truth["weight_form"] = {"form": "exponential_tilt_gaussian", "mu": sim.mu.tolist()}
-    truth["config_sha256"] = canonical_hash(effective)
-    truth["spec_version"] = __version__
-    _write_json(out / "truth.json", truth)
+    _emit(out, "truth.json", truth, effective)
+    write_dataset_csv(data, out / "dataset.csv")
     print(f"wrote {out / 'dataset.csv'} ({data.n} rows) and {out / 'truth.json'}")
     return 0
 
@@ -183,48 +185,26 @@ def cmd_simulate(args) -> int:
 
 def cmd_estimate(args) -> int:
     config = _load_json(args.config)
-    if args.variant is not None:
-        config["estimand"] = args.variant
-    if args.kind is not None:
-        config["kind"] = args.kind
-    if args.weights is not None:
-        config["weights"] = args.weights
-    if args.crossfit is not None:
-        config["crossfit"] = args.crossfit
-    if args.seed is not None:
-        config["seed"] = args.seed
+    for key, flag in (("estimand", args.variant), ("kind", args.kind), ("weights", args.weights),
+                      ("crossfit", args.crossfit), ("seed", args.seed)):
+        if flag is not None:
+            config[key] = flag
 
     data = read_dataset_csv(_required(config, "dataset"))
-    estimand = _enum_from_string(Estimand, config.get("estimand", "theta"), "estimand")
-    kind = data.kind
-    if "kind" in config:
-        kind = _enum_from_string(DatasetKind, config["kind"], "dataset kind")
+    estimand = _field(config, "estimand", Estimand, "theta")
+    kind = _field(config, "kind", DatasetKind, data.kind)
     policy = _policy_from_dict(_required(config, "policy"), data.p)
-    level = float(config.get("level", 0.95))
-    crossfit = int(config.get("crossfit", 0))
-    seed = int(config.get("seed", 0))
+    level = _field(config, "level", float, DEFAULT_LEVEL)
+    check_level(level)
+    crossfit = _field(config, "crossfit", int, 0)
+    seed = _field(config, "seed", int, 0)
+    recipe = _recipe_from_config(config, data, default_weights="oracle")
 
-    eval_data = data.as_type2() if kind is DatasetKind.TYPE2 and data.kind is DatasetKind.TYPE1 else data
-    recipe = _recipe_from_config(config, eval_data, default_weights="oracle")
-    if crossfit >= 2:
-        folds = split_cross_fit_folds(eval_data, crossfit, seed=seed)
-        report = cross_fit_estimate(
-            eval_data, folds, recipe, policy, estimand, kind=kind, level=level
-        )
-    else:
-        report = estimate_efficient(
-            eval_data, assemble_nuisances(eval_data, recipe), policy, estimand,
-            kind=kind, level=level,
-        )
-
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    payload = report.to_json_dict()
-    payload["config_sha256"] = canonical_hash(config)
-    payload["spec_version"] = __version__
-    payload["notes"] = [PI_A_NOTE]
-    _write_json(out / "estimate_report.json", payload)
-    print(f"estimate={report.estimate:.17g} se={report.se:.17g} -> {out / 'estimate_report.json'}")
+    report = fit_and_estimate(
+        data, recipe, policy, estimand, kind, crossfit_k=crossfit, seed=seed, level=level
+    )
+    path = _emit(args.out, "estimate_report.json", report.to_json_dict(), config, PI_A_NOTE)
+    print(f"estimate={report.estimate:.17g} se={report.se:.17g} -> {path}")
     return 0
 
 
@@ -243,7 +223,7 @@ def cmd_calibrate(args) -> int:
     for _, policy in candidates.candidates:
         _check_policy_dimension(policy, data.p)
     method = config.get("method", "covariates_only")
-    stratum = int(config.get("ipw_propensity_stratum", 1))
+    stratum = _field(config, "ipw_propensity_stratum", int, 1)
 
     recipe = _recipe_from_config(config, data, default_weights="aipsw")
     nuisances = assemble_nuisances(data, recipe)
@@ -251,19 +231,31 @@ def cmd_calibrate(args) -> int:
         candidates, data, method, nuisances, ipw_propensity_stratum=stratum
     )
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    payload = result.to_json_dict()
-    payload["config_sha256"] = canonical_hash(config)
-    payload["spec_version"] = __version__
-    _write_json(out / "selection.json", payload)
-    print(f"chose c={result.chosen_c:g} ({result.chosen_policy.label}) -> {out / 'selection.json'}")
+    path = _emit(args.out, "selection.json", result.to_json_dict(), config)
+    print(f"chose c={result.chosen_c:g} ({result.chosen_policy.label}) -> {path}")
     return 0
 
 
 # ---------------------------------------------------------------------------
 # montecarlo
 # ---------------------------------------------------------------------------
+
+
+def _estimator_spec(e: dict) -> EstimatorSpec:
+    if not isinstance(e, dict):
+        raise InvalidConfig(f"estimator entry must be an object, got {e!r}")
+    name, crossfit = _required(e, "name"), e.get("crossfit", False)
+    if not isinstance(name, str) or not isinstance(crossfit, bool):
+        raise InvalidConfig(f"estimator needs a string 'name' and a boolean 'crossfit', got {e!r}")
+    return EstimatorSpec(
+        name=name,
+        estimand=_field(e, "estimand", Estimand, "theta"),
+        kind=_field(e, "kind", DatasetKind, "type2"),
+        weights=e.get("weights", "oracle"),
+        propensity=e.get("propensity", "oracle"),
+        outcome=e.get("outcome", "oracle"),
+        crossfit=crossfit,
+    )
 
 
 def cmd_montecarlo(args) -> int:
@@ -273,43 +265,26 @@ def cmd_montecarlo(args) -> int:
         config["base"]["seed"] = args.seed
     base = SimulationConfig.from_json_dict(_required(config, "base"))
     policy = _policy_from_dict(_required(config, "policy"), base.p)
-    try:
-        specs = tuple(
-            EstimatorSpec(
-                name=e["name"],
-                estimand=_enum_from_string(Estimand, e.get("estimand", "theta"), "estimand"),
-                kind=_enum_from_string(DatasetKind, e.get("kind", "type2"), "dataset kind"),
-                weights=e.get("weights", "oracle"),
-                propensity=e.get("propensity", "oracle"),
-                outcome=e.get("outcome", "oracle"),
-                crossfit=bool(e.get("crossfit", False)),
-            )
-            for e in _required(config, "estimators")
-        )
-    except KeyError as e:
-        raise InvalidConfig(f"estimator entry missing field {e}") from e
+    entries = _required(config, "estimators")
+    if not isinstance(entries, list):
+        raise InvalidConfig(f"'estimators' must be a list, got {entries!r}")
     mc = McConfig(
         base=base,
-        replications=int(_required(config, "replications")),
+        replications=_field(config, "replications", int),
         policy=policy,
-        estimators=specs,
-        crossfit_k=int(config.get("crossfit_k", 5)),
-        level=float(config.get("level", 0.95)),
-        n_jobs=int(config.get("n_jobs", 1)),
-        truth_draws=int(config.get("truth_draws", 1_000_000)),
-        variance_draws=int(config.get("variance_draws", 1_000_000)),
+        estimators=tuple(_estimator_spec(e) for e in entries),
+        crossfit_k=_field(config, "crossfit_k", int, 5),
+        level=_field(config, "level", float, DEFAULT_LEVEL),
+        n_jobs=_field(config, "n_jobs", int, 1),
+        truth_draws=_field(config, "truth_draws", int, 1_000_000),
+        variance_draws=_field(config, "variance_draws", int, 1_000_000),
     )
     tic = time.perf_counter()
     summary = run_replications(mc)
     elapsed = time.perf_counter() - tic
 
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    payload = summary.to_json_dict()
-    payload["config_sha256"] = canonical_hash(config)
-    payload["spec_version"] = __version__
-    payload["notes"] = [PI_A_NOTE]
-    _write_json(out / "mc_summary.json", payload)
+    _emit(out, "mc_summary.json", summary.to_json_dict(), config, PI_A_NOTE)
     summary.write_csv(out / "mc_summary.csv")
     # runtimes go to the console only so the emitted files stay reproducible
     for e in summary.estimators:
@@ -344,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--seed", type=int, default=None)
     est.add_argument("--kind", choices=["type1", "type2"], default=None)
     est.add_argument("--variant", choices=["theta", "theta1"], default=None)
-    est.add_argument("--weights", choices=["oracle", "aipsw", "kulsif", "eb"], default=None)
+    est.add_argument("--weights", choices=BACKENDS["weights"], default=None)
     est.add_argument("--crossfit", type=int, default=None, metavar="K")
     est.set_defaults(func=cmd_estimate)
 

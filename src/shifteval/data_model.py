@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import csv
 import enum
-import json
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -110,6 +109,14 @@ class PooledDataset:
     y: NDArray  # (n,)  float or NaN
     s: NDArray  # (n,)  values in {0, 1}
     kind: DatasetKind
+    observed: NDArray = field(init=False)  # (n,) (a, y) observed
+    n1: int = field(init=False)
+    n0: int = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "observed", ~np.isnan(self.a))
+        object.__setattr__(self, "n1", int(np.sum(self.s == 1)))
+        object.__setattr__(self, "n0", self.x.shape[0] - self.n1)
 
     @classmethod
     def from_arrays(cls, x, a, y, s, kind: DatasetKind) -> "PooledDataset":
@@ -126,9 +133,8 @@ class PooledDataset:
             raise DimensionMismatch("covariates contain missing coordinates")
         if not np.isin(s, (0, 1)).all():
             raise InvalidConfig("selection indicator must be 0 or 1 on every row")
-        s = s.astype(np.int64)
-
-        observed = ~np.isnan(a)
+        data = cls(x=x, a=a, y=y, s=s.astype(np.int64), kind=kind)
+        s, observed = data.s, data.observed
         if np.any(observed != ~np.isnan(y)):
             raise MissingnessMismatch("treatment and outcome must be missing together")
         if not np.isin(a[observed], (-1.0, 1.0)).all():
@@ -144,11 +150,9 @@ class PooledDataset:
                 "Type-2 datasets must not carry (a, y) on calibration rows"
             )
 
-        n1 = int(np.sum(s == 1))
-        n0 = n - n1
-        if n1 == 0 or n0 == 0:
-            raise EmptyStratum(f"both strata must be non-empty, got n1={n1}, n0={n0}")
-        return cls(x=x, a=a, y=y, s=s, kind=kind)
+        if data.n1 == 0 or data.n0 == 0:
+            raise EmptyStratum(f"both strata must be non-empty, got n1={data.n1}, n0={data.n0}")
+        return data
 
     @property
     def n(self) -> int:
@@ -157,19 +161,6 @@ class PooledDataset:
     @property
     def p(self) -> int:
         return self.x.shape[1]
-
-    @property
-    def n1(self) -> int:
-        return int(np.sum(self.s == 1))
-
-    @property
-    def n0(self) -> int:
-        return int(np.sum(self.s == 0))
-
-    @property
-    def observed(self) -> NDArray:
-        """Boolean mask of rows with (a, y) observed."""
-        return ~np.isnan(self.a)
 
     @property
     def rows(self) -> list[Observation]:
@@ -259,6 +250,23 @@ class LinearPolicy(Policy):
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", np.asarray(self.coeffs, dtype=float).ravel())
+
+    @classmethod
+    def from_json_dict(cls, d: dict, label: str | None = None) -> "LinearPolicy":
+        """Parse {"type": "linear", "intercept", "coeffs"[, "label"]}; a given
+        ``label`` replaces the rule's own."""
+        try:
+            if d["type"] != "linear":
+                raise InvalidConfig(f"unsupported policy type {d['type']!r}")
+            return cls(
+                intercept=float(d["intercept"]),
+                coeffs=np.asarray(d["coeffs"], dtype=float),
+                label=d.get("label", "linear") if label is None else label,
+            )
+        except KeyError as e:
+            raise InvalidConfig(f"policy specification missing field {e}") from None
+        except (TypeError, ValueError) as e:
+            raise InvalidConfig(f"malformed policy specification: {e}") from None
 
     def decide(self, x: NDArray) -> NDArray:
         score = self.intercept + x @ self.coeffs
@@ -372,10 +380,8 @@ class SimulationConfig:
             )
         except KeyError as e:
             raise InvalidConfig(f"simulation config missing field {e}") from e
-
-    @classmethod
-    def from_json(cls, text: str) -> "SimulationConfig":
-        return cls.from_json_dict(json.loads(text))
+        except (TypeError, ValueError) as e:
+            raise InvalidConfig(f"malformed simulation config: {e}") from None
 
 
 def true_weight_gaussian(x: NDArray, mu: NDArray) -> NDArray:

@@ -31,6 +31,7 @@ from .data_model import (
     Observation,
     Policy,
     PooledDataset,
+    split_cross_fit_folds,
 )
 from .errors import (
     DegenerateDenominator,
@@ -65,11 +66,34 @@ __all__ = [
     "estimate_efficient",
     "estimate_plugin_identification",
     "cross_fit_estimate",
+    "fit_and_estimate",
     "theoretical_variance",
     "wald_ci",
 ]
 
 DEFAULT_LEVEL = 0.95
+
+# backend names accepted for each nuisance component
+BACKENDS = {
+    "weights": ("oracle", "aipsw", "kulsif", "eb"),
+    "propensity": ("oracle", "logistic"),
+    "outcome": ("oracle", "linear", "kernel_ridge"),
+}
+
+
+def check_backends(spec) -> None:
+    """Reject a ``spec.weights``/``propensity``/``outcome`` name outside BACKENDS."""
+    for component, names in BACKENDS.items():
+        name = getattr(spec, component)
+        if name not in names:
+            raise InvalidConfig(
+                f"unknown {component} backend {name!r}, expected one of {', '.join(names)}"
+            )
+
+
+def check_level(level: float) -> None:
+    if not 0.0 < level < 1.0:
+        raise InvalidLevel(f"confidence level must lie in (0, 1), got {level}")
 
 
 class Estimand(enum.Enum):
@@ -139,8 +163,7 @@ class TheoreticalVariance:
 
 def wald_ci(estimate: float, se: float, level: float = DEFAULT_LEVEL) -> tuple:
     """Normal-quantile confidence interval estimate +- z_{(1+level)/2} * se."""
-    if not 0.0 < level < 1.0:
-        raise InvalidLevel(f"confidence level must lie in (0, 1), got {level}")
+    check_level(level)
     if se < 0:
         raise InvalidLevel("standard error must be >= 0")
     z = norm.ppf(0.5 * (1.0 + level))
@@ -437,11 +460,8 @@ def estimate_plugin_identification(
 
 @dataclass(frozen=True, eq=False)
 class FitRecipe:
-    """Which backend estimates each nuisance function.
-
-    ``weights`` in {oracle, aipsw, kulsif, eb}; ``propensity`` in
-    {oracle, logistic}; ``outcome`` in {oracle, linear, kernel_ridge}.
-    ``oracle`` must be supplied when any component is oracle.
+    """Which backend estimates each nuisance function, one of BACKENDS per
+    component. ``oracle`` must be supplied when any component is oracle.
     """
 
     weights: str = "aipsw"
@@ -452,12 +472,7 @@ class FitRecipe:
     instruments: InstrumentSet | None = None
 
     def __post_init__(self):
-        if self.weights not in ("oracle", "aipsw", "kulsif", "eb"):
-            raise InvalidConfig(f"unknown weight backend {self.weights!r}")
-        if self.propensity not in ("oracle", "logistic"):
-            raise InvalidConfig(f"unknown propensity backend {self.propensity!r}")
-        if self.outcome not in ("oracle", "linear", "kernel_ridge"):
-            raise InvalidConfig(f"unknown outcome backend {self.outcome!r}")
+        check_backends(self)
         if "oracle" in (self.weights, self.propensity, self.outcome) and self.oracle is None:
             raise InvalidConfig("recipe uses oracle components but no oracle set supplied")
 
@@ -550,6 +565,33 @@ def cross_fit_estimate(
     nuis["per_bag"] = per_bag
     return _finish_report(
         data, estimate, eif, EifVariant(estimand, kind), "crossfit", nuis, level
+    )
+
+
+def fit_and_estimate(
+    data: PooledDataset,
+    recipe: FitRecipe,
+    policy: Policy,
+    estimand: Estimand,
+    kind: DatasetKind,
+    crossfit_k: int = 0,
+    seed: int = 0,
+    level: float = DEFAULT_LEVEL,
+) -> EstimateReport:
+    """Fit ``recipe`` on ``data`` and return the efficient estimate.
+
+    Type-2 evaluation of Type-1 data masks the calibration (a, y) first, so
+    no nuisance is fitted on them. With ``crossfit_k >= 2`` the estimate is
+    cross-fitted over stratified bags drawn with ``seed``; otherwise the
+    nuisances are fitted once on all rows.
+    """
+    if kind is DatasetKind.TYPE2 and data.kind is DatasetKind.TYPE1:
+        data = data.as_type2()
+    if crossfit_k >= 2:
+        folds = split_cross_fit_folds(data, crossfit_k, seed=seed)
+        return cross_fit_estimate(data, folds, recipe, policy, estimand, kind=kind, level=level)
+    return estimate_efficient(
+        data, assemble_nuisances(data, recipe), policy, estimand, kind=kind, level=level
     )
 
 

@@ -24,23 +24,16 @@ from functools import partial
 
 import numpy as np
 
-from .data_model import (
-    DatasetKind,
-    Policy,
-    PooledDataset,
-    SimulationConfig,
-    simulate_gaussian_shift,
-    split_cross_fit_folds,
-)
+from .data_model import DatasetKind, Policy, SimulationConfig, simulate_gaussian_shift
 from .errors import InvalidConfig, ShiftEvalError, VariantMismatch
 from .estimators import (
     Estimand,
     EifVariant,
     FitRecipe,
     TheoreticalVariance,
-    assemble_nuisances,
-    cross_fit_estimate,
-    estimate_efficient,
+    check_backends,
+    check_level,
+    fit_and_estimate,
     theoretical_variance,
 )
 from .nuisance import gaussian_shift_truth
@@ -70,6 +63,9 @@ class EstimatorSpec:
     outcome: str = "oracle"
     crossfit: bool = False
 
+    def __post_init__(self):
+        check_backends(self)
+
     @property
     def variant(self) -> EifVariant:
         return EifVariant(self.estimand, self.kind)
@@ -94,6 +90,7 @@ class McConfig:
             raise InvalidConfig("estimator menu must be non-empty")
         if self.crossfit_k < 2:
             raise InvalidConfig("crossfit_k must be >= 2")
+        check_level(self.level)
 
 
 @dataclass(eq=False)
@@ -116,10 +113,9 @@ class EstimatorSummary:
     target_sqrt_n0: float
     mean_runtime_s: float
 
-    def to_json_dict(self, include_runtime: bool = False) -> dict:
+    def to_json_dict(self) -> dict:
         d = dataclasses.asdict(self)
-        if not include_runtime:
-            d.pop("mean_runtime_s")
+        d.pop("mean_runtime_s")
         return d
 
 
@@ -131,42 +127,25 @@ class McSummary:
     estimators: list
     estimates: np.ndarray | None = None  # (R, n_estimators), for downstream checks
 
-    def to_json_dict(self, include_runtime: bool = False) -> dict:
+    def to_json_dict(self) -> dict:
         return {
             "truth": self.truth,
             "replications": self.replications,
             "n": self.n,
-            "estimators": [e.to_json_dict(include_runtime) for e in self.estimators],
+            "estimators": [e.to_json_dict() for e in self.estimators],
         }
 
     def write_csv(self, path) -> None:
-        cols = [
-            "name",
-            "estimand",
-            "kind",
-            "weights",
-            "propensity",
-            "outcome",
-            "crossfit",
-            "mean_estimate",
-            "bias",
-            "var_sqrt_n",
-            "var_sqrt_n0",
-            "coverage",
-            "nu_eff",
-            "zeta_eff",
-            "target_sqrt_n",
-            "target_sqrt_n0",
-        ]
+        """One row per estimator with the fields of its JSON summary;
+        floats carry 17 significant digits."""
+        rows = [e.to_json_dict() for e in self.estimators]
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(cols)
-            for e in self.estimators:
-                row = []
-                for col in cols:
-                    v = getattr(e, col)
-                    row.append(f"{v:.17g}" if isinstance(v, float) else str(v))
-                writer.writerow(row)
+            writer.writerow(rows[0])
+            for row in rows:
+                writer.writerow(
+                    f"{v:.17g}" if isinstance(v, float) else str(v) for v in row.values()
+                )
 
     def by_name(self, name: str) -> EstimatorSummary:
         for e in self.estimators:
@@ -190,25 +169,6 @@ def true_policy_values(
     return {"theta": float(np.mean(q_d)), "theta1": float(np.mean(cte * d))}
 
 
-def _run_one_estimator(
-    spec: EstimatorSpec, data: PooledDataset, oracle, config: McConfig, rep_seed: int
-):
-    eval_data = data.as_type2() if spec.kind is DatasetKind.TYPE2 else data
-    recipe = FitRecipe(
-        weights=spec.weights, propensity=spec.propensity, outcome=spec.outcome, oracle=oracle
-    )
-    if spec.crossfit:
-        folds = split_cross_fit_folds(eval_data, config.crossfit_k, seed=rep_seed)
-        return cross_fit_estimate(
-            eval_data, folds, recipe, config.policy, spec.estimand, kind=spec.kind,
-            level=config.level,
-        )
-    return estimate_efficient(
-        eval_data, assemble_nuisances(eval_data, recipe), config.policy, spec.estimand,
-        kind=spec.kind, level=config.level,
-    )
-
-
 def _run_replicate(r: int, config: McConfig, truth: dict):
     """One replicate: simulate, run every estimator, record coverage flags."""
     rep_seed = config.base.seed + r
@@ -220,7 +180,15 @@ def _run_replicate(r: int, config: McConfig, truth: dict):
         runtimes = np.empty(len(config.estimators))
         for j, spec in enumerate(config.estimators):
             tic = time.perf_counter()
-            report = _run_one_estimator(spec, data, oracle, config, rep_seed)
+            recipe = FitRecipe(
+                weights=spec.weights, propensity=spec.propensity, outcome=spec.outcome,
+                oracle=oracle,
+            )
+            report = fit_and_estimate(
+                data, recipe, config.policy, spec.estimand, spec.kind,
+                crossfit_k=config.crossfit_k if spec.crossfit else 0, seed=rep_seed,
+                level=config.level,
+            )
             runtimes[j] = time.perf_counter() - tic
             estimates[j] = report.estimate
             target = truth[spec.estimand.value]

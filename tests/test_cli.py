@@ -14,7 +14,7 @@ from shifteval import (
     read_dataset_csv,
     simulate_gaussian_shift,
 )
-from shifteval import cli
+from shifteval import cli, estimators, montecarlo
 from shifteval.cli import main
 from shifteval.errors import NonFiniteValue
 from shifteval.data_model import true_weight_gaussian
@@ -22,6 +22,12 @@ from shifteval.data_model import true_weight_gaussian
 from conftest import make_config
 
 FIXTURES = Path(__file__).parent / "fixtures"
+EXAMPLES = Path(__file__).parent.parent / "examples"
+# estimator names of each example Monte Carlo config
+EXAMPLE_ESTIMATORS = {
+    "small_calibration.json": ["theta_type2", "theta1_type1", "theta1_type2"],
+    "variance_study.json": ["theta_type1", "theta_type2", "theta1_type1", "theta1_type2"],
+}
 SCHEMAS = Path(__file__).parent.parent / "src" / "shifteval" / "schemas"
 
 
@@ -276,6 +282,40 @@ class TestMonteCarloCommand:
         for key in ("truth", "replications", "n", "estimators"):
             assert s1[key] == s3[key]
 
+    @pytest.mark.parametrize("example", sorted(EXAMPLE_ESTIMATORS))
+    def test_example_configs_run(self, tmp_path, example):
+        assert sorted(p.name for p in EXAMPLES.glob("*.json")) == sorted(EXAMPLE_ESTIMATORS)
+        # fewer replications and draws; variance_draws stays at the 1000-draw floor
+        config = json.loads((EXAMPLES / example).read_text()) | {
+            "replications": 3, "truth_draws": 10_000, "variance_draws": 1000
+        }
+        out = tmp_path / "out"
+        assert main(["montecarlo", "--config", write_json(tmp_path / example, config),
+                     "--out", str(out)]) == 0
+        summary = json.loads((out / "mc_summary.json").read_text())
+        assert [e["name"] for e in summary["estimators"]] == EXAMPLE_ESTIMATORS[example]
+
+
+# (subcommand, key path into its config, ill-typed or out-of-range value, error)
+BAD_VALUES = [
+    ("simulate", ("p",), "two", "InvalidConfig"),
+    ("simulate", ("mu",), [0.5, "a"], "InvalidConfig"),
+    ("estimate", ("crossfit",), "abc", "InvalidConfig"),
+    ("estimate", ("level",), "x", "InvalidConfig"),
+    ("estimate", ("level",), 1.5, "InvalidLevel"),
+    ("estimate", ("seed",), "s", "InvalidConfig"),
+    ("estimate", ("kernel",), 3, "InvalidConfig"),
+    ("calibrate", ("candidates", 0, "rule", "intercept"), "x", "InvalidConfig"),
+    ("calibrate", ("candidates", 1), "rule", "InvalidConfig"),
+    ("montecarlo", ("replications",), "x", "InvalidConfig"),
+    ("montecarlo", ("n_jobs",), "two", "InvalidConfig"),
+    ("montecarlo", ("level",), 1.5, "InvalidLevel"),
+    ("montecarlo", ("estimators", 0), "theta_t2", "InvalidConfig"),
+    ("montecarlo", ("estimators", 0, "name"), 5, "InvalidConfig"),
+    ("montecarlo", ("estimators", 1, "crossfit"), "false", "InvalidConfig"),
+    ("montecarlo", ("estimators", 1, "weights"), "foo", "InvalidConfig"),
+]
+
 
 def simulate_to(tmp_path, n=200, seed=30):
     sim_cfg = write_json(tmp_path / "sim.json", sim_config_dict(n=n, seed=seed))
@@ -301,7 +341,7 @@ class TestErrorsAndExitCodes:
         def no_fitting(*args, **kwargs):
             raise AssertionError("nuisances fitted before the input was checked")
 
-        monkeypatch.setattr(cli, "assemble_nuisances", no_fitting)
+        monkeypatch.setattr(estimators, "assemble_nuisances", no_fitting)
         sim_out = simulate_to(tmp_path)
         config = {
             "dataset": str(sim_out / "dataset.csv"),
@@ -326,6 +366,61 @@ class TestErrorsAndExitCodes:
             config = [config]
         capsys.readouterr()
         code = main(["estimate", "--config", write_json(tmp_path / "est.json", config),
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == error
+        assert err["message"]
+
+    @pytest.mark.parametrize(
+        "command, path, value, error",
+        BAD_VALUES,
+        ids=[f"{c}-{'.'.join(map(str, p))}={v}" for c, p, v, _ in BAD_VALUES],
+    )
+    def test_bad_config_value_is_structured_before_any_work(
+        self, tmp_path, capsys, monkeypatch, command, path, value, error
+    ):
+        sim_out = simulate_to(tmp_path)
+        configs = {
+            "simulate": sim_config_dict(n=40, seed=1),
+            "estimate": {
+                "dataset": str(sim_out / "dataset.csv"), "policy": POLICY, "weights": "aipsw",
+                "propensity": "logistic", "outcome": "linear", "crossfit": 3,
+            },
+            "calibrate": {
+                "dataset": str(sim_out / "dataset.csv"),
+                "candidates": json.loads((FIXTURES / "candidates.json").read_text()),
+                "weights": "aipsw", "propensity": "logistic", "outcome": "linear",
+            },
+            "montecarlo": {
+                "base": sim_config_dict(n=300, seed=13), "replications": 3, "policy": POLICY,
+                "estimators": [
+                    {"name": "theta_t2", "estimand": "theta", "kind": "type2"},
+                    {"name": "cf", "weights": "aipsw", "propensity": "logistic",
+                     "outcome": "linear", "crossfit": True},
+                ],
+            },
+        }
+        config = configs[command]
+        target = config
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        if command == "calibrate":
+            config["candidates"] = write_json(tmp_path / "cand.json", config["candidates"])
+
+        def no_work(*args, **kwargs):
+            raise AssertionError(f"{command} started work before the config was checked")
+
+        work = {
+            "simulate": (cli, "simulate_gaussian_shift"),
+            "estimate": (estimators, "assemble_nuisances"),
+            "calibrate": (cli, "assemble_nuisances"),
+            "montecarlo": (montecarlo, "true_policy_values"),
+        }
+        monkeypatch.setattr(*work[command], no_work)
+        capsys.readouterr()
+        code = main([command, "--config", write_json(tmp_path / "config.json", config),
                      "--out", str(tmp_path / "out")])
         assert code == 1
         err = json.loads(capsys.readouterr().err)
