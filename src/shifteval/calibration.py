@@ -32,6 +32,14 @@ __all__ = [
     "candidates_from_json",
 ]
 
+METHODS = ("covariates_only", "ipw")
+
+
+def check_method(method: str) -> None:
+    """Reject a calibration method name outside METHODS."""
+    if method not in METHODS:
+        raise InvalidConfig(f"unknown calibration method {method!r}")
+
 
 @dataclass(frozen=True, eq=False)
 class CandidateSet:
@@ -128,8 +136,7 @@ def select_policy(
 ) -> SelectionResult:
     """Evaluate every candidate with the chosen calibration estimator and
     return the maximizer; ties break toward the smallest robustness constant."""
-    if method not in ("covariates_only", "ipw"):
-        raise InvalidConfig(f"unknown calibration method {method!r}")
+    check_method(method)
     ordered = sorted(candidates.candidates, key=lambda pair: pair[0])
     table = []
     best = None

@@ -23,7 +23,7 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .calibration import candidates_from_json, select_policy
+from .calibration import candidates_from_json, check_method, select_policy
 from .data_model import (
     DatasetKind,
     LinearPolicy,
@@ -94,6 +94,15 @@ def _required(config: dict, key: str):
         raise InvalidConfig(f"config missing required field {key!r}") from None
 
 
+def _path(config: dict, key: str) -> str:
+    """The required file path ``config[key]``; any other JSON type is refused,
+    since ``open()`` would take an integer as a file descriptor."""
+    value = _required(config, key)
+    if not isinstance(value, str):
+        raise InvalidConfig(f"config field {key!r} must be a path string, got {value!r}")
+    return value
+
+
 def _field(config: dict, key: str, cast, default=None):
     """``cast(config[key])``, or ``cast(default)`` when the key is absent; the
     key is required when ``default`` is None."""
@@ -141,7 +150,7 @@ def _recipe_from_config(config: dict, data, default_weights: str) -> FitRecipe:
     if "oracle" in (weights, propensity, outcome):
         if "truth" not in config:
             raise InvalidConfig("oracle nuisances requested but no 'truth' path configured")
-        sim = SimulationConfig.from_json_dict(_load_json(config["truth"]))
+        sim = SimulationConfig.from_json_dict(_load_json(_path(config, "truth")))
         oracle = gaussian_oracle_nuisances(sim, rho_hat=data.n1 / data.n)
     return FitRecipe(
         weights=weights,
@@ -190,7 +199,7 @@ def cmd_estimate(args) -> int:
         if flag is not None:
             config[key] = flag
 
-    data = read_dataset_csv(_required(config, "dataset"))
+    data = read_dataset_csv(_path(config, "dataset"))
     estimand = _field(config, "estimand", Estimand, "theta")
     kind = _field(config, "kind", DatasetKind, data.kind)
     policy = _policy_from_dict(_required(config, "policy"), data.p)
@@ -217,12 +226,13 @@ def cmd_calibrate(args) -> int:
     config = _load_json(args.config)
     if args.seed is not None:
         config["seed"] = args.seed
-    data = read_dataset_csv(_required(config, "dataset"))
-    with open(_required(config, "candidates")) as fh:
+    data = read_dataset_csv(_path(config, "dataset"))
+    with open(_path(config, "candidates")) as fh:
         candidates = candidates_from_json(fh.read())
     for _, policy in candidates.candidates:
         _check_policy_dimension(policy, data.p)
     method = config.get("method", "covariates_only")
+    check_method(method)
     stratum = _field(config, "ipw_propensity_stratum", int, 1)
 
     recipe = _recipe_from_config(config, data, default_weights="aipsw")
@@ -261,8 +271,10 @@ def _estimator_spec(e: dict) -> EstimatorSpec:
 def cmd_montecarlo(args) -> int:
     config = _load_json(args.config)
     if args.seed is not None:
-        config.setdefault("base", {})
-        config["base"]["seed"] = args.seed
+        base = config.setdefault("base", {})
+        if not isinstance(base, dict):
+            raise InvalidConfig(f"config field 'base' must be an object, got {base!r}")
+        base["seed"] = args.seed
     base = SimulationConfig.from_json_dict(_required(config, "base"))
     policy = _policy_from_dict(_required(config, "policy"), base.p)
     entries = _required(config, "estimators")

@@ -52,7 +52,6 @@ from .nuisance import (
     fit_weights_aipsw,
     fit_weights_entropy_balancing,
     fit_weights_kulsif,
-    merge_propensity,
 )
 
 __all__ = [
@@ -505,9 +504,7 @@ def assemble_nuisances(data: PooledDataset, recipe: FitRecipe) -> NuisanceSet:
     if recipe.propensity == "oracle":
         propensity = recipe.oracle.propensity
     else:
-        propensity = fit_propensity_logistic(data, 1)
-        if data.observed[data.s == 0].any():
-            propensity = merge_propensity(propensity, fit_propensity_logistic(data, 0))
+        propensity = fit_propensity_logistic(data)
 
     if recipe.outcome == "oracle":
         outcome = recipe.oracle.outcome

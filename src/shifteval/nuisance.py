@@ -11,6 +11,12 @@ calibration-to-training covariates at arbitrary points:
 * ``eb``     -- entropy balancing: minimum Kullback-Leibler weights subject to
   exact moment constraints, solved by damped Newton on the dual.
 
+A weight model holds only its function; training-row weights are that
+function evaluated at the training rows. The logistic propensity is one
+model with a per-stratum fit for every stratum that has observed (a, y).
+Dense kernel systems are solved by Cholesky, and every solve warns when the
+1-norm condition estimate from the Cholesky factor exceeds 1e12, at any size.
+
 Fitted models are immutable and safe to share across threads.
 """
 
@@ -23,6 +29,7 @@ from typing import Callable
 import numpy as np
 from numpy.typing import NDArray
 from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpocon
 from scipy.spatial.distance import cdist, pdist
 from scipy.special import expit, logsumexp
 
@@ -30,7 +37,6 @@ from .data_model import PooledDataset, SimulationConfig, _as_matrix, true_weight
 from .errors import (
     InfeasibleBalance,
     InvalidConfig,
-    MissingField,
     MissingStratum,
     NoObservedOutcomes,
     RankDeficient,
@@ -52,7 +58,6 @@ __all__ = [
     "NuisanceSet",
     "SimulationTruth",
     "fit_propensity_logistic",
-    "merge_propensity",
     "fit_outcome_regression",
     "fit_weights_aipsw",
     "fit_weights_kulsif",
@@ -113,15 +118,20 @@ def median_bandwidth(x: NDArray, cap: int = 2000) -> float:
 
 
 def _solve_spd(matrix: NDArray, rhs: NDArray, context: str) -> NDArray:
-    """Dense Cholesky solve with a condition-number warning above 1e12."""
-    if matrix.shape[0] <= 1500:
-        cond = float(np.linalg.cond(matrix))
-        if cond > _COND_WARN:
-            warnings.warn(f"{context}: condition number {cond:.2e}", stacklevel=3)
+    """Dense Cholesky solve with a condition-number warning above 1e12.
+
+    The condition number is LAPACK's O(m^2) 1-norm estimate from the
+    Cholesky factor (?pocon; Hager 1984, Higham 1988), checked at every size.
+    """
     try:
-        return cho_solve(cho_factor(matrix, lower=True), rhs)
+        factor = cho_factor(matrix, lower=True)
     except np.linalg.LinAlgError as e:
         raise SolveFailure(f"{context}: {e}") from e
+    rcond, _ = dpocon(factor[0], np.linalg.norm(matrix, 1), uplo="L")
+    cond = 1.0 / rcond if rcond > 0 else np.inf
+    if cond > _COND_WARN:
+        warnings.warn(f"{context}: condition number {cond:.2e}", stacklevel=3)
+    return cho_solve(factor, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -231,29 +241,19 @@ class OutcomeModel:
 class WeightModel:
     """Estimated covariate weight function, nonnegative everywhere.
 
-    ``train_weights`` caches the evaluations at the training rows of the
-    fitting dataset (for entropy balancing these are the n1-rescaled
-    balancing weights).
+    Training-row weights are the function evaluated at the training rows;
+    for entropy balancing, ``w(x_train) / n1`` are the fitted balancing
+    weights.
     """
 
     backend: str  # "oracle" | "aipsw" | "kulsif" | "eb"
     evaluator: Callable[[NDArray], NDArray]
-    train_weights: NDArray | None = None
     info: dict = field(default_factory=dict)
 
     def __call__(self, x: NDArray) -> NDArray:
         single = np.asarray(x).ndim == 1
         w = np.asarray(self.evaluator(_as_matrix(x)), dtype=float)
         return float(w[0]) if single else w
-
-    def to_json_dict(self) -> dict:
-        return {
-            "backend": self.backend,
-            "info": self.info,
-            "train_weights": None
-            if self.train_weights is None
-            else np.asarray(self.train_weights).tolist(),
-        }
 
 
 @dataclass(frozen=True, eq=False)
@@ -334,38 +334,26 @@ def _newton_logistic(design: NDArray, b: NDArray, max_iter: int = 50, tol: float
     return beta, {"iterations": it, "converged": converged}
 
 
-def fit_propensity_logistic(
-    data: PooledDataset, stratum: int, clip: float = TAU_CLIP
-) -> PropensityModel:
-    """Logistic regression of 1[A = 1] on (1, x) within one stratum.
+def fit_propensity_logistic(data: PooledDataset, clip: float = TAU_CLIP) -> PropensityModel:
+    """Logistic regression of 1[A = 1] on (1, x), fitted separately in every
+    stratum with observed (a, y): s = 1, then s = 0 on Type-1 data.
 
-    Predictions are clipped to [clip, 1 - clip].
+    Predictions are clipped to [clip, 1 - clip]. ``info["strata"]`` holds
+    each stratum's Newton iterations and convergence.
     """
-    mask = (data.s == stratum) & data.observed
-    if not mask.any():
-        raise MissingField(f"stratum s={stratum} has no rows with observed treatments")
-    x = data.x[mask]
-    b = (data.a[mask] == 1).astype(float)
-    design = np.column_stack([np.ones(x.shape[0]), x])
-    beta, fit_info = _newton_logistic(design, b)
-    return PropensityModel(
-        evaluator=LogisticPropensityFn({int(stratum): beta}),
-        clip=clip,
-        info={"model": "logistic", "strata": {str(int(stratum)): fit_info}},
-    )
-
-
-def merge_propensity(first: PropensityModel, second: PropensityModel) -> PropensityModel:
-    """Combine two per-stratum logistic propensity models into one."""
-    if not isinstance(first.evaluator, LogisticPropensityFn) or not isinstance(
-        second.evaluator, LogisticPropensityFn
-    ):
-        raise InvalidConfig("only logistic propensity models can be merged")
-    coef = {**first.evaluator.coef, **second.evaluator.coef}
-    strata = {**first.info.get("strata", {}), **second.info.get("strata", {})}
+    coef, strata = {}, {}
+    for stratum in (1, 0):
+        mask = (data.s == stratum) & data.observed
+        if not mask.any():
+            continue
+        x = data.x[mask]
+        design = np.column_stack([np.ones(x.shape[0]), x])
+        coef[stratum], strata[str(stratum)] = _newton_logistic(
+            design, (data.a[mask] == 1).astype(float)
+        )
     return PropensityModel(
         evaluator=LogisticPropensityFn(coef),
-        clip=first.clip,
+        clip=clip,
         info={"model": "logistic", "strata": strata},
     )
 
@@ -458,12 +446,9 @@ def fit_weights_aipsw(data: PooledDataset, clip: float = DELTA_CLIP) -> WeightMo
     """Covariate weights from logistic regression of S on (1, x) over all rows."""
     design = np.column_stack([np.ones(data.n), data.x])
     beta, fit_info = _newton_logistic(design, data.s.astype(float))
-    evaluator = AipswWeightFn(coef=beta, n1=data.n1, n0=data.n0, clip=clip)
-    train_w = evaluator(data.x[data.s == 1])
     return WeightModel(
         backend="aipsw",
-        evaluator=evaluator,
-        train_weights=train_w,
+        evaluator=AipswWeightFn(coef=beta, n1=data.n1, n0=data.n0, clip=clip),
         info={"coef": beta.tolist(), "clip": clip, **fit_info},
     )
 
@@ -517,15 +502,13 @@ def fit_weights_kulsif(data: PooledDataset, spec: KernelSpec) -> WeightModel:
     if residual > 1e-8:
         raise SolveFailure(f"KuLSIF dual residual {residual:.2e} exceeds 1e-8")
 
-    evaluator = KulsifWeightFn(
-        train_x=x1, calib_x=x0, alpha=alpha, lam=lam, family=spec.family, bandwidth=bandwidth
-    )
-    raw_train = evaluator.raw(x1)
-    n_truncated = int(np.sum(raw_train < 0.0))
+    # the representer form at the training rows: K11 alpha + K01^T 1 / (lambda n0)
+    n_truncated = int(np.sum(k11 @ alpha - n1 * rhs < 0.0))
     return WeightModel(
         backend="kulsif",
-        evaluator=evaluator,
-        train_weights=np.maximum(raw_train, 0.0),
+        evaluator=KulsifWeightFn(
+            train_x=x1, calib_x=x0, alpha=alpha, lam=lam, family=spec.family, bandwidth=bandwidth
+        ),
         info={
             "lambda": lam,
             "family": spec.family,
@@ -718,13 +701,11 @@ def fit_weights_entropy_balancing(
         tilt = np.concatenate([[np.log(n1) - log_denom], lam])
     else:
         tilt = lam.copy()
-    evaluator = EntropyBalanceWeightFn(
-        instruments=instruments, lam=lam, log_denom=log_denom, n1=n1
-    )
     return WeightModel(
         backend="eb",
-        evaluator=evaluator,
-        train_weights=n1 * wts,
+        evaluator=EntropyBalanceWeightFn(
+            instruments=instruments, lam=lam, log_denom=log_denom, n1=n1
+        ),
         info={
             "lambda": lam.tolist(),
             "tilt": tilt.tolist(),

@@ -120,11 +120,8 @@ class TestIpw:
     def test_propensity_stratum_switch(self):
         data, _ = simulate_gaussian_shift(make_config(n=400, seed=5))
         from shifteval import fit_propensity_logistic
-        from shifteval.nuisance import merge_propensity
 
-        prop = merge_propensity(
-            fit_propensity_logistic(data, 1), fit_propensity_logistic(data, 0)
-        )
+        prop = fit_propensity_logistic(data)
         v1 = calib_value_ipw(data, prop, constant_policy(1, 2), propensity_stratum=1)
         v0 = calib_value_ipw(data, prop, constant_policy(1, 2), propensity_stratum=0)
         assert v1 != v0

@@ -296,24 +296,30 @@ class TestMonteCarloCommand:
         assert [e["name"] for e in summary["estimators"]] == EXAMPLE_ESTIMATORS[example]
 
 
-# (subcommand, key path into its config, ill-typed or out-of-range value, error)
+# (subcommand, key path into its config, ill-typed or out-of-range value, error,
+#  extra command-line flags)
 BAD_VALUES = [
-    ("simulate", ("p",), "two", "InvalidConfig"),
-    ("simulate", ("mu",), [0.5, "a"], "InvalidConfig"),
-    ("estimate", ("crossfit",), "abc", "InvalidConfig"),
-    ("estimate", ("level",), "x", "InvalidConfig"),
-    ("estimate", ("level",), 1.5, "InvalidLevel"),
-    ("estimate", ("seed",), "s", "InvalidConfig"),
-    ("estimate", ("kernel",), 3, "InvalidConfig"),
-    ("calibrate", ("candidates", 0, "rule", "intercept"), "x", "InvalidConfig"),
-    ("calibrate", ("candidates", 1), "rule", "InvalidConfig"),
-    ("montecarlo", ("replications",), "x", "InvalidConfig"),
-    ("montecarlo", ("n_jobs",), "two", "InvalidConfig"),
-    ("montecarlo", ("level",), 1.5, "InvalidLevel"),
-    ("montecarlo", ("estimators", 0), "theta_t2", "InvalidConfig"),
-    ("montecarlo", ("estimators", 0, "name"), 5, "InvalidConfig"),
-    ("montecarlo", ("estimators", 1, "crossfit"), "false", "InvalidConfig"),
-    ("montecarlo", ("estimators", 1, "weights"), "foo", "InvalidConfig"),
+    ("simulate", ("p",), "two", "InvalidConfig", ()),
+    ("simulate", ("mu",), [0.5, "a"], "InvalidConfig", ()),
+    ("estimate", ("crossfit",), "abc", "InvalidConfig", ()),
+    ("estimate", ("level",), "x", "InvalidConfig", ()),
+    ("estimate", ("level",), 1.5, "InvalidLevel", ()),
+    ("estimate", ("seed",), "s", "InvalidConfig", ()),
+    ("estimate", ("kernel",), 3, "InvalidConfig", ()),
+    ("estimate", ("dataset",), 0, "InvalidConfig", ()),
+    ("estimate", ("truth",), 0, "InvalidConfig", ()),
+    ("calibrate", ("candidates", 0, "rule", "intercept"), "x", "InvalidConfig", ()),
+    ("calibrate", ("candidates", 1), "rule", "InvalidConfig", ()),
+    ("calibrate", ("candidates",), 0, "InvalidConfig", ()),
+    ("calibrate", ("method",), "foo", "InvalidConfig", ()),
+    ("montecarlo", ("replications",), "x", "InvalidConfig", ()),
+    ("montecarlo", ("n_jobs",), "two", "InvalidConfig", ()),
+    ("montecarlo", ("level",), 1.5, "InvalidLevel", ()),
+    ("montecarlo", ("estimators", 0), "theta_t2", "InvalidConfig", ()),
+    ("montecarlo", ("estimators", 0, "name"), 5, "InvalidConfig", ()),
+    ("montecarlo", ("estimators", 1, "crossfit"), "false", "InvalidConfig", ()),
+    ("montecarlo", ("estimators", 1, "weights"), "foo", "InvalidConfig", ()),
+    ("montecarlo", ("base",), [1], "InvalidConfig", ("--seed", "7")),
 ]
 
 
@@ -373,19 +379,20 @@ class TestErrorsAndExitCodes:
         assert err["message"]
 
     @pytest.mark.parametrize(
-        "command, path, value, error",
+        "command, path, value, error, flags",
         BAD_VALUES,
-        ids=[f"{c}-{'.'.join(map(str, p))}={v}" for c, p, v, _ in BAD_VALUES],
+        ids=[f"{c}-{'.'.join(map(str, p))}={v}" for c, p, v, *_ in BAD_VALUES],
     )
     def test_bad_config_value_is_structured_before_any_work(
-        self, tmp_path, capsys, monkeypatch, command, path, value, error
+        self, tmp_path, capsys, monkeypatch, command, path, value, error, flags
     ):
         sim_out = simulate_to(tmp_path)
         configs = {
             "simulate": sim_config_dict(n=40, seed=1),
             "estimate": {
-                "dataset": str(sim_out / "dataset.csv"), "policy": POLICY, "weights": "aipsw",
-                "propensity": "logistic", "outcome": "linear", "crossfit": 3,
+                "dataset": str(sim_out / "dataset.csv"), "truth": str(sim_out / "truth.json"),
+                "policy": POLICY, "weights": "aipsw", "propensity": "logistic",
+                "outcome": "oracle", "crossfit": 3,
             },
             "calibrate": {
                 "dataset": str(sim_out / "dataset.csv"),
@@ -406,7 +413,7 @@ class TestErrorsAndExitCodes:
         for key in path[:-1]:
             target = target[key]
         target[path[-1]] = value
-        if command == "calibrate":
+        if command == "calibrate" and isinstance(config["candidates"], list):
             config["candidates"] = write_json(tmp_path / "cand.json", config["candidates"])
 
         def no_work(*args, **kwargs):
@@ -420,7 +427,7 @@ class TestErrorsAndExitCodes:
         }
         monkeypatch.setattr(*work[command], no_work)
         capsys.readouterr()
-        code = main([command, "--config", write_json(tmp_path / "config.json", config),
+        code = main([command, *flags, "--config", write_json(tmp_path / "config.json", config),
                      "--out", str(tmp_path / "out")])
         assert code == 1
         err = json.loads(capsys.readouterr().err)

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from shifteval.nuisance import (
     CoordinateInstrument,
     FunctionInstrument,
     _kernel_matrix,
+    _solve_spd,
 )
 
 from conftest import make_config
@@ -65,17 +67,19 @@ def grid_max_loglik(x, b, bounds=(-3.0, 3.0), passes=4, width=81):
 class TestPropensity:
     def test_null_model_near_half(self):
         data, _ = simulate_gaussian_shift(make_config(n=2000, seed=72))
-        model = fit_propensity_logistic(data, 1)
+        model = fit_propensity_logistic(data)
         p1 = model.prob(1, data.x[data.s == 1], 1)
         assert np.max(np.abs(p1 - 0.5)) < 0.02
 
     def test_matches_grid_search_oracle(self):
         x = np.array([-1.0, 0.0, 1.0])
         a = np.array([1.0, -1.0, 1.0])
+        # the calibration row is unobserved, so only stratum 1 is fitted
         ds = dataset_from(
-            np.r_[x, 0.2][:, None], np.r_[a, 1.0], [0.0] * 4, [1, 1, 1, 0]
+            np.r_[x, 0.2][:, None], np.r_[a, np.nan], [0.0] * 3 + [np.nan], [1, 1, 1, 0],
+            DatasetKind.TYPE2,
         )
-        model = fit_propensity_logistic(ds, 1, clip=0.0)
+        model = fit_propensity_logistic(ds, clip=0.0)
         beta = model.evaluator.coef[1]
         b0, b1, _ = grid_max_loglik(x, (a == 1).astype(float))
         assert abs(beta[0] - b0) < 1e-3
@@ -86,13 +90,13 @@ class TestPropensity:
         a = [-1, -1, 1, 1, 1]
         ds = dataset_from(x, a, [0.0] * 5, [1, 1, 1, 1, 0])
         with pytest.raises(Separation):
-            fit_propensity_logistic(ds, 1)
+            fit_propensity_logistic(ds)
 
     def test_rank_deficient(self):
         x = np.column_stack([np.ones(5), np.ones(5)])  # duplicate constant columns
         ds = dataset_from(x, [1, -1, 1, -1, 1], [0.0] * 5, [1, 1, 1, 1, 0])
         with pytest.raises(RankDeficient):
-            fit_propensity_logistic(ds, 1)
+            fit_propensity_logistic(ds)
 
     @given(st.floats(0.25, 0.75), st.integers(0, 999))
     @settings(max_examples=25, deadline=None)
@@ -101,9 +105,25 @@ class TestPropensity:
         x = data.x[:10]
         total = oracle.propensity.prob(1, x, 1) + oracle.propensity.prob(-1, x, 1)
         assert np.all(total == 1.0)
-        fitted = fit_propensity_logistic(data, 1)
+        fitted = fit_propensity_logistic(data)
         total_f = fitted.prob(1, x, 1) + fitted.prob(-1, x, 1)
         assert np.all(total_f == 1.0)
+
+
+class TestSolveSpd:
+    @pytest.mark.parametrize("m", [10, 1600])
+    def test_condition_warning_at_every_size(self, m):
+        ill = np.eye(m)
+        ill[0, 0] = 1e-14
+        with pytest.warns(UserWarning, match=r"toy system: condition number 1\.00e\+14"):
+            _solve_spd(ill, np.ones(m), "toy system")
+        # a KuLSIF-style dual system K / m + lambda I is well conditioned
+        x = np.random.default_rng(m).standard_normal((m, 2))
+        lhs = _kernel_matrix("rbf", 1.0, x, x) / m + np.eye(m) / m
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            alpha = _solve_spd(lhs, np.ones(m), "toy system")
+        np.testing.assert_allclose(lhs @ alpha, np.ones(m), atol=1e-8)
 
 
 class TestOutcome:
@@ -179,7 +199,7 @@ class TestAipsw:
         wm = fit_weights_aipsw(data)
         coef = np.asarray(wm.info["coef"])
         assert np.max(np.abs(coef[1:])) < 0.1
-        assert np.max(np.abs(wm.train_weights - 1.0)) < 0.1
+        assert np.max(np.abs(wm(data.x[data.s == 1]) - 1.0)) < 0.1
 
     def test_matches_grid_search_oracle_on_four_rows(self):
         x = np.array([0.0, 0.5, 1.0, -0.2])
@@ -197,7 +217,7 @@ class TestAipsw:
 
         p1 = expit(b0 + b1 * x[s == 1])
         expected = ds.n1 * (1 - p1) / (ds.n0 * p1)
-        np.testing.assert_allclose(wm.train_weights, expected, atol=5e-3)
+        np.testing.assert_allclose(wm(ds.x[ds.s == 1]), expected, atol=5e-3)
 
     def test_recovers_gaussian_log_odds(self):
         cfg = make_config(n=20_000, seed=52)
@@ -214,16 +234,16 @@ class TestKulsif:
         )
         wm1 = fit_weights_kulsif(ds, KernelSpec(family="rbf", bandwidth=1.0, ridge=1.0))
         assert wm1.evaluator.alpha[0] == pytest.approx(-0.5, abs=1e-12)
-        assert wm1.train_weights[0] == pytest.approx(0.5, abs=1e-12)
+        assert wm1(ds.x[:1])[0] == pytest.approx(0.5, abs=1e-12)
         wm2 = fit_weights_kulsif(ds, KernelSpec(family="rbf", bandwidth=1.0, ridge=2.0))
         assert wm2.evaluator.alpha[0] == pytest.approx(-1.0 / 6.0, abs=1e-12)
-        assert wm2.train_weights[0] == pytest.approx(1.0 / 3.0, abs=1e-12)
+        assert wm2(ds.x[:1])[0] == pytest.approx(1.0 / 3.0, abs=1e-12)
 
     def test_no_shift_mean_weight_near_one(self):
         cfg = make_config(mu=(0.0, 0.0), n=100, seed=53)
         data, _ = simulate_gaussian_shift(cfg)
         wm = fit_weights_kulsif(data, KernelSpec())
-        assert abs(wm.train_weights.mean() - 1.0) < 0.25
+        assert abs(wm(data.x[data.s == 1]).mean() - 1.0) < 0.25
 
     def test_matches_primal_minimization_oracle(self):
         rng = np.random.default_rng(3)
@@ -294,7 +314,7 @@ class TestKulsif:
             DatasetKind.TYPE2,
         )
         wm = fit_weights_kulsif(ds, KernelSpec(family="rbf", bandwidth=0.5, ridge=0.01))
-        assert (wm.train_weights >= 0.0).all()
+        assert (wm(x[:n1]) >= 0.0).all()
         assert wm.info["train_negative_truncated"] == int(np.sum(wm.evaluator.raw(x[:n1]) < 0))
 
 
@@ -303,14 +323,14 @@ class TestEntropyBalancing:
         x = np.array([[-1.0], [1.0], [0.0], [0.0]])
         ds = dataset_from(x, [1, -1, np.nan, np.nan], [0.0, 0.0, np.nan, np.nan], [1, 1, 0, 0], DatasetKind.TYPE2)
         wm = fit_weights_entropy_balancing(ds, InstrumentSet.default(1))
-        np.testing.assert_allclose(wm.train_weights / ds.n1, [0.5, 0.5], atol=1e-12)
+        np.testing.assert_allclose(wm(x[:2]) / ds.n1, [0.5, 0.5], atol=1e-12)
         np.testing.assert_allclose(wm.info["lambda"], [0.0], atol=1e-10)
 
     def test_two_point_interior_moment(self):
         x = np.array([[0.0], [1.0], [0.5], [0.5]])
         ds = dataset_from(x, [1, -1, np.nan, np.nan], [0.0, 0.0, np.nan, np.nan], [1, 1, 0, 0], DatasetKind.TYPE2)
         wm = fit_weights_entropy_balancing(ds, InstrumentSet.default(1))
-        np.testing.assert_allclose(wm.train_weights / ds.n1, [0.5, 0.5], atol=1e-10)
+        np.testing.assert_allclose(wm(x[:2]) / ds.n1, [0.5, 0.5], atol=1e-10)
 
     def test_moment_outside_hull(self):
         x = np.array([[0.0], [1.0], [1.5], [1.5]])
@@ -323,7 +343,7 @@ class TestEntropyBalancing:
         data, _ = simulate_gaussian_shift(make_config(n=500, seed=61))
         instruments = InstrumentSet.default(2)
         wm = fit_weights_entropy_balancing(data, instruments)
-        w = wm.train_weights / data.n1
+        w = wm(data.x[data.s == 1]) / data.n1
         assert (w > 0).all()
         assert np.sum(w) == pytest.approx(1.0, abs=1e-12)
         assert np.max(np.abs(check_balance(wm, data, instruments))) <= 1e-8
@@ -332,7 +352,7 @@ class TestEntropyBalancing:
         data, _ = simulate_gaussian_shift(make_config(mu=(0.2, 0.2), n=400, seed=0))
         base_instruments = InstrumentSet.default(2)
         wm = fit_weights_entropy_balancing(data, base_instruments)
-        w = wm.train_weights / data.n1
+        w = wm(data.x[data.s == 1]) / data.n1
         achieved = np.sum(w * np.log(w))
 
         # richer constraint set is feasible for the base constraints
@@ -341,7 +361,7 @@ class TestEntropyBalancing:
             + (FunctionInstrument(lambda x: x[:, 0] ** 2, "x1_sq"),),
             includes_constant=True,
         )
-        wr = fit_weights_entropy_balancing(data, richer).train_weights / data.n1
+        wr = fit_weights_entropy_balancing(data, richer)(data.x[data.s == 1]) / data.n1
         assert achieved <= np.sum(wr * np.log(wr)) + 1e-12
 
         # least-squares projection of the uniform vector onto the constraints
@@ -363,9 +383,8 @@ class TestEntropyBalancing:
             data, _ = simulate_gaussian_shift(make_config(n=20_000, seed=700 + r))
             wm = fit_weights_entropy_balancing(data, InstrumentSet.default(2))
             tilts.append(wm.info["tilt"])
-            dev = np.abs(
-                wm.train_weights - true_weight_gaussian(data.x[data.s == 1], mu)
-            )
+            x1 = data.x[data.s == 1]
+            dev = np.abs(wm(x1) - true_weight_gaussian(x1, mu))
             assert dev.mean() < 0.05
         tilts = np.array(tilts)
         se = tilts.std(axis=0, ddof=1) / np.sqrt(len(tilts))
@@ -422,16 +441,6 @@ class TestDiagnostics:
             assert masked.s[i] == 1
             p1 = nus.propensity.prob(1, masked.x[i : i + 1], 1)[0]
             assert v == pytest.approx(min(p1, 1.0 - p1), rel=1e-12)
-
-    def test_weight_model_json(self):
-        data, _ = simulate_gaussian_shift(make_config(n=200, seed=76))
-        wm = fit_weights_aipsw(data)
-        payload = wm.to_json_dict()
-        text = json.dumps(payload)
-        assert payload["backend"] == "aipsw"
-        assert len(payload["train_weights"]) == data.n1
-        assert "coef" in payload["info"]
-        json.loads(text)
 
     def test_instrument_names(self):
         ins = InstrumentSet.default(2)
