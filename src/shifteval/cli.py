@@ -58,7 +58,7 @@ def canonical_hash(config: dict) -> str:
 
 
 def _load_json(path) -> dict:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
     if not isinstance(payload, dict):
         raise InvalidConfig(f"{path}: expected a JSON object, got {type(payload).__name__}")
@@ -101,6 +101,14 @@ def _path(config: dict, key: str) -> str:
     if not isinstance(value, str):
         raise InvalidConfig(f"config field {key!r} must be a path string, got {value!r}")
     return value
+
+
+def _int(value) -> int:
+    """``int(value)``, refusing a number with a fractional part, which ``int``
+    would truncate."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
 
 
 def _field(config: dict, key: str, cast, default=None):
@@ -205,8 +213,10 @@ def cmd_estimate(args) -> int:
     policy = _policy_from_dict(_required(config, "policy"), data.p)
     level = _field(config, "level", float, DEFAULT_LEVEL)
     check_level(level)
-    crossfit = _field(config, "crossfit", int, 0)
-    seed = _field(config, "seed", int, 0)
+    crossfit = _field(config, "crossfit", _int, 0)
+    if crossfit < 0:
+        raise InvalidConfig(f"config field 'crossfit' must be >= 0, got {crossfit}")
+    seed = _field(config, "seed", _int, 0)
     recipe = _recipe_from_config(config, data, default_weights="oracle")
 
     report = fit_and_estimate(
@@ -233,7 +243,7 @@ def cmd_calibrate(args) -> int:
         _check_policy_dimension(policy, data.p)
     method = config.get("method", "covariates_only")
     check_method(method)
-    stratum = _field(config, "ipw_propensity_stratum", int, 1)
+    stratum = _field(config, "ipw_propensity_stratum", _int, 1)
 
     recipe = _recipe_from_config(config, data, default_weights="aipsw")
     nuisances = assemble_nuisances(data, recipe)
@@ -282,14 +292,14 @@ def cmd_montecarlo(args) -> int:
         raise InvalidConfig(f"'estimators' must be a list, got {entries!r}")
     mc = McConfig(
         base=base,
-        replications=_field(config, "replications", int),
+        replications=_field(config, "replications", _int),
         policy=policy,
         estimators=tuple(_estimator_spec(e) for e in entries),
-        crossfit_k=_field(config, "crossfit_k", int, 5),
+        crossfit_k=_field(config, "crossfit_k", _int, 5),
         level=_field(config, "level", float, DEFAULT_LEVEL),
-        n_jobs=_field(config, "n_jobs", int, 1),
-        truth_draws=_field(config, "truth_draws", int, 1_000_000),
-        variance_draws=_field(config, "variance_draws", int, 1_000_000),
+        n_jobs=_field(config, "n_jobs", _int, 1),
+        truth_draws=_field(config, "truth_draws", _int, 1_000_000),
+        variance_draws=_field(config, "variance_draws", _int, 1_000_000),
     )
     tic = time.perf_counter()
     summary = run_replications(mc)
@@ -360,7 +370,7 @@ def main(argv=None) -> int:
     except ShiftEvalError as e:
         print(json.dumps({"error": e.name, "message": str(e)}), file=sys.stderr)
         return 1
-    except (FileNotFoundError, json.JSONDecodeError) as e:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as e:
         print(json.dumps({"error": type(e).__name__, "message": str(e)}), file=sys.stderr)
         return 1
 

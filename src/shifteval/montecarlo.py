@@ -27,6 +27,7 @@ import numpy as np
 from .data_model import DatasetKind, Policy, SimulationConfig, simulate_gaussian_shift
 from .errors import InvalidConfig, ShiftEvalError, VariantMismatch
 from .estimators import (
+    MIN_MC_DRAWS,
     Estimand,
     EifVariant,
     FitRecipe,
@@ -90,6 +91,9 @@ class McConfig:
             raise InvalidConfig("estimator menu must be non-empty")
         if self.crossfit_k < 2:
             raise InvalidConfig("crossfit_k must be >= 2")
+        for name in ("truth_draws", "variance_draws"):
+            if getattr(self, name) < MIN_MC_DRAWS:
+                raise InvalidConfig(f"{name} must be >= {MIN_MC_DRAWS}")
         check_level(self.level)
 
 

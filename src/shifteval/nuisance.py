@@ -16,6 +16,8 @@ function evaluated at the training rows. The logistic propensity is one
 model with a per-stratum fit for every stratum that has observed (a, y).
 Dense kernel systems are solved by Cholesky, and every solve warns when the
 1-norm condition estimate from the Cholesky factor exceeds 1e12, at any size.
+The dense-kernel and entropy-balancing solvers load ``scipy.linalg`` and
+``scipy.spatial`` on first use, so a process that fits neither never does.
 
 Fitted models are immutable and safe to share across threads.
 """
@@ -28,9 +30,8 @@ from typing import Callable
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.linalg import cho_factor, cho_solve
-from scipy.linalg.lapack import dpocon
-from scipy.spatial.distance import cdist, pdist
+# scipy.special only: scipy.linalg and scipy.spatial are imported inside the
+# kernel and entropy-balancing solvers, as loading them slows every start
 from scipy.special import expit, logsumexp
 
 from .data_model import PooledDataset, SimulationConfig, _as_matrix, true_weight_gaussian
@@ -104,6 +105,8 @@ class KernelSpec:
 def _kernel_matrix(family: str, bandwidth: float | None, xa: NDArray, xb: NDArray) -> NDArray:
     if family == "linear":
         return xa @ xb.T
+    from scipy.spatial.distance import cdist
+
     d2 = cdist(xa, xb, metric="sqeuclidean")
     return np.exp(-d2 / (2.0 * bandwidth**2))
 
@@ -113,6 +116,8 @@ def median_bandwidth(x: NDArray, cap: int = 2000) -> float:
     x = np.asarray(x, dtype=float)[:cap]
     if x.shape[0] < 2:
         return 1.0
+    from scipy.spatial.distance import pdist
+
     med = float(np.median(pdist(x)))
     return med if med > 0 else 1.0
 
@@ -123,6 +128,9 @@ def _solve_spd(matrix: NDArray, rhs: NDArray, context: str) -> NDArray:
     The condition number is LAPACK's O(m^2) 1-norm estimate from the
     Cholesky factor (?pocon; Hager 1984, Higham 1988), checked at every size.
     """
+    from scipy.linalg import cho_factor, cho_solve
+    from scipy.linalg.lapack import dpocon
+
     try:
         factor = cho_factor(matrix, lower=True)
     except np.linalg.LinAlgError as e:
@@ -639,6 +647,8 @@ def fit_weights_entropy_balancing(
             f"({g0bar[j]:.6g}) lies outside the training range [{lo[j]:.6g}, {hi[j]:.6g}]",
             coordinate=free_names[j],
         )
+
+    from scipy.linalg import cho_factor, cho_solve
 
     m = g1.shape[1]
     lam = np.zeros(m)

@@ -302,6 +302,8 @@ BAD_VALUES = [
     ("simulate", ("p",), "two", "InvalidConfig", ()),
     ("simulate", ("mu",), [0.5, "a"], "InvalidConfig", ()),
     ("estimate", ("crossfit",), "abc", "InvalidConfig", ()),
+    ("estimate", ("crossfit",), 2.7, "InvalidConfig", ()),
+    ("estimate", ("crossfit",), -3, "InvalidConfig", ()),
     ("estimate", ("level",), "x", "InvalidConfig", ()),
     ("estimate", ("level",), 1.5, "InvalidLevel", ()),
     ("estimate", ("seed",), "s", "InvalidConfig", ()),
@@ -313,6 +315,9 @@ BAD_VALUES = [
     ("calibrate", ("candidates",), 0, "InvalidConfig", ()),
     ("calibrate", ("method",), "foo", "InvalidConfig", ()),
     ("montecarlo", ("replications",), "x", "InvalidConfig", ()),
+    ("montecarlo", ("replications",), 2.5, "InvalidConfig", ()),
+    ("montecarlo", ("variance_draws",), 10, "InvalidConfig", ()),
+    ("montecarlo", ("truth_draws",), 0, "InvalidConfig", ()),
     ("montecarlo", ("n_jobs",), "two", "InvalidConfig", ()),
     ("montecarlo", ("level",), 1.5, "InvalidLevel", ()),
     ("montecarlo", ("estimators", 0), "theta_t2", "InvalidConfig", ()),
@@ -339,6 +344,9 @@ class TestErrorsAndExitCodes:
             ("coeffs_length", "DimensionMismatch"),
             ("non_numeric_cell", "InvalidConfig"),
             ("top_level_list", "InvalidConfig"),
+            ("dataset_is_directory", "IsADirectoryError"),
+            ("config_is_directory", "IsADirectoryError"),
+            ("config_not_utf8", "UnicodeDecodeError"),
         ],
     )
     def test_bad_estimate_input_is_structured_before_fitting(
@@ -368,11 +376,17 @@ class TestErrorsAndExitCodes:
             lines[3] = "abc," + lines[3].split(",", 1)[1]
             bad.write_text("\n".join(lines) + "\n")
             config["dataset"] = str(bad)
-        else:
+        elif case == "dataset_is_directory":
+            config["dataset"] = str(tmp_path)
+        elif case == "top_level_list":
             config = [config]
+        config_path = write_json(tmp_path / "est.json", config)
+        if case == "config_is_directory":
+            config_path = str(tmp_path)
+        elif case == "config_not_utf8":
+            Path(config_path).write_bytes(b'{"dataset": "\xff"}')
         capsys.readouterr()
-        code = main(["estimate", "--config", write_json(tmp_path / "est.json", config),
-                     "--out", str(tmp_path / "out")])
+        code = main(["estimate", "--config", config_path, "--out", str(tmp_path / "out")])
         assert code == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == error
@@ -434,6 +448,19 @@ class TestErrorsAndExitCodes:
         assert err["error"] == error
         assert err["message"]
 
+    def test_out_naming_a_file_is_structured(self, tmp_path, capsys):
+        sim_out = simulate_to(tmp_path)
+        config = write_json(tmp_path / "est.json", {
+            "dataset": str(sim_out / "dataset.csv"), "policy": POLICY,
+            "weights": "aipsw", "propensity": "logistic", "outcome": "linear",
+        })
+        capsys.readouterr()
+        code = main(["estimate", "--config", config, "--out", str(sim_out / "dataset.csv")])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "FileExistsError"
+        assert err["message"]
+
     def test_non_finite_payload_is_not_written(self, tmp_path):
         with pytest.raises(NonFiniteValue):
             cli._write_json(tmp_path / "r.json", {"estimate": float("nan")})
@@ -458,6 +485,28 @@ class TestErrorsAndExitCodes:
         assert code == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "InvalidConfig"
+
+    def test_import_loads_only_the_scipy_it_runs(self):
+        # a fresh interpreter: the CLI import leaves out scipy.stats and the
+        # kernel-only scipy.linalg and scipy.spatial, which a KuLSIF fit loads
+        script = (
+            "import json, sys\n"
+            "import shifteval.cli\n"
+            "heavy = ('scipy.stats', 'scipy.linalg', 'scipy.spatial')\n"
+            "at_import = [m for m in heavy if m in sys.modules]\n"
+            "from shifteval import KernelSpec, SimulationConfig, fit_weights_kulsif\n"
+            "from shifteval import simulate_gaussian_shift\n"
+            "sim = SimulationConfig(p=2, mu=[0.5, 0.5], rho_s=0.5, n=200,\n"
+            "                       outcome_coeffs=[1, 1, 0.5, 0.25, 0.5, -0.5],\n"
+            "                       noise_sd=1.0, propensity=0.5, seed=1)\n"
+            "fit_weights_kulsif(simulate_gaussian_shift(sim)[0], KernelSpec())\n"
+            "print(json.dumps([at_import, [m for m in heavy if m in sys.modules]]))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        at_import, after_fit = json.loads(proc.stdout)
+        assert at_import == []
+        assert after_fit == ["scipy.linalg", "scipy.spatial"]
 
     def test_console_script_subprocess(self, tmp_path):
         config = tmp_path / "sim.json"

@@ -307,11 +307,10 @@ class TestWaldCi:
     def test_degenerate(self):
         assert wald_ci(1.5, 0.0, 0.95) == (1.5, 1.5)
 
-    def test_standard_normal_quantile(self):
-        lo, hi = wald_ci(0.0, 1.0, 0.95)
-        assert hi == pytest.approx(1.95996, abs=5e-6)
-        assert lo == pytest.approx(-1.95996, abs=5e-6)
-        assert hi == pytest.approx(norm.ppf(0.975), abs=1e-14)
+    @pytest.mark.parametrize("level", [0.5, 0.8, 0.9, 0.95, 0.99, 0.999])
+    def test_standard_normal_quantile(self, level):
+        z = norm.ppf(0.5 * (1.0 + level))
+        assert wald_ci(0.0, 1.0, level) == (-z, z)
 
     def test_invalid_level(self):
         with pytest.raises(InvalidLevel):
