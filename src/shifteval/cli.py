@@ -74,11 +74,17 @@ def _write_json(path, payload: dict) -> None:
         fh.write(text + "\n")
 
 
-def _emit(out_dir, name, payload: dict, config: dict, note: str | None = None) -> Path:
-    """Stamp ``payload`` with the hash of ``config``, the package version and
-    ``note``, and write it to ``out_dir/name`` (creating the directory)."""
-    out = Path(out_dir)
+def _out_dir(path) -> Path:
+    """Create the output directory ``path``; called before any work, so an
+    unusable ``--out`` fails before the fits rather than after them."""
+    out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
+def _emit(out: Path, name, payload: dict, config: dict, note: str | None = None) -> Path:
+    """Stamp ``payload`` with the hash of ``config``, the package version and
+    ``note``, and write it to ``out/name``."""
     payload["config_sha256"] = canonical_hash(config)
     payload["spec_version"] = __version__
     if note is not None:
@@ -175,6 +181,7 @@ def _recipe_from_config(config: dict, data, default_weights: str) -> FitRecipe:
 
 
 def cmd_simulate(args) -> int:
+    out = _out_dir(args.out)
     config = _load_json(args.config)
     if args.seed is not None:
         config["seed"] = args.seed
@@ -185,7 +192,6 @@ def cmd_simulate(args) -> int:
     if args.kind == "type2":
         data = data.as_type2()
 
-    out = Path(args.out)
     truth = sim.to_json_dict()
     truth["model"] = "gaussian_shift_linear"
     truth["weight_form"] = {"form": "exponential_tilt_gaussian", "mu": sim.mu.tolist()}
@@ -201,6 +207,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_estimate(args) -> int:
+    out = _out_dir(args.out)
     config = _load_json(args.config)
     for key, flag in (("estimand", args.variant), ("kind", args.kind), ("weights", args.weights),
                       ("crossfit", args.crossfit), ("seed", args.seed)):
@@ -222,7 +229,7 @@ def cmd_estimate(args) -> int:
     report = fit_and_estimate(
         data, recipe, policy, estimand, kind, crossfit_k=crossfit, seed=seed, level=level
     )
-    path = _emit(args.out, "estimate_report.json", report.to_json_dict(), config, PI_A_NOTE)
+    path = _emit(out, "estimate_report.json", report.to_json_dict(), config, PI_A_NOTE)
     print(f"estimate={report.estimate:.17g} se={report.se:.17g} -> {path}")
     return 0
 
@@ -233,6 +240,7 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
+    out = _out_dir(args.out)
     config = _load_json(args.config)
     if args.seed is not None:
         config["seed"] = args.seed
@@ -251,7 +259,7 @@ def cmd_calibrate(args) -> int:
         candidates, data, method, nuisances, ipw_propensity_stratum=stratum
     )
 
-    path = _emit(args.out, "selection.json", result.to_json_dict(), config)
+    path = _emit(out, "selection.json", result.to_json_dict(), config)
     print(f"chose c={result.chosen_c:g} ({result.chosen_policy.label}) -> {path}")
     return 0
 
@@ -279,6 +287,7 @@ def _estimator_spec(e: dict) -> EstimatorSpec:
 
 
 def cmd_montecarlo(args) -> int:
+    out = _out_dir(args.out)
     config = _load_json(args.config)
     if args.seed is not None:
         base = config.setdefault("base", {})
@@ -305,7 +314,6 @@ def cmd_montecarlo(args) -> int:
     summary = run_replications(mc)
     elapsed = time.perf_counter() - tic
 
-    out = Path(args.out)
     _emit(out, "mc_summary.json", summary.to_json_dict(), config, PI_A_NOTE)
     summary.write_csv(out / "mc_summary.csv")
     # runtimes go to the console only so the emitted files stay reproducible

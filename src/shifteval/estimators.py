@@ -172,34 +172,57 @@ def wald_ci(estimate: float, se: float, level: float = DEFAULT_LEVEL) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# Per-row nuisance values and the shared aggregation core
+# Evaluation frames, per-row nuisance values and the shared aggregation core
 # ---------------------------------------------------------------------------
 
 
 @dataclass(eq=False)
 class _Stratum:
-    """One stratum's rows, in data order: inputs gathered once, nuisance
-    values written in place by :func:`_fill_parts`. The (a, y, pi, resid)
-    arrays are None for calibration rows under Type-2 evaluation, which
-    never reads calibration (a, y)."""
+    """One stratum's rows, in data order; (a, y) are NaN where unobserved."""
 
     s: int
     x: NDArray  # (m, p)
     d: NDArray  # (m,) policy decisions
-    a: NDArray | None = None  # (m,)
-    y: NDArray | None = None  # (m,)
-    pi: NDArray | None = None  # (m,) pi_A(A_i | X_i, s)
-    resid: NDArray | None = None  # (m,) Y_i - Q(X_i, A_i)
+    a: NDArray  # (m,)
+    y: NDArray  # (m,)
+
+
+@dataclass(eq=False)
+class _Frame:
+    """One dataset under one policy: the decisions and both strata, gathered
+    once and shared by every estimate on the dataset whatever its kind,
+    nuisances or estimand, and the dataset as each kind fits it."""
+
+    data: PooledDataset
+    train: NDArray  # (n,) s == 1
+    tr: _Stratum
+    cal: _Stratum
+    _type2: PooledDataset | None = None
+
+    def view(self, kind: DatasetKind) -> PooledDataset:
+        """The dataset as ``kind`` evaluation fits it; a Type-2 view of Type-1
+        data is built once."""
+        if kind is DatasetKind.TYPE1:
+            return self.data
+        if self._type2 is None:
+            self._type2 = _view(self.data, kind)
+        return self._type2
 
 
 @dataclass(eq=False)
 class _PerRowParts:
-    """Row-level quantities entering the estimator sums."""
+    """Nuisance values at one frame's rows for one kind of evaluation,
+    written in place by :func:`_fill_nuisances` and :func:`_fill_target`.
+    The calibration propensities and residuals are None under Type-2
+    evaluation, which never reads calibration (a, y)."""
 
-    train: NDArray  # (n,) s == 1
-    tr: _Stratum
-    cal: _Stratum
+    frame: _Frame
+    kind: DatasetKind
     w_tr: NDArray  # (n1,) weights at the training rows
+    pi_tr: NDArray  # (n1,) pi_A(A_i | X_i, 1)
+    resid_tr: NDArray  # (n1,) Y_i - Q(X_i, A_i)
+    pi_cal: NDArray | None  # (n0,) pi_A(A_i | X_i, 0)
+    resid_cal: NDArray | None  # (n0,)
     target_cal: NDArray  # (n0,) Q(X_i, d) or C(X_i) d(X_i) at the calibration rows
 
 
@@ -221,74 +244,105 @@ def _check_positive(name: str, arr: NDArray) -> None:
         raise DegenerateDenominator(f"{name} contains non-positive values")
 
 
-def _stratum(data: PooledDataset, rows: NDArray, d: NDArray, s: int, with_ay: bool) -> _Stratum:
-    st = _Stratum(s=s, x=data.x[rows], d=d[rows])
-    if with_ay:
-        st.a, st.y = data.a[rows], data.y[rows]
-        st.pi, st.resid = np.empty_like(st.y), np.empty_like(st.y)
-    return st
+def _decisions(policy: Policy, x: NDArray) -> NDArray:
+    return np.asarray(policy(x), dtype=float)
 
 
-def _empty_parts(data: PooledDataset, policy: Policy, kind: DatasetKind) -> _PerRowParts:
-    """Gather the per-stratum inputs and allocate the nuisance-value arrays."""
+def _view(data: PooledDataset, kind: DatasetKind) -> PooledDataset:
+    """``data`` as ``kind`` evaluation fits it: Type-2 evaluation of Type-1
+    data masks the calibration (a, y) first, so no nuisance is fitted on them."""
+    if kind is DatasetKind.TYPE2 and data.kind is DatasetKind.TYPE1:
+        return data.as_type2()
+    return data
+
+
+def _stratum(data: PooledDataset, rows: NDArray, d: NDArray, s: int) -> _Stratum:
+    return _Stratum(s=s, x=data.x[rows], d=d[rows], a=data.a[rows], y=data.y[rows])
+
+
+def _frame(data: PooledDataset, d: NDArray) -> _Frame:
+    """Gather both strata of ``data``, whose rows have policy decisions ``d``."""
     train = data.s == 1
+    return _Frame(
+        data=data, train=train, tr=_stratum(data, train, d, 1), cal=_stratum(data, ~train, d, 0)
+    )
+
+
+def _empty_parts(frame: _Frame, kind: DatasetKind) -> _PerRowParts:
+    n1, n0 = frame.data.n1, frame.data.n0
     type1 = kind is DatasetKind.TYPE1
-    if type1 and not data.observed[~train].all():
+    if type1 and not frame.data.observed[~frame.train].all():
         raise MissingField("Type-1 evaluation requires observed (a, y) on calibration rows")
-    d = np.asarray(policy(data.x), dtype=float)
-    tr = _stratum(data, train, d, 1, with_ay=True)
-    cal = _stratum(data, ~train, d, 0, with_ay=type1)
     return _PerRowParts(
-        train=train, tr=tr, cal=cal, w_tr=np.empty(data.n1), target_cal=np.empty(data.n0)
+        frame=frame,
+        kind=kind,
+        w_tr=np.empty(n1),
+        pi_tr=np.empty(n1),
+        resid_tr=np.empty(n1),
+        pi_cal=np.empty(n0) if type1 else None,
+        resid_cal=np.empty(n0) if type1 else None,
+        target_cal=np.empty(n0),
     )
 
 
-def _fill_parts(
-    parts: _PerRowParts, tr, cal, nuisances: NuisanceSet, estimand: Estimand
-) -> None:
-    """Evaluate ``nuisances`` at training positions ``tr`` and calibration
+def _fill_nuisances(parts: _PerRowParts, tr, cal, nuisances: NuisanceSet) -> None:
+    """Evaluate the estimand-free values of ``nuisances`` (weights,
+    propensities, residuals) at training positions ``tr`` and calibration
     positions ``cal`` (index arrays or slices into the per-stratum arrays)."""
-    parts.w_tr[tr] = nuisances.weight(parts.tr.x[tr])
-    parts.target_cal[cal] = _policy_target(
-        nuisances.outcome, parts.cal.x[cal], parts.cal.d[cal], estimand
-    )
-    for st, idx in ((parts.tr, tr), (parts.cal, cal)):
-        if st.a is not None:
+    frame = parts.frame
+    parts.w_tr[tr] = nuisances.weight(frame.tr.x[tr])
+    for st, idx, pi, resid in (
+        (frame.tr, tr, parts.pi_tr, parts.resid_tr),
+        (frame.cal, cal, parts.pi_cal, parts.resid_cal),
+    ):
+        if pi is not None:
             x, a = st.x[idx], st.a[idx]
-            st.pi[idx] = nuisances.propensity.prob(a, x, st.s)
-            st.resid[idx] = st.y[idx] - nuisances.outcome.q(x, a)
+            pi[idx] = nuisances.propensity.prob(a, x, st.s)
+            resid[idx] = st.y[idx] - nuisances.outcome.q(x, a)
 
 
-def _combine(
-    data: PooledDataset, parts: _PerRowParts, estimand: Estimand, kind: DatasetKind
-):
+def _fill_target(parts: _PerRowParts, cal, outcome, estimand: Estimand) -> None:
+    """Evaluate the estimand's target at calibration positions ``cal``."""
+    st = parts.frame.cal
+    parts.target_cal[cal] = _policy_target(outcome, st.x[cal], st.d[cal], estimand)
+
+
+def _evaluate(frame: _Frame, kind: DatasetKind, nuisances: NuisanceSet) -> _PerRowParts:
+    """The estimand-free values of ``nuisances`` at every row of ``frame``."""
+    parts = _empty_parts(frame, kind)
+    _fill_nuisances(parts, slice(None), slice(None), nuisances)
+    return parts
+
+
+def _combine(parts: _PerRowParts, estimand: Estimand):
     """Point estimate and per-row influence contributions at the estimate."""
-    tr, cal = parts.tr, parts.cal
+    frame = parts.frame
+    tr, cal = frame.tr, frame.cal
     for name, arr in (
         ("training weights", parts.w_tr),
-        ("training propensities", tr.pi),
-        ("training outcome residuals", tr.resid),
+        ("training propensities", parts.pi_tr),
+        ("training outcome residuals", parts.resid_tr),
         ("calibration targets", parts.target_cal),
-        ("calibration propensities", cal.pi),
-        ("calibration outcome residuals", cal.resid),
+        ("calibration propensities", parts.pi_cal),
+        ("calibration outcome residuals", parts.resid_cal),
     ):
         if arr is not None and not np.isfinite(arr).all():
             raise NonFiniteValue(f"{name} contain NaN or infinite values")
-    _check_positive("training propensities", tr.pi)
-    if cal.pi is not None:
-        _check_positive("calibration propensities", cal.pi)
+    _check_positive("training propensities", parts.pi_tr)
+    if parts.pi_cal is not None:
+        _check_positive("calibration propensities", parts.pi_cal)
 
-    n, n1, n0 = data.n, data.n1, data.n0
-    train = parts.train
-    term_tr = parts.w_tr * _coupler(estimand, tr.d, tr.a) / tr.pi * tr.resid
+    n, n1, n0 = frame.data.n, frame.data.n1, frame.data.n0
+    train = frame.train
+    term_tr = parts.w_tr * _coupler(estimand, tr.d, tr.a) / parts.pi_tr * parts.resid_tr
     eif = np.empty(n)
-    if kind is DatasetKind.TYPE2:
+    if parts.kind is DatasetKind.TYPE2:
         phi = float(np.mean(term_tr))
         estimate = phi + float(np.mean(parts.target_cal))
         eif[train] = (n / n1) * term_tr
         eif[~train] = (n / n0) * (parts.target_cal - estimate)
     else:
-        term_cal = _coupler(estimand, cal.d, cal.a) / cal.pi * cal.resid
+        term_cal = _coupler(estimand, cal.d, cal.a) / parts.pi_cal * parts.resid_cal
         estimate = (n1 / n) * float(np.mean(term_tr)) + float(
             np.mean((n0 / n) * term_cal + parts.target_cal)
         )
@@ -318,6 +372,25 @@ def _finish_report(
     )
 
 
+def _efficient_report(
+    parts: _PerRowParts, nuisances: NuisanceSet, estimand: Estimand, level: float
+) -> EstimateReport:
+    """Efficient estimate of ``estimand`` from ``parts`` holding the values of
+    ``nuisances``; only the calibration targets are evaluated here, so one
+    ``parts`` serves every estimand in turn."""
+    _fill_target(parts, slice(None), nuisances.outcome, estimand)
+    estimate, eif = _combine(parts, estimand)
+    return _finish_report(
+        parts.frame.data,
+        estimate,
+        eif,
+        EifVariant(estimand, parts.kind),
+        "efficient",
+        nuisances.provenance(),
+        level,
+    )
+
+
 # ---------------------------------------------------------------------------
 # Public estimators
 # ---------------------------------------------------------------------------
@@ -340,18 +413,8 @@ def estimate_efficient(
     sqrt(n).
     """
     kind = data.kind if kind is None else kind
-    parts = _empty_parts(data, policy, kind)
-    _fill_parts(parts, slice(None), slice(None), nuisances, estimand)
-    estimate, eif = _combine(data, parts, estimand, kind)
-    return _finish_report(
-        data,
-        estimate,
-        eif,
-        EifVariant(estimand, kind),
-        "efficient",
-        nuisances.provenance(),
-        level,
-    )
+    frame = _frame(data, _decisions(policy, data.x))
+    return _efficient_report(_evaluate(frame, kind, nuisances), nuisances, estimand, level)
 
 
 def eif_contribution(
@@ -427,11 +490,9 @@ def estimate_plugin_identification(
         if not (~train).any():
             raise MissingStratum("calibration_mean requires calibration rows")
         x0 = data.x[~train]
-        terms = _policy_target(
-            nuisances.outcome, x0, np.asarray(policy(x0), dtype=float), estimand
-        )
+        terms = _policy_target(nuisances.outcome, x0, _decisions(policy, x0), estimand)
     else:
-        d = np.asarray(policy(data.x), dtype=float)
+        d = _decisions(policy, data.x)
         target = _policy_target(nuisances.outcome, data.x, d, estimand)
         w = np.asarray(nuisances.weight(data.x[train]), dtype=float)
         if form == "weighted_pooled":
@@ -537,7 +598,8 @@ def cross_fit_estimate(
     kind = data.kind if kind is None else kind
     if folds.bag_of.shape[0] != data.n:
         raise InvalidConfig("fold assignment does not match dataset size")
-    parts = _empty_parts(data, policy, kind)
+    parts = _empty_parts(_frame(data, _decisions(policy, data.x)), kind)
+    train = parts.frame.train
     per_bag = []
     for k in range(1, folds.k + 1):
         in_bag = folds.bag_of == k
@@ -545,20 +607,16 @@ def cross_fit_estimate(
             nus = assemble_nuisances(data.subset(~in_bag), recipe)
         except ShiftEvalError as e:
             raise type(e)(f"bag {k}: {e}") from e
-        _fill_parts(
-            parts,
-            np.flatnonzero(in_bag[parts.train]),
-            np.flatnonzero(in_bag[~parts.train]),
-            nus,
-            estimand,
-        )
+        tr, cal = np.flatnonzero(in_bag[train]), np.flatnonzero(in_bag[~train])
+        _fill_nuisances(parts, tr, cal, nus)
+        _fill_target(parts, cal, nus.outcome, estimand)
         diag = {"bag": k, "nuisance": nus.provenance()}
         for key in ("converged", "iterations"):
             if key in nus.weight.info:
                 diag[f"weight_{key}"] = nus.weight.info[key]
         per_bag.append(diag)
 
-    estimate, eif = _combine(data, parts, estimand, kind)
+    estimate, eif = _combine(parts, estimand)
     nuis = recipe.describe()
     nuis["crossfit_k"] = folds.k
     nuis["per_bag"] = per_bag
@@ -584,8 +642,7 @@ def fit_and_estimate(
     cross-fitted over stratified bags drawn with ``seed``; otherwise the
     nuisances are fitted once on all rows.
     """
-    if kind is DatasetKind.TYPE2 and data.kind is DatasetKind.TYPE1:
-        data = data.as_type2()
+    data = _view(data, kind)
     if crossfit_k >= 2:
         folds = split_cross_fit_folds(data, crossfit_k, seed=seed)
         return cross_fit_estimate(data, folds, recipe, policy, estimand, kind=kind, level=level)
@@ -613,50 +670,93 @@ def theoretical_variance(
     Monte Carlo with ``mc_draws`` draws per stratum; the *_se fields report
     the integration error.
     """
+    return _theoretical_variances(truth, policy, (variant,), rho_s, mc_draws, seed)[variant]
+
+
+def _sigma2_over_pi(
+    truth: SimulationTruth, x: NDArray, s: int, d: NDArray, estimand: Estimand,
+    w2: NDArray | None = None,
+) -> NDArray:
+    """sigma^2(x, s, a) / pi_A(a | x, s) at a = d(x) for the value, summed over
+    a = +1, -1 for the contrast; times the squared weights ``w2`` when given."""
+    prob = truth.nuisances.propensity.prob
+    if estimand is Estimand.VALUE:
+        pi_d = np.asarray(prob(d, x, s), dtype=float)
+        sigma2 = truth.sigma2(x, s, d)
+        return (sigma2 if w2 is None else w2 * sigma2) / pi_d
+    pi_p = np.asarray(prob(1, x, s), dtype=float)
+    pi_m = np.asarray(prob(-1, x, s), dtype=float)
+    total = truth.sigma2(x, s, 1) / pi_p + truth.sigma2(x, s, -1) / pi_m
+    return total if w2 is None else w2 * total
+
+
+def _moments(values: NDArray) -> tuple:
+    """Sample mean and standard deviation (ddof=1)."""
+    return float(np.mean(values)), float(np.std(values, ddof=1))
+
+
+def _target_variance(target: NDArray, draws: int) -> tuple:
+    """Var(target) and its integration error."""
+    centered = target - np.mean(target)
+    var = float(np.mean(centered**2))
+    return var, float(np.sqrt(max(np.mean(centered**4) - var**2, 0.0) / draws))
+
+
+def _theoretical_variances(
+    truth: SimulationTruth,
+    policy: Policy,
+    variants,
+    rho_s: float | None = None,
+    mc_draws: int = 1_000_000,
+    seed: int = 0,
+) -> dict:
+    """:func:`theoretical_variance` of every variant in ``variants``, keyed by
+    variant, from one pass over the draws a single call makes: x1 and then x0
+    from one ``default_rng(seed)``.
+
+    Each estimand's training integrand and calibration target are evaluated
+    once: the Type-1 nu is rho^2 times the Type-2 nu, and both kinds share
+    Var(target). Each stratum's arrays are released before the next stratum
+    is drawn, and each estimand's before the next estimand's.
+    """
     if mc_draws < MIN_MC_DRAWS:
         raise InvalidConfig(f"mc_draws must be at least {MIN_MC_DRAWS}")
     rho = truth.rho_s if rho_s is None else rho_s
     rng = np.random.default_rng(seed)
-    nus = truth.nuisances
+    estimands = tuple(dict.fromkeys(v.estimand for v in variants))
+    type1 = {v.estimand for v in variants if v.kind is DatasetKind.TYPE1}
 
     x1 = truth.sample_training(rng, mc_draws)
-    d1 = np.asarray(policy(x1), dtype=float)
-    w = np.asarray(nus.weight(x1), dtype=float)
-    if variant.estimand is Estimand.VALUE:
-        pi_d = np.asarray(nus.propensity.prob(d1, x1, 1), dtype=float)
-        integrand = w**2 * truth.sigma2(x1, 1, d1) / pi_d
-    else:
-        pi_p = np.asarray(nus.propensity.prob(1, x1, 1), dtype=float)
-        pi_m = np.asarray(nus.propensity.prob(-1, x1, 1), dtype=float)
-        integrand = w**2 * (
-            truth.sigma2(x1, 1, 1) / pi_p + truth.sigma2(x1, 1, -1) / pi_m
-        )
-    nu = float(np.mean(integrand))
-    nu_se = float(np.std(integrand, ddof=1) / np.sqrt(mc_draws))
-    if variant.kind is DatasetKind.TYPE1:
-        nu, nu_se = rho**2 * nu, rho**2 * nu_se
+    d1 = _decisions(policy, x1)
+    w2 = np.asarray(truth.nuisances.weight(x1), dtype=float) ** 2
+    nu = {}  # estimand -> Type-2 (nu, nu_se)
+    for estimand in estimands:
+        mean, std = _moments(_sigma2_over_pi(truth, x1, 1, d1, estimand, w2))
+        nu[estimand] = mean, float(std / np.sqrt(mc_draws))
+    del x1, d1, w2
 
     x0 = truth.sample_calibration(rng, mc_draws)
-    d0 = np.asarray(policy(x0), dtype=float)
-    target = _policy_target(nus.outcome, x0, d0, variant.estimand)
-    centered = target - np.mean(target)
-    var_target = float(np.mean(centered**2))
-    var_target_se = float(
-        np.sqrt(max(np.mean(centered**4) - var_target**2, 0.0) / mc_draws)
-    )
-    zeta, zeta_se = var_target, var_target_se
-    if variant.kind is DatasetKind.TYPE1:
-        if variant.estimand is Estimand.VALUE:
-            pi_d0 = np.asarray(nus.propensity.prob(d0, x0, 0), dtype=float)
-            extra = truth.sigma2(x0, 0, d0) / pi_d0
-        else:
-            pi_p0 = np.asarray(nus.propensity.prob(1, x0, 0), dtype=float)
-            pi_m0 = np.asarray(nus.propensity.prob(-1, x0, 0), dtype=float)
-            extra = truth.sigma2(x0, 0, 1) / pi_p0 + truth.sigma2(x0, 0, -1) / pi_m0
-        zeta = (1.0 - rho) ** 2 * float(np.mean(extra)) + var_target
-        zeta_se = float(
-            np.hypot((1.0 - rho) ** 2 * np.std(extra, ddof=1) / np.sqrt(mc_draws), var_target_se)
+    d0 = _decisions(policy, x0)
+    zeta = {}  # (estimand, kind) -> (zeta, zeta_se)
+    for estimand in estimands:
+        var_target, var_target_se = _target_variance(
+            _policy_target(truth.nuisances.outcome, x0, d0, estimand), mc_draws
         )
-    return TheoreticalVariance(
-        nu_eff=nu, zeta_eff=zeta, variant=variant, nu_se=nu_se, zeta_se=zeta_se
-    )
+        zeta[estimand, DatasetKind.TYPE2] = var_target, var_target_se
+        if estimand in type1:
+            mean, std = _moments(_sigma2_over_pi(truth, x0, 0, d0, estimand))
+            zeta[estimand, DatasetKind.TYPE1] = (
+                (1.0 - rho) ** 2 * mean + var_target,
+                float(np.hypot((1.0 - rho) ** 2 * std / np.sqrt(mc_draws), var_target_se)),
+            )
+
+    out = {}
+    for v in variants:
+        nu_eff, nu_se = nu[v.estimand]
+        if v.kind is DatasetKind.TYPE1:
+            nu_eff, nu_se = rho**2 * nu_eff, rho**2 * nu_se
+        zeta_eff, zeta_se = zeta[v.estimand, v.kind]
+        out[v] = TheoreticalVariance(
+            nu_eff=nu_eff, zeta_eff=zeta_eff, variant=v, nu_se=nu_se, zeta_se=zeta_se
+        )
+    return out

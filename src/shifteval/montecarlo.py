@@ -6,11 +6,18 @@ true policy values computed by large-sample integration over the testing
 covariate law. Summaries report the empirical variance on both the
 sqrt(n) and sqrt(n0) scales next to the closed-form asymptotic targets.
 
+Within a replicate, estimators that share a (kind, weights, propensity,
+outcome) recipe share one fit: its nuisances are fitted and evaluated once,
+and each estimator then evaluates only its own estimand's targets, giving
+the same estimates, bit for bit, as one fit per estimator. The variance
+targets of all the menu's variants come from one integration pass.
+
 Replicates are independent; with ``n_jobs > 1`` they run in worker
 processes and are aggregated in replicate order, so results are identical
 to the serial run. Per-estimator runtimes are collected for console
 reporting but deliberately left out of the serialized summary so that
-fixed-seed runs are byte-for-byte reproducible.
+fixed-seed runs are byte-for-byte reproducible. A shared fit is timed with
+the first estimator of its recipe in menu order.
 """
 
 from __future__ import annotations
@@ -32,10 +39,15 @@ from .estimators import (
     EifVariant,
     FitRecipe,
     TheoreticalVariance,
+    _decisions,
+    _efficient_report,
+    _evaluate,
+    _frame,
+    _theoretical_variances,
+    assemble_nuisances,
     check_backends,
     check_level,
     fit_and_estimate,
-    theoretical_variance,
 )
 from .nuisance import gaussian_shift_truth
 
@@ -167,32 +179,50 @@ def true_policy_values(
     """
     rng = np.random.default_rng([config.seed, _TRUTH_STREAM])
     x = rng.standard_normal((draws, config.p))
-    d = np.asarray(policy(x), dtype=float)
+    d = _decisions(policy, x)
     q_d = config.outcome_mean(x, d)
     cte = config.outcome_mean(x, 1.0) - config.outcome_mean(x, -1.0)
     return {"theta": float(np.mean(q_d)), "theta1": float(np.mean(cte * d))}
 
 
 def _run_replicate(r: int, config: McConfig, truth: dict):
-    """One replicate: simulate, run every estimator, record coverage flags."""
+    """One replicate: simulate, run every estimator, record coverage flags.
+
+    One evaluation frame holds what no estimator changes: the policy
+    decisions, both strata's rows and the Type-2 view of the data. Each
+    (kind, weights, propensity, outcome) recipe is fitted and evaluated once;
+    each plain estimator of that recipe then evaluates only its estimand's
+    targets, and the first of them in menu order is timed with the shared
+    fit. Cross-fitted estimators share the Type-2 view and fit their own bags.
+    """
     rep_seed = config.base.seed + r
     sim_config = dataclasses.replace(config.base, seed=rep_seed)
     try:
         data, oracle = simulate_gaussian_shift(sim_config)
+        frame = _frame(data, _decisions(config.policy, data.x))
+        fitted = {}  # (kind, weights, propensity, outcome) -> (values, nuisances)
         estimates = np.empty(len(config.estimators))
         covered = np.empty(len(config.estimators))
         runtimes = np.empty(len(config.estimators))
         for j, spec in enumerate(config.estimators):
             tic = time.perf_counter()
+            view = frame.view(spec.kind)
             recipe = FitRecipe(
                 weights=spec.weights, propensity=spec.propensity, outcome=spec.outcome,
                 oracle=oracle,
             )
-            report = fit_and_estimate(
-                data, recipe, config.policy, spec.estimand, spec.kind,
-                crossfit_k=config.crossfit_k if spec.crossfit else 0, seed=rep_seed,
-                level=config.level,
-            )
+            if spec.crossfit:
+                report = fit_and_estimate(
+                    view, recipe, config.policy, spec.estimand, spec.kind,
+                    crossfit_k=config.crossfit_k, seed=rep_seed, level=config.level,
+                )
+            else:
+                key = (spec.kind, spec.weights, spec.propensity, spec.outcome)
+                if key not in fitted:
+                    nuisances = assemble_nuisances(view, recipe)
+                    fitted[key] = _evaluate(frame, spec.kind, nuisances), nuisances
+                parts, nuisances = fitted[key]
+                report = _efficient_report(parts, nuisances, spec.estimand, config.level)
             runtimes[j] = time.perf_counter() - tic
             estimates[j] = report.estimate
             target = truth[spec.estimand.value]
@@ -221,16 +251,16 @@ def run_replications(config: McConfig) -> McSummary:
     n0s = np.array([res[2] for res in results])
     rts = np.array([res[3] for res in results])
 
-    truth_obj = gaussian_shift_truth(config.base)
-    variance_cache: dict[EifVariant, TheoreticalVariance] = {}
+    variances = _theoretical_variances(
+        gaussian_shift_truth(config.base),
+        config.policy,
+        tuple(dict.fromkeys(spec.variant for spec in config.estimators)),
+        mc_draws=config.variance_draws,
+    )
     n = config.base.n
     summaries = []
     for j, spec in enumerate(config.estimators):
-        if spec.variant not in variance_cache:
-            variance_cache[spec.variant] = theoretical_variance(
-                truth_obj, config.policy, spec.variant, mc_draws=config.variance_draws
-            )
-        tv = variance_cache[spec.variant]
+        tv = variances[spec.variant]
         target = truth[spec.estimand.value]
         err = est[:, j] - target
         summaries.append(

@@ -331,10 +331,12 @@ def _newton_logistic(design: NDArray, b: NDArray, max_iter: int = 50, tol: float
             cand = beta + t * step
             ll_new = _log_likelihood(design, b, cand)
             if ll_new >= ll - 1e-12:
+                beta, ll = cand, ll_new
                 break
             t *= 0.5
-        beta = beta + t * step
-        ll = _log_likelihood(design, b, beta)
+        else:
+            beta = beta + t * step
+            ll = _log_likelihood(design, b, beta)
     if not converged:
         eta = design @ beta
         if np.all((2.0 * b - 1.0) * eta >= 0.0) and np.linalg.norm(beta) > 1e2:

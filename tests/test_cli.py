@@ -48,6 +48,10 @@ def write_json(path, payload):
 POLICY = {"type": "linear", "intercept": 0.2, "coeffs": [1.0, -1.0]}
 
 
+def no_work_before_out(*args, **kwargs):
+    raise AssertionError("work started before --out was checked")
+
+
 class TestSimulate:
     def test_outputs_and_truth_weight(self, tmp_path):
         config = write_json(tmp_path / "sim.json", sim_config_dict(mu=(0.0, 0.0), n=60, seed=5))
@@ -448,18 +452,47 @@ class TestErrorsAndExitCodes:
         assert err["error"] == error
         assert err["message"]
 
-    def test_out_naming_a_file_is_structured(self, tmp_path, capsys):
+    def test_out_naming_a_file_is_structured(self, tmp_path, capsys, monkeypatch):
         sim_out = simulate_to(tmp_path)
         config = write_json(tmp_path / "est.json", {
             "dataset": str(sim_out / "dataset.csv"), "policy": POLICY,
             "weights": "aipsw", "propensity": "logistic", "outcome": "linear",
         })
+        monkeypatch.setattr(estimators, "assemble_nuisances", no_work_before_out)
         capsys.readouterr()
         code = main(["estimate", "--config", config, "--out", str(sim_out / "dataset.csv")])
         assert code == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "FileExistsError"
         assert err["message"]
+
+    @pytest.mark.parametrize("command", ["simulate", "calibrate", "montecarlo"])
+    def test_out_naming_a_file_fails_before_any_work(self, tmp_path, capsys, monkeypatch, command):
+        sim_out = simulate_to(tmp_path)
+        configs = {
+            "simulate": sim_config_dict(n=40, seed=1),
+            "calibrate": {
+                "dataset": str(sim_out / "dataset.csv"),
+                "candidates": str(FIXTURES / "candidates.json"),
+                "weights": "aipsw", "propensity": "logistic", "outcome": "linear",
+            },
+            "montecarlo": {
+                "base": sim_config_dict(n=300, seed=13), "replications": 3, "policy": POLICY,
+                "estimators": [{"name": "theta_t2", "estimand": "theta", "kind": "type2"}],
+            },
+        }
+        work = {
+            "simulate": (cli, "simulate_gaussian_shift"),
+            "calibrate": (cli, "assemble_nuisances"),
+            "montecarlo": (montecarlo, "true_policy_values"),
+        }
+        monkeypatch.setattr(*work[command], no_work_before_out)
+        capsys.readouterr()
+        code = main([command, "--config", write_json(tmp_path / "config.json", configs[command]),
+                     "--out", str(sim_out / "dataset.csv")])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "FileExistsError"
 
     def test_non_finite_payload_is_not_written(self, tmp_path):
         with pytest.raises(NonFiniteValue):

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -38,6 +39,12 @@ from shifteval.errors import (
 
 from conftest import make_config
 
+ALL_VARIANTS = tuple(
+    EifVariant(e, k)
+    for e in (Estimand.VALUE, Estimand.CONTRAST)
+    for k in (DatasetKind.TYPE1, DatasetKind.TYPE2)
+)
+
 
 def toy_type2_dataset():
     """n1=2 training rows (A, Y) = (+1, 2), (-1, 0); n0=2 calibration rows."""
@@ -49,9 +56,10 @@ def toy_type2_dataset():
 
 def core_influence(data, nuisances, policy, estimand, kind):
     """Point estimate and per-row influence vector from the aggregation core."""
-    parts = estimators._empty_parts(data, policy, kind)
-    estimators._fill_parts(parts, slice(None), slice(None), nuisances, estimand)
-    return estimators._combine(data, parts, estimand, kind)
+    frame = estimators._frame(data, estimators._decisions(policy, data.x))
+    parts = estimators._evaluate(frame, kind, nuisances)
+    estimators._fill_target(parts, slice(None), nuisances.outcome, estimand)
+    return estimators._combine(parts, estimand)
 
 
 def toy_oracle(q_plus=0.0):
@@ -245,6 +253,23 @@ class TestCrossFit:
                     assert cf.estimate == plain.estimate
                     assert cf.se == plain.se
 
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(60, 600),
+        k=st.integers(2, 6),
+        estimand=st.sampled_from(Estimand),
+        kind=st.sampled_from(DatasetKind),
+    )
+    def test_oracle_recipe_equals_plain_estimate_property(self, seed, n, k, estimand, kind):
+        policy = LinearPolicy(0.2, np.array([1.0, -1.0]))
+        data, oracle = simulate_gaussian_shift(make_config(n=n, seed=seed))
+        recipe = FitRecipe(weights="oracle", propensity="oracle", outcome="oracle", oracle=oracle)
+        plain = estimate_efficient(data, oracle, policy, estimand, kind=kind)
+        cf = cross_fit_estimate(data, split_cross_fit_folds(data, k, seed=seed), recipe, policy,
+                                estimand, kind=kind)
+        assert (cf.estimate, cf.se) == (plain.estimate, plain.se)
+
     def test_fitted_recipe_close_to_truth(self, policy):
         cfg = make_config(n=4000, seed=15)
         data, oracle = simulate_gaussian_shift(cfg)
@@ -269,7 +294,76 @@ class TestCrossFit:
             cross_fit_estimate(bad, folds, recipe, policy, Estimand.VALUE, kind=DatasetKind.TYPE2)
 
 
+def reference_variance(truth, policy, variant, rho, draws, seed):
+    """The variance integrals of one variant written out on their own."""
+    rng = np.random.default_rng(seed)
+    nus, s2 = truth.nuisances, truth.sigma2
+    x1 = truth.sample_training(rng, draws)
+    d1 = np.asarray(policy(x1), dtype=float)
+    w = nus.weight(x1)
+    if variant.estimand is Estimand.VALUE:
+        integrand = w**2 * s2(x1, 1, d1) / nus.propensity.prob(d1, x1, 1)
+    else:
+        integrand = w**2 * (s2(x1, 1, 1) / nus.propensity.prob(1, x1, 1)
+                            + s2(x1, 1, -1) / nus.propensity.prob(-1, x1, 1))
+    nu = float(np.mean(integrand))
+    nu_se = float(np.std(integrand, ddof=1) / np.sqrt(draws))
+    if variant.kind is DatasetKind.TYPE1:
+        nu, nu_se = rho**2 * nu, rho**2 * nu_se
+    x0 = truth.sample_calibration(rng, draws)
+    d0 = np.asarray(policy(x0), dtype=float)
+    if variant.estimand is Estimand.VALUE:
+        target = nus.outcome.q(x0, d0)
+    else:
+        target = nus.outcome.cte(x0) * d0
+    centered = target - np.mean(target)
+    zeta = float(np.mean(centered**2))
+    zeta_se = float(np.sqrt(max(np.mean(centered**4) - zeta**2, 0.0) / draws))
+    if variant.kind is DatasetKind.TYPE1:
+        if variant.estimand is Estimand.VALUE:
+            extra = s2(x0, 0, d0) / nus.propensity.prob(d0, x0, 0)
+        else:
+            extra = (s2(x0, 0, 1) / nus.propensity.prob(1, x0, 0)
+                     + s2(x0, 0, -1) / nus.propensity.prob(-1, x0, 0))
+        zeta_se = float(np.hypot((1.0 - rho) ** 2 * np.std(extra, ddof=1) / np.sqrt(draws),
+                                 zeta_se))
+        zeta = (1.0 - rho) ** 2 * float(np.mean(extra)) + zeta
+    return nu, zeta, nu_se, zeta_se
+
+
+TV_FIELDS = ("nu_eff", "zeta_eff", "nu_se", "zeta_se")
+
+
 class TestTheoreticalVariance:
+    @pytest.mark.parametrize("rho_s", [None, 0.3])
+    def test_matches_reference_integrals(self, policy, rho_s):
+        truth = gaussian_shift_truth(make_config(rho_s=0.4, seed=23))
+        rho = truth.rho_s if rho_s is None else rho_s
+        for v in ALL_VARIANTS:
+            tv = theoretical_variance(truth, policy, v, rho_s=rho_s, mc_draws=3000, seed=4)
+            assert tuple(getattr(tv, f) for f in TV_FIELDS) == reference_variance(
+                truth, policy, v, rho, 3000, 4
+            )
+
+    @pytest.mark.parametrize("rho_s", [None, 0.3])
+    def test_one_pass_equals_one_call_per_variant(self, policy, rho_s):
+        truth = gaussian_shift_truth(make_config(rho_s=0.4, seed=24))
+        single = {
+            v: theoretical_variance(truth, policy, v, rho_s=rho_s, mc_draws=3000, seed=5)
+            for v in ALL_VARIANTS
+        }
+        subsets = [c for r in range(1, 5) for c in itertools.combinations(ALL_VARIANTS, r)]
+        subsets.append(tuple(ALL_VARIANTS[i] for i in (3, 0, 2, 1)))
+        for subset in subsets:
+            joint = estimators._theoretical_variances(
+                truth, policy, subset, rho_s=rho_s, mc_draws=3000, seed=5
+            )
+            assert list(joint) == list(subset)
+            for v in subset:
+                assert joint[v].variant == v
+                for f in TV_FIELDS:
+                    assert getattr(joint[v], f) == getattr(single[v], f), (subset, v, f)
+
     def test_constant_target_zero_calibration_variance(self):
         # bx = gx = 0 makes Q(x, a) constant in x, so Var[Q(X, d) | S=0] = 0
         cfg = make_config(outcome_coeffs=[1.0, 0.0, 0.0, 0.5, 0.0, 0.0], seed=17)

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,12 +9,15 @@ from shifteval import (
     DatasetKind,
     Estimand,
     EifVariant,
+    FitRecipe,
     TheoreticalVariance,
     compare_to_bound,
     constant_policy,
+    simulate_gaussian_shift,
     true_policy_values,
 )
 from shifteval.errors import ShiftEvalError, VariantMismatch
+from shifteval.estimators import fit_and_estimate
 from shifteval.montecarlo import (
     EstimatorSpec,
     EstimatorSummary,
@@ -49,6 +53,29 @@ def oracle_menu():
         EstimatorSpec(name=f"{e.value}_{k.value}", estimand=e, kind=k)
         for e in (Estimand.VALUE, Estimand.CONTRAST)
         for k in (DatasetKind.TYPE1, DatasetKind.TYPE2)
+    )
+
+
+def mixed_menu():
+    """The four oracle variants, aipsw/logistic/linear for both estimands on
+    both kinds, eb on Type-1 data and one cross-fitted aipsw estimator."""
+    fitted = {"weights": "aipsw", "propensity": "logistic", "outcome": "linear"}
+    eb = fitted | {"weights": "eb"}
+    return (
+        oracle_menu()
+        + tuple(
+            EstimatorSpec(name=f"aipsw_{e.value}_{k.value}", estimand=e, kind=k, **fitted)
+            for e in (Estimand.VALUE, Estimand.CONTRAST)
+            for k in (DatasetKind.TYPE1, DatasetKind.TYPE2)
+        )
+        + (
+            EstimatorSpec(name="eb_theta_type1", estimand=Estimand.VALUE,
+                          kind=DatasetKind.TYPE1, **eb),
+            EstimatorSpec(name="eb_theta1_type1", estimand=Estimand.CONTRAST,
+                          kind=DatasetKind.TYPE1, **eb),
+            EstimatorSpec(name="crossfit", estimand=Estimand.VALUE, kind=DatasetKind.TYPE2,
+                          crossfit=True, **fitted),
+        )
     )
 
 
@@ -100,6 +127,34 @@ class TestRunReplications:
         s2 = run_replications(parallel)
         assert json.dumps(s1.to_json_dict(), sort_keys=True) == json.dumps(
             s2.to_json_dict(), sort_keys=True
+        )
+
+    def test_shared_replicate_work_equals_one_fit_per_estimator(self, policy):
+        # estimators sharing a (kind, recipe) share one fit per replicate;
+        # every estimate must equal a separate fit_and_estimate call
+        base = make_config(n=400, seed=9)
+        menu = mixed_menu()
+        mc = McConfig(base=base, replications=3, policy=policy, estimators=menu, crossfit_k=3,
+                      level=0.9, truth_draws=10_000, variance_draws=2_000)
+        summary = run_replications(mc)
+        for r in range(mc.replications):
+            rep_seed = base.seed + r
+            data, oracle = simulate_gaussian_shift(replace(base, seed=rep_seed))
+            row = []
+            for spec in menu:
+                recipe = FitRecipe(weights=spec.weights, propensity=spec.propensity,
+                                   outcome=spec.outcome, oracle=oracle)
+                row.append(fit_and_estimate(
+                    data, recipe, policy, spec.estimand, spec.kind,
+                    crossfit_k=mc.crossfit_k if spec.crossfit else 0, seed=rep_seed,
+                    level=mc.level,
+                ).estimate)
+            assert summary.estimates[r].tolist() == row
+
+        parallel = run_replications(replace(mc, n_jobs=2))
+        assert np.array_equal(parallel.estimates, summary.estimates)
+        assert json.dumps(parallel.to_json_dict(), sort_keys=True) == json.dumps(
+            summary.to_json_dict(), sort_keys=True
         )
 
     def test_replicate_failure_is_annotated_and_aborts(self, policy):
