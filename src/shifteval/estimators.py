@@ -12,8 +12,8 @@ sampling rate is always replaced by the realized n1/n (and 1 - rho by n0/n).
 Per-row efficient-influence-function contributions drive the reported
 standard errors; with the self-consistent point estimate their sample mean
 is zero by construction. The plain and cross-fitted efficient estimators
-share one aggregation core: cross-fitting only changes which fitted
-nuisances are evaluated on which rows.
+share one fit-and-evaluate path: a plain fit is the one-bag case of
+cross-fitting, its nuisances fitted on all rows and evaluated at all rows.
 """
 
 from __future__ import annotations
@@ -200,24 +200,30 @@ class _Frame:
     _type2: PooledDataset | None = None
 
     def view(self, kind: DatasetKind) -> PooledDataset:
-        """The dataset as ``kind`` evaluation fits it; a Type-2 view of Type-1
-        data is built once."""
-        if kind is DatasetKind.TYPE1:
+        """The dataset as ``kind`` evaluation fits it: Type-2 evaluation of
+        Type-1 data masks the calibration (a, y), once per frame, so no
+        nuisance is fitted on them."""
+        if kind is DatasetKind.TYPE1 or self.data.kind is DatasetKind.TYPE2:
             return self.data
         if self._type2 is None:
-            self._type2 = _view(self.data, kind)
+            self._type2 = self.data.as_type2()
         return self._type2
 
 
 @dataclass(eq=False)
 class _PerRowParts:
-    """Nuisance values at one frame's rows for one kind of evaluation,
-    written in place by :func:`_fill_nuisances` and :func:`_fill_target`.
-    The calibration propensities and residuals are None under Type-2
-    evaluation, which never reads calibration (a, y)."""
+    """Nuisance values at one frame's rows for one kind of evaluation. Each
+    fit (nuisances, training positions, calibration positions) is evaluated
+    at its positions: a plain fit at every row, a cross-fit bag's fit at the
+    bag's rows. The calibration propensities and residuals are None under
+    Type-2 evaluation, which never reads calibration (a, y); ``target_cal``
+    is written by :func:`_report` for each estimand in turn."""
 
     frame: _Frame
     kind: DatasetKind
+    recipe: FitRecipe | NuisanceSet
+    folds: FoldAssignment | None
+    fits: list
     w_tr: NDArray  # (n1,) weights at the training rows
     pi_tr: NDArray  # (n1,) pi_A(A_i | X_i, 1)
     resid_tr: NDArray  # (n1,) Y_i - Q(X_i, A_i)
@@ -248,34 +254,58 @@ def _decisions(policy: Policy, x: NDArray) -> NDArray:
     return np.asarray(policy(x), dtype=float)
 
 
-def _view(data: PooledDataset, kind: DatasetKind) -> PooledDataset:
-    """``data`` as ``kind`` evaluation fits it: Type-2 evaluation of Type-1
-    data masks the calibration (a, y) first, so no nuisance is fitted on them."""
-    if kind is DatasetKind.TYPE2 and data.kind is DatasetKind.TYPE1:
-        return data.as_type2()
-    return data
-
-
 def _stratum(data: PooledDataset, rows: NDArray, d: NDArray, s: int) -> _Stratum:
     return _Stratum(s=s, x=data.x[rows], d=d[rows], a=data.a[rows], y=data.y[rows])
 
 
-def _frame(data: PooledDataset, d: NDArray) -> _Frame:
-    """Gather both strata of ``data``, whose rows have policy decisions ``d``."""
+def _frame(data: PooledDataset, policy: Policy) -> _Frame:
+    """Decide ``policy`` on every row of ``data`` and gather both strata."""
+    d = _decisions(policy, data.x)
     train = data.s == 1
     return _Frame(
         data=data, train=train, tr=_stratum(data, train, d, 1), cal=_stratum(data, ~train, d, 0)
     )
 
 
-def _empty_parts(frame: _Frame, kind: DatasetKind) -> _PerRowParts:
+def _fit(
+    frame: _Frame,
+    kind: DatasetKind,
+    recipe: FitRecipe | NuisanceSet,
+    folds: FoldAssignment | None = None,
+) -> _PerRowParts:
+    """Fit ``recipe`` on ``frame``'s data as ``kind`` evaluation sees it and
+    evaluate the estimand-free values (weights, propensities, residuals).
+
+    A plain fit is the one-bag case of cross-fitting: the recipe is fitted
+    once on all rows and evaluated at all rows, or, given ``folds``, fitted
+    once per bag on the rows outside it and evaluated at the bag's rows. A
+    ``NuisanceSet`` is a recipe already fitted, evaluated as it is.
+    """
+    if kind is DatasetKind.TYPE1 and not frame.data.observed[~frame.train].all():
+        raise MissingField("Type-1 evaluation requires observed (a, y) on calibration rows")
+    every = slice(None)
+    if isinstance(recipe, NuisanceSet):
+        fits = [(recipe, every, every)]
+    elif folds is None:
+        fits = [(assemble_nuisances(frame.view(kind), recipe), every, every)]
+    else:
+        data, train, fits = frame.view(kind), frame.train, []
+        for k in range(1, folds.k + 1):
+            in_bag = folds.bag_of == k
+            try:
+                nus = assemble_nuisances(data.subset(~in_bag), recipe)
+            except ShiftEvalError as e:
+                raise type(e)(f"bag {k}: {e}") from e
+            fits.append((nus, np.flatnonzero(in_bag[train]), np.flatnonzero(in_bag[~train])))
+
     n1, n0 = frame.data.n1, frame.data.n0
     type1 = kind is DatasetKind.TYPE1
-    if type1 and not frame.data.observed[~frame.train].all():
-        raise MissingField("Type-1 evaluation requires observed (a, y) on calibration rows")
-    return _PerRowParts(
+    parts = _PerRowParts(
         frame=frame,
         kind=kind,
+        recipe=recipe,
+        folds=folds,
+        fits=fits,
         w_tr=np.empty(n1),
         pi_tr=np.empty(n1),
         resid_tr=np.empty(n1),
@@ -283,34 +313,16 @@ def _empty_parts(frame: _Frame, kind: DatasetKind) -> _PerRowParts:
         resid_cal=np.empty(n0) if type1 else None,
         target_cal=np.empty(n0),
     )
-
-
-def _fill_nuisances(parts: _PerRowParts, tr, cal, nuisances: NuisanceSet) -> None:
-    """Evaluate the estimand-free values of ``nuisances`` (weights,
-    propensities, residuals) at training positions ``tr`` and calibration
-    positions ``cal`` (index arrays or slices into the per-stratum arrays)."""
-    frame = parts.frame
-    parts.w_tr[tr] = nuisances.weight(frame.tr.x[tr])
-    for st, idx, pi, resid in (
-        (frame.tr, tr, parts.pi_tr, parts.resid_tr),
-        (frame.cal, cal, parts.pi_cal, parts.resid_cal),
-    ):
-        if pi is not None:
-            x, a = st.x[idx], st.a[idx]
-            pi[idx] = nuisances.propensity.prob(a, x, st.s)
-            resid[idx] = st.y[idx] - nuisances.outcome.q(x, a)
-
-
-def _fill_target(parts: _PerRowParts, cal, outcome, estimand: Estimand) -> None:
-    """Evaluate the estimand's target at calibration positions ``cal``."""
-    st = parts.frame.cal
-    parts.target_cal[cal] = _policy_target(outcome, st.x[cal], st.d[cal], estimand)
-
-
-def _evaluate(frame: _Frame, kind: DatasetKind, nuisances: NuisanceSet) -> _PerRowParts:
-    """The estimand-free values of ``nuisances`` at every row of ``frame``."""
-    parts = _empty_parts(frame, kind)
-    _fill_nuisances(parts, slice(None), slice(None), nuisances)
+    for nus, tr, cal in fits:
+        parts.w_tr[tr] = nus.weight(frame.tr.x[tr])
+        for st, idx, pi, resid in (
+            (frame.tr, tr, parts.pi_tr, parts.resid_tr),
+            (frame.cal, cal, parts.pi_cal, parts.resid_cal),
+        ):
+            if pi is not None:
+                x, a = st.x[idx], st.a[idx]
+                pi[idx] = nus.propensity.prob(a, x, st.s)
+                resid[idx] = st.y[idx] - nus.outcome.q(x, a)
     return parts
 
 
@@ -372,22 +384,28 @@ def _finish_report(
     )
 
 
-def _efficient_report(
-    parts: _PerRowParts, nuisances: NuisanceSet, estimand: Estimand, level: float
-) -> EstimateReport:
-    """Efficient estimate of ``estimand`` from ``parts`` holding the values of
-    ``nuisances``; only the calibration targets are evaluated here, so one
-    ``parts`` serves every estimand in turn."""
-    _fill_target(parts, slice(None), nuisances.outcome, estimand)
+def _report(parts: _PerRowParts, estimand: Estimand, level: float) -> EstimateReport:
+    """Efficient estimate of ``estimand`` from ``parts``; only the calibration
+    targets are evaluated here, each at its own fit's rows, so one ``parts``
+    serves every estimand in turn."""
+    cal = parts.frame.cal
+    for nus, _, rows in parts.fits:
+        parts.target_cal[rows] = _policy_target(nus.outcome, cal.x[rows], cal.d[rows], estimand)
     estimate, eif = _combine(parts, estimand)
+    if parts.folds is None:
+        method, nuisance = "efficient", parts.fits[0][0].provenance()
+    else:
+        method, nuisance = "crossfit", parts.recipe.describe()
+        nuisance["crossfit_k"] = parts.folds.k
+        nuisance["per_bag"] = []
+        for k, (nus, _, _) in enumerate(parts.fits, start=1):
+            diag = {"bag": k, "nuisance": nus.provenance()}
+            for key in ("converged", "iterations"):
+                if key in nus.weight.info:
+                    diag[f"weight_{key}"] = nus.weight.info[key]
+            nuisance["per_bag"].append(diag)
     return _finish_report(
-        parts.frame.data,
-        estimate,
-        eif,
-        EifVariant(estimand, parts.kind),
-        "efficient",
-        nuisances.provenance(),
-        level,
+        parts.frame.data, estimate, eif, EifVariant(estimand, parts.kind), method, nuisance, level
     )
 
 
@@ -413,8 +431,7 @@ def estimate_efficient(
     sqrt(n).
     """
     kind = data.kind if kind is None else kind
-    frame = _frame(data, _decisions(policy, data.x))
-    return _efficient_report(_evaluate(frame, kind, nuisances), nuisances, estimand, level)
+    return _report(_fit(_frame(data, policy), kind, nuisances), estimand, level)
 
 
 def eif_contribution(
@@ -592,37 +609,15 @@ def cross_fit_estimate(
 
     For each bag, nuisances are fitted on all rows outside the bag and
     evaluated on the bag's rows; the pooled per-row values then enter the
-    same aggregation as :func:`estimate_efficient`. With a fully oracle
-    recipe the result equals the non-cross-fitted estimate exactly.
+    same aggregation as :func:`estimate_efficient`. Type-2 evaluation of
+    Type-1 data fits every bag with the calibration (a, y) masked. With a
+    fully oracle recipe the result equals the non-cross-fitted estimate
+    exactly.
     """
     kind = data.kind if kind is None else kind
     if folds.bag_of.shape[0] != data.n:
         raise InvalidConfig("fold assignment does not match dataset size")
-    parts = _empty_parts(_frame(data, _decisions(policy, data.x)), kind)
-    train = parts.frame.train
-    per_bag = []
-    for k in range(1, folds.k + 1):
-        in_bag = folds.bag_of == k
-        try:
-            nus = assemble_nuisances(data.subset(~in_bag), recipe)
-        except ShiftEvalError as e:
-            raise type(e)(f"bag {k}: {e}") from e
-        tr, cal = np.flatnonzero(in_bag[train]), np.flatnonzero(in_bag[~train])
-        _fill_nuisances(parts, tr, cal, nus)
-        _fill_target(parts, cal, nus.outcome, estimand)
-        diag = {"bag": k, "nuisance": nus.provenance()}
-        for key in ("converged", "iterations"):
-            if key in nus.weight.info:
-                diag[f"weight_{key}"] = nus.weight.info[key]
-        per_bag.append(diag)
-
-    estimate, eif = _combine(parts, estimand)
-    nuis = recipe.describe()
-    nuis["crossfit_k"] = folds.k
-    nuis["per_bag"] = per_bag
-    return _finish_report(
-        data, estimate, eif, EifVariant(estimand, kind), "crossfit", nuis, level
-    )
+    return _report(_fit(_frame(data, policy), kind, recipe, folds), estimand, level)
 
 
 def fit_and_estimate(
@@ -642,13 +637,8 @@ def fit_and_estimate(
     cross-fitted over stratified bags drawn with ``seed``; otherwise the
     nuisances are fitted once on all rows.
     """
-    data = _view(data, kind)
-    if crossfit_k >= 2:
-        folds = split_cross_fit_folds(data, crossfit_k, seed=seed)
-        return cross_fit_estimate(data, folds, recipe, policy, estimand, kind=kind, level=level)
-    return estimate_efficient(
-        data, assemble_nuisances(data, recipe), policy, estimand, kind=kind, level=level
-    )
+    folds = split_cross_fit_folds(data, crossfit_k, seed=seed) if crossfit_k >= 2 else None
+    return _report(_fit(_frame(data, policy), kind, recipe, folds), estimand, level)
 
 
 # ---------------------------------------------------------------------------

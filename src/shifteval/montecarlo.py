@@ -7,9 +7,10 @@ covariate law. Summaries report the empirical variance on both the
 sqrt(n) and sqrt(n0) scales next to the closed-form asymptotic targets.
 
 Within a replicate, estimators that share a (kind, weights, propensity,
-outcome) recipe share one fit: its nuisances are fitted and evaluated once,
-and each estimator then evaluates only its own estimand's targets, giving
-the same estimates, bit for bit, as one fit per estimator. The variance
+outcome, crossfit) recipe share one fit, plain or cross-fitted over the
+replicate's bags: its nuisances are fitted and evaluated once, and each
+estimator then evaluates only its own estimand's targets, giving the same
+estimates, bit for bit, as one fit per estimator. The variance
 targets of all the menu's variants come from one integration pass.
 
 Replicates are independent; with ``n_jobs > 1`` they run in worker
@@ -31,7 +32,13 @@ from functools import partial
 
 import numpy as np
 
-from .data_model import DatasetKind, Policy, SimulationConfig, simulate_gaussian_shift
+from .data_model import (
+    DatasetKind,
+    Policy,
+    SimulationConfig,
+    simulate_gaussian_shift,
+    split_cross_fit_folds,
+)
 from .errors import InvalidConfig, ShiftEvalError, VariantMismatch
 from .estimators import (
     MIN_MC_DRAWS,
@@ -40,14 +47,12 @@ from .estimators import (
     FitRecipe,
     TheoreticalVariance,
     _decisions,
-    _efficient_report,
-    _evaluate,
+    _fit,
     _frame,
+    _report,
     _theoretical_variances,
-    assemble_nuisances,
     check_backends,
     check_level,
-    fit_and_estimate,
 )
 from .nuisance import gaussian_shift_truth
 
@@ -190,39 +195,34 @@ def _run_replicate(r: int, config: McConfig, truth: dict):
 
     One evaluation frame holds what no estimator changes: the policy
     decisions, both strata's rows and the Type-2 view of the data. Each
-    (kind, weights, propensity, outcome) recipe is fitted and evaluated once;
-    each plain estimator of that recipe then evaluates only its estimand's
-    targets, and the first of them in menu order is timed with the shared
-    fit. Cross-fitted estimators share the Type-2 view and fit their own bags.
+    (kind, weights, propensity, outcome, crossfit) recipe is fitted and
+    evaluated once, plain or over the replicate's bags; each estimator of
+    that recipe then evaluates only its estimand's targets, and the first of
+    them in menu order is timed with the shared fit.
     """
     rep_seed = config.base.seed + r
     sim_config = dataclasses.replace(config.base, seed=rep_seed)
     try:
         data, oracle = simulate_gaussian_shift(sim_config)
-        frame = _frame(data, _decisions(config.policy, data.x))
-        fitted = {}  # (kind, weights, propensity, outcome) -> (values, nuisances)
+        frame = _frame(data, config.policy)
+        fitted = {}  # (kind, weights, propensity, outcome, crossfit) -> per-row values
         estimates = np.empty(len(config.estimators))
         covered = np.empty(len(config.estimators))
         runtimes = np.empty(len(config.estimators))
         for j, spec in enumerate(config.estimators):
             tic = time.perf_counter()
-            view = frame.view(spec.kind)
-            recipe = FitRecipe(
-                weights=spec.weights, propensity=spec.propensity, outcome=spec.outcome,
-                oracle=oracle,
-            )
-            if spec.crossfit:
-                report = fit_and_estimate(
-                    view, recipe, config.policy, spec.estimand, spec.kind,
-                    crossfit_k=config.crossfit_k, seed=rep_seed, level=config.level,
+            key = (spec.kind, spec.weights, spec.propensity, spec.outcome, spec.crossfit)
+            if key not in fitted:
+                recipe = FitRecipe(
+                    weights=spec.weights, propensity=spec.propensity, outcome=spec.outcome,
+                    oracle=oracle,
                 )
-            else:
-                key = (spec.kind, spec.weights, spec.propensity, spec.outcome)
-                if key not in fitted:
-                    nuisances = assemble_nuisances(view, recipe)
-                    fitted[key] = _evaluate(frame, spec.kind, nuisances), nuisances
-                parts, nuisances = fitted[key]
-                report = _efficient_report(parts, nuisances, spec.estimand, config.level)
+                folds = (
+                    split_cross_fit_folds(data, config.crossfit_k, seed=rep_seed)
+                    if spec.crossfit else None
+                )
+                fitted[key] = _fit(frame, spec.kind, recipe, folds)
+            report = _report(fitted[key], spec.estimand, config.level)
             runtimes[j] = time.perf_counter() - tic
             estimates[j] = report.estimate
             target = truth[spec.estimand.value]

@@ -30,6 +30,7 @@ from shifteval import (
     wald_ci,
 )
 from shifteval import estimators
+from shifteval.estimators import fit_and_estimate
 from shifteval.errors import (
     InvalidConfig,
     InvalidLevel,
@@ -56,9 +57,9 @@ def toy_type2_dataset():
 
 def core_influence(data, nuisances, policy, estimand, kind):
     """Point estimate and per-row influence vector from the aggregation core."""
-    frame = estimators._frame(data, estimators._decisions(policy, data.x))
-    parts = estimators._evaluate(frame, kind, nuisances)
-    estimators._fill_target(parts, slice(None), nuisances.outcome, estimand)
+    parts = estimators._fit(estimators._frame(data, policy), kind, nuisances)
+    cal = parts.frame.cal
+    parts.target_cal[:] = estimators._policy_target(nuisances.outcome, cal.x, cal.d, estimand)
     return estimators._combine(parts, estimand)
 
 
@@ -292,6 +293,60 @@ class TestCrossFit:
         recipe = FitRecipe(weights="aipsw", propensity="logistic", outcome="linear")
         with pytest.raises(Exception, match="bag 1"):
             cross_fit_estimate(bad, folds, recipe, policy, Estimand.VALUE, kind=DatasetKind.TYPE2)
+
+    @pytest.mark.parametrize("crossfit_k", [0, 2, 3, 5])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_type2_evaluation_masks_type1_data(self, policy, crossfit_k, seed):
+        # Type-2 evaluation of Type-1 data fits and evaluates exactly as the
+        # Type-2 dataset with the calibration (a, y) removed
+        data, _ = simulate_gaussian_shift(make_config(n=300, seed=seed))
+        masked = data.as_type2()
+        recipe = FitRecipe(weights="aipsw", propensity="logistic", outcome="linear")
+        for estimand in Estimand:
+            reports = [
+                fit_and_estimate(d, recipe, policy, estimand, DatasetKind.TYPE2,
+                                 crossfit_k=crossfit_k, seed=seed)
+                for d in (data, masked)
+            ]
+            if crossfit_k >= 2:
+                folds = split_cross_fit_folds(data, crossfit_k, seed=seed)
+                reports += [
+                    cross_fit_estimate(d, folds, recipe, policy, estimand, kind=DatasetKind.TYPE2)
+                    for d in (data, masked)
+                ]
+            first = reports[0]
+            for r in reports[1:]:
+                assert (r.estimate, r.se) == (first.estimate, first.se)
+                assert r.to_json_dict() == first.to_json_dict()
+
+    def test_type2_cross_fit_of_type1_data_ignores_calibration_outcomes(self, policy):
+        # bags fitted on the unmasked calibration (a, y) gave 1.7607146636674742
+        data, _ = simulate_gaussian_shift(make_config(n=800, seed=11))
+        folds = split_cross_fit_folds(data, 3, seed=4)
+        recipe = FitRecipe(weights="aipsw", propensity="logistic", outcome="linear")
+        type2 = DatasetKind.TYPE2
+        direct = cross_fit_estimate(data, folds, recipe, policy, Estimand.VALUE, kind=type2)
+        masked = cross_fit_estimate(data.as_type2(), folds, recipe, policy, Estimand.VALUE)
+        via_config = fit_and_estimate(data, recipe, policy, Estimand.VALUE, type2,
+                                      crossfit_k=3, seed=4)
+        assert direct.estimate == masked.estimate == via_config.estimate
+        assert direct.se == masked.se == via_config.se
+        assert direct.estimate == pytest.approx(1.7709250914900752, rel=1e-9)
+
+    @pytest.mark.parametrize("crossfit_k", [0, 3])
+    def test_type1_evaluation_of_type2_data_fails_before_any_fit(
+        self, policy, monkeypatch, crossfit_k
+    ):
+        data, _ = simulate_gaussian_shift(make_config(n=200, seed=17))
+        fits = []
+        real = estimators.assemble_nuisances
+        monkeypatch.setattr(estimators, "assemble_nuisances",
+                            lambda *args: fits.append(args) or real(*args))
+        recipe = FitRecipe(weights="aipsw", propensity="logistic", outcome="linear")
+        with pytest.raises(MissingField):
+            fit_and_estimate(data.as_type2(), recipe, policy, Estimand.VALUE, DatasetKind.TYPE1,
+                             crossfit_k=crossfit_k)
+        assert fits == []
 
 
 def reference_variance(truth, policy, variant, rho, draws, seed):

@@ -16,6 +16,7 @@ from shifteval import (
     simulate_gaussian_shift,
     true_policy_values,
 )
+from shifteval import estimators
 from shifteval.errors import ShiftEvalError, VariantMismatch
 from shifteval.estimators import fit_and_estimate
 from shifteval.montecarlo import (
@@ -58,7 +59,8 @@ def oracle_menu():
 
 def mixed_menu():
     """The four oracle variants, aipsw/logistic/linear for both estimands on
-    both kinds, eb on Type-1 data and one cross-fitted aipsw estimator."""
+    both kinds, eb on Type-1 data, and cross-fitted aipsw for both estimands
+    on Type-2 data and for the value on Type-1 data."""
     fitted = {"weights": "aipsw", "propensity": "logistic", "outcome": "linear"}
     eb = fitted | {"weights": "eb"}
     return (
@@ -75,6 +77,10 @@ def mixed_menu():
                           kind=DatasetKind.TYPE1, **eb),
             EstimatorSpec(name="crossfit", estimand=Estimand.VALUE, kind=DatasetKind.TYPE2,
                           crossfit=True, **fitted),
+            EstimatorSpec(name="crossfit_theta1_type2", estimand=Estimand.CONTRAST,
+                          kind=DatasetKind.TYPE2, crossfit=True, **fitted),
+            EstimatorSpec(name="crossfit_theta_type1", estimand=Estimand.VALUE,
+                          kind=DatasetKind.TYPE1, crossfit=True, **fitted),
         )
     )
 
@@ -129,14 +135,26 @@ class TestRunReplications:
             s2.to_json_dict(), sort_keys=True
         )
 
-    def test_shared_replicate_work_equals_one_fit_per_estimator(self, policy):
-        # estimators sharing a (kind, recipe) share one fit per replicate;
-        # every estimate must equal a separate fit_and_estimate call
+    def test_shared_replicate_work_equals_one_fit_per_estimator(self, policy, monkeypatch):
+        # estimators sharing a (kind, recipe, crossfit) share one fit per
+        # replicate, cross-fitted ones all K bag fits; every estimate must
+        # equal a separate fit_and_estimate call
         base = make_config(n=400, seed=9)
         menu = mixed_menu()
         mc = McConfig(base=base, replications=3, policy=policy, estimators=menu, crossfit_k=3,
                       level=0.9, truth_draws=10_000, variance_draws=2_000)
-        summary = run_replications(mc)
+        fit_sizes = []
+        real = estimators.assemble_nuisances
+        with monkeypatch.context() as m:
+            m.setattr(estimators, "assemble_nuisances",
+                      lambda data, recipe: fit_sizes.append(data.n) or real(data, recipe))
+            summary = run_replications(mc)
+        recipes = {(s.kind, s.weights, s.propensity, s.outcome, s.crossfit) for s in menu}
+        n_crossfit = sum(key[-1] for key in recipes)
+        assert n_crossfit == 2 < sum(s.crossfit for s in menu)
+        bag_fits = sum(size < base.n for size in fit_sizes)
+        assert bag_fits == mc.replications * mc.crossfit_k * n_crossfit
+        assert len(fit_sizes) - bag_fits == mc.replications * (len(recipes) - n_crossfit)
         for r in range(mc.replications):
             rep_seed = base.seed + r
             data, oracle = simulate_gaussian_shift(replace(base, seed=rep_seed))

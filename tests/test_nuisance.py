@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from shifteval import (
     DatasetKind,
@@ -30,9 +31,13 @@ from shifteval.errors import (
     Separation,
 )
 from shifteval.nuisance import (
+    TAU_CLIP,
     ConstantInstrument,
+    ConstantPropensityFn,
     CoordinateInstrument,
     FunctionInstrument,
+    LogisticPropensityFn,
+    PropensityModel,
     _kernel_matrix,
     _solve_spd,
 )
@@ -98,16 +103,29 @@ class TestPropensity:
         with pytest.raises(RankDeficient):
             fit_propensity_logistic(ds)
 
-    @given(st.floats(0.25, 0.75), st.integers(0, 999))
-    @settings(max_examples=25, deadline=None)
-    def test_arm_probabilities_sum_to_one_exactly(self, p1, seed):
-        data, oracle = simulate_gaussian_shift(make_config(n=60, propensity=p1, seed=seed))
-        x = data.x[:10]
-        total = oracle.propensity.prob(1, x, 1) + oracle.propensity.prob(-1, x, 1)
-        assert np.all(total == 1.0)
-        fitted = fit_propensity_logistic(data)
-        total_f = fitted.prob(1, x, 1) + fitted.prob(-1, x, 1)
-        assert np.all(total_f == 1.0)
+    @given(
+        coef=hnp.arrays(float, (2, 3), elements=st.floats(-1e3, 1e3)),
+        x=hnp.arrays(float, (10, 2), elements=st.floats(-10.0, 10.0)),
+        s=hnp.arrays(np.int64, 10, elements=st.integers(0, 1)),
+        clip=st.sampled_from([0.0, TAU_CLIP, 0.25]),
+        p1=st.floats(0.0, 1.0),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_arm_probabilities_sum_to_one_exactly(self, coef, x, s, clip, p1):
+        # coefficients up to 1e3 on covariates up to 10 push expit to the clip
+        # and, unclipped, to exactly 0 or 1
+        for evaluator in (LogisticPropensityFn({1: coef[0], 0: coef[1]}),
+                          ConstantPropensityFn(p1)):
+            model = PropensityModel(evaluator, clip=clip)
+            total = model.prob(1, x, s) + model.prob(-1, x, s)
+            assert np.all(total == 1.0)
+
+    @pytest.mark.parametrize("p1, seed", [(0.75, 627), (0.6875, 208)])
+    def test_separated_small_sample_raises(self, p1, seed):
+        # n=60 draws whose treatment is perfectly separated by the covariates
+        data, _ = simulate_gaussian_shift(make_config(n=60, propensity=p1, seed=seed))
+        with pytest.raises(Separation):
+            fit_propensity_logistic(data)
 
 
 class TestSolveSpd:
