@@ -28,6 +28,7 @@ from .data_model import (
     DatasetKind,
     LinearPolicy,
     SimulationConfig,
+    _int,
     read_dataset_csv,
     simulate_gaussian_shift,
     write_dataset_csv,
@@ -107,14 +108,6 @@ def _path(config: dict, key: str) -> str:
     if not isinstance(value, str):
         raise InvalidConfig(f"config field {key!r} must be a path string, got {value!r}")
     return value
-
-
-def _int(value) -> int:
-    """``int(value)``, refusing a number with a fractional part, which ``int``
-    would truncate."""
-    if isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"expected an integer, got {value!r}")
-    return int(value)
 
 
 def _field(config: dict, key: str, cast, default=None):

@@ -26,6 +26,7 @@ from .errors import (
     InvalidConfig,
     InvalidRho,
     MissingnessMismatch,
+    NonFiniteValue,
     StratumTooSmall,
 )
 
@@ -150,9 +151,12 @@ class PooledDataset:
                 "Type-2 datasets must not carry (a, y) on calibration rows"
             )
 
-        if data.n1 == 0 or data.n0 == 0:
-            raise EmptyStratum(f"both strata must be non-empty, got n1={data.n1}, n0={data.n0}")
-        return data
+        return data._check_strata()
+
+    def _check_strata(self) -> "PooledDataset":
+        if self.n1 == 0 or self.n0 == 0:
+            raise EmptyStratum(f"both strata must be non-empty, got n1={self.n1}, n0={self.n0}")
+        return self
 
     @property
     def n(self) -> int:
@@ -178,19 +182,22 @@ class PooledDataset:
         return out
 
     def subset(self, mask: NDArray) -> "PooledDataset":
+        """The rows where ``mask`` is true. Any subset of a valid dataset has
+        valid values, so only the stratum sizes are checked again."""
         mask = np.asarray(mask, dtype=bool)
-        return PooledDataset.from_arrays(
-            self.x[mask], self.a[mask], self.y[mask], self.s[mask], self.kind
-        )
+        return PooledDataset(
+            x=self.x[mask], a=self.a[mask], y=self.y[mask], s=self.s[mask], kind=self.kind
+        )._check_strata()
 
     def as_type2(self) -> "PooledDataset":
-        """Mask calibration (a, y) and re-label the dataset as Type-2."""
+        """Mask calibration (a, y) and re-label the dataset as Type-2; the
+        values were checked when this dataset was built."""
         a = self.a.copy()
         y = self.y.copy()
         calib = self.s == 0
         a[calib] = np.nan
         y[calib] = np.nan
-        return PooledDataset.from_arrays(self.x, a, y, self.s, DatasetKind.TYPE2)
+        return PooledDataset(x=self.x, a=a, y=y, s=self.s, kind=DatasetKind.TYPE2)
 
 
 def validate_dataset(rows: Sequence[Observation], kind: DatasetKind) -> PooledDataset:
@@ -295,6 +302,29 @@ def constant_policy(sign: int, p: int) -> LinearPolicy:
 # ---------------------------------------------------------------------------
 
 
+def _int(value) -> int:
+    """``int(value)``, refusing a number with a fractional part, which ``int``
+    would truncate."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+@dataclass(frozen=True, eq=False)
+class LinearQModel:
+    """Q(x, a) = b0 + bx.x + a * (g0 + gx.x) with coefficient layout
+    [b0, bx_1..bx_p, g0, gx_1..gx_p]."""
+
+    beta: NDArray
+    p: int
+
+    def __call__(self, x: NDArray, a) -> NDArray:
+        b = self.beta
+        main = b[0] + x @ b[1 : self.p + 1]
+        effect = b[self.p + 1] + x @ b[self.p + 2 :]
+        return main + np.asarray(a, dtype=float) * effect
+
+
 @dataclass(frozen=True, eq=False)
 class SimulationConfig:
     """Configuration of the Gaussian covariate-shift data-generating process.
@@ -325,6 +355,9 @@ class SimulationConfig:
         object.__setattr__(
             self, "outcome_coeffs", np.asarray(self.outcome_coeffs, dtype=float).ravel()
         )
+        for name in ("mu", "outcome_coeffs", "noise_sd"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise NonFiniteValue(f"simulation config field {name!r} must be finite")
         if self.p < 1:
             raise InvalidConfig("covariate dimension must be >= 1")
         if self.mu.shape[0] != self.p:
@@ -347,11 +380,7 @@ class SimulationConfig:
 
     def outcome_mean(self, x: NDArray, a) -> NDArray:
         """True Q(x, a) under the linear outcome model."""
-        x = _as_matrix(x)
-        c = self.outcome_coeffs
-        b0, bx = c[0], c[1 : self.p + 1]
-        g0, gx = c[self.p + 1], c[self.p + 2 :]
-        return b0 + x @ bx + np.asarray(a, dtype=float) * (g0 + x @ gx)
+        return LinearQModel(beta=self.outcome_coeffs, p=self.p)(_as_matrix(x), a)
 
     def to_json_dict(self) -> dict:
         return {
@@ -369,14 +398,14 @@ class SimulationConfig:
     def from_json_dict(cls, d: dict) -> "SimulationConfig":
         try:
             return cls(
-                p=int(d["p"]),
+                p=_int(d["p"]),
                 mu=np.asarray(d["mu"], dtype=float),
                 rho_s=float(d["rho_s"]),
-                n=int(d["n"]),
+                n=_int(d["n"]),
                 outcome_coeffs=np.asarray(d["outcome_coeffs"], dtype=float),
                 noise_sd=float(d["noise_sd"]),
                 propensity=float(d["propensity"]),
-                seed=int(d["seed"]),
+                seed=_int(d["seed"]),
             )
         except KeyError as e:
             raise InvalidConfig(f"simulation config missing field {e}") from e

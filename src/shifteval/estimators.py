@@ -14,6 +14,11 @@ standard errors; with the self-consistent point estimate their sample mean
 is zero by construction. The plain and cross-fitted efficient estimators
 share one fit-and-evaluate path: a plain fit is the one-bag case of
 cross-fitting, its nuisances fitted on all rows and evaluated at all rows.
+
+The closed-form asymptotic variances are integrals over the Gaussian-shift
+design that a :class:`SimulationConfig` describes; the integrands use the
+design's oracle nuisances and the same calibration-target formula as the
+estimators.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ from .data_model import (
     Observation,
     Policy,
     PooledDataset,
+    SimulationConfig,
     split_cross_fit_folds,
 )
 from .errors import (
@@ -46,12 +52,12 @@ from .nuisance import (
     InstrumentSet,
     KernelSpec,
     NuisanceSet,
-    SimulationTruth,
     fit_outcome_regression,
     fit_propensity_logistic,
     fit_weights_aipsw,
     fit_weights_entropy_balancing,
     fit_weights_kulsif,
+    gaussian_oracle_nuisances,
 )
 
 __all__ = [
@@ -647,36 +653,36 @@ def fit_and_estimate(
 
 
 def theoretical_variance(
-    truth: SimulationTruth,
+    config: SimulationConfig,
     policy: Policy,
     variant: EifVariant,
-    rho_s: float | None = None,
     mc_draws: int = 1_000_000,
     seed: int = 0,
 ) -> TheoreticalVariance:
-    """Evaluate the asymptotic variance components of one estimator variant.
+    """Evaluate the asymptotic variance components of one estimator variant
+    under the Gaussian-shift design ``config``, at sampling rate rho_s.
 
-    Expectations over the stratum-specific covariate laws are integrated by
-    Monte Carlo with ``mc_draws`` draws per stratum; the *_se fields report
-    the integration error.
+    Expectations over the stratum-specific covariate laws, N_p(mu, I) for
+    training and N_p(0, I) for calibration, are integrated by Monte Carlo
+    with ``mc_draws`` draws per stratum; the *_se fields report the
+    integration error.
     """
-    return _theoretical_variances(truth, policy, (variant,), rho_s, mc_draws, seed)[variant]
+    return _theoretical_variances(config, policy, (variant,), mc_draws, seed)[variant]
 
 
 def _sigma2_over_pi(
-    truth: SimulationTruth, x: NDArray, s: int, d: NDArray, estimand: Estimand,
+    sigma2: float, prob, x: NDArray, s: int, d: NDArray, estimand: Estimand,
     w2: NDArray | None = None,
 ) -> NDArray:
-    """sigma^2(x, s, a) / pi_A(a | x, s) at a = d(x) for the value, summed over
-    a = +1, -1 for the contrast; times the squared weights ``w2`` when given."""
-    prob = truth.nuisances.propensity.prob
+    """sigma^2 / pi_A(a | x, s) at a = d(x) for the value, summed over a = +1,
+    -1 for the contrast; times the squared weights ``w2`` when given. The
+    outcome noise variance ``sigma2`` is the same at every (x, s, a)."""
     if estimand is Estimand.VALUE:
         pi_d = np.asarray(prob(d, x, s), dtype=float)
-        sigma2 = truth.sigma2(x, s, d)
         return (sigma2 if w2 is None else w2 * sigma2) / pi_d
     pi_p = np.asarray(prob(1, x, s), dtype=float)
     pi_m = np.asarray(prob(-1, x, s), dtype=float)
-    total = truth.sigma2(x, s, 1) / pi_p + truth.sigma2(x, s, -1) / pi_m
+    total = sigma2 / pi_p + sigma2 / pi_m
     return total if w2 is None else w2 * total
 
 
@@ -693,10 +699,9 @@ def _target_variance(target: NDArray, draws: int) -> tuple:
 
 
 def _theoretical_variances(
-    truth: SimulationTruth,
+    config: SimulationConfig,
     policy: Policy,
     variants,
-    rho_s: float | None = None,
     mc_draws: int = 1_000_000,
     seed: int = 0,
 ) -> dict:
@@ -711,30 +716,32 @@ def _theoretical_variances(
     """
     if mc_draws < MIN_MC_DRAWS:
         raise InvalidConfig(f"mc_draws must be at least {MIN_MC_DRAWS}")
-    rho = truth.rho_s if rho_s is None else rho_s
+    rho = config.rho_s
+    oracle = gaussian_oracle_nuisances(config, rho_hat=rho)
+    sigma2, prob = config.noise_sd**2, oracle.propensity.prob
     rng = np.random.default_rng(seed)
     estimands = tuple(dict.fromkeys(v.estimand for v in variants))
     type1 = {v.estimand for v in variants if v.kind is DatasetKind.TYPE1}
 
-    x1 = truth.sample_training(rng, mc_draws)
+    x1 = rng.standard_normal((mc_draws, config.p)) + config.mu
     d1 = _decisions(policy, x1)
-    w2 = np.asarray(truth.nuisances.weight(x1), dtype=float) ** 2
+    w2 = np.asarray(oracle.weight(x1), dtype=float) ** 2
     nu = {}  # estimand -> Type-2 (nu, nu_se)
     for estimand in estimands:
-        mean, std = _moments(_sigma2_over_pi(truth, x1, 1, d1, estimand, w2))
+        mean, std = _moments(_sigma2_over_pi(sigma2, prob, x1, 1, d1, estimand, w2))
         nu[estimand] = mean, float(std / np.sqrt(mc_draws))
     del x1, d1, w2
 
-    x0 = truth.sample_calibration(rng, mc_draws)
+    x0 = rng.standard_normal((mc_draws, config.p))
     d0 = _decisions(policy, x0)
     zeta = {}  # (estimand, kind) -> (zeta, zeta_se)
     for estimand in estimands:
         var_target, var_target_se = _target_variance(
-            _policy_target(truth.nuisances.outcome, x0, d0, estimand), mc_draws
+            _policy_target(oracle.outcome, x0, d0, estimand), mc_draws
         )
         zeta[estimand, DatasetKind.TYPE2] = var_target, var_target_se
         if estimand in type1:
-            mean, std = _moments(_sigma2_over_pi(truth, x0, 0, d0, estimand))
+            mean, std = _moments(_sigma2_over_pi(sigma2, prob, x0, 0, d0, estimand))
             zeta[estimand, DatasetKind.TYPE1] = (
                 (1.0 - rho) ** 2 * mean + var_target,
                 float(np.hypot((1.0 - rho) ** 2 * std / np.sqrt(mc_draws), var_target_se)),

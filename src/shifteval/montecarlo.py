@@ -5,6 +5,8 @@ replicate index), runs a menu of estimators, and compares them against the
 true policy values computed by large-sample integration over the testing
 covariate law. Summaries report the empirical variance on both the
 sqrt(n) and sqrt(n0) scales next to the closed-form asymptotic targets.
+The true values and the variance targets are integrals over the one design
+that the base :class:`SimulationConfig` describes.
 
 Within a replicate, estimators that share a (kind, weights, propensity,
 outcome, crossfit) recipe share one fit, plain or cross-fitted over the
@@ -49,12 +51,13 @@ from .estimators import (
     _decisions,
     _fit,
     _frame,
+    _policy_target,
     _report,
     _theoretical_variances,
     check_backends,
     check_level,
 )
-from .nuisance import gaussian_shift_truth
+from .nuisance import gaussian_oracle_nuisances
 
 __all__ = [
     "EstimatorSpec",
@@ -180,14 +183,15 @@ def true_policy_values(
 ) -> dict:
     """Integrate the true policy value and contrast over the testing law N_p(0, I).
 
-    Uses a dedicated deterministic stream derived from the config seed.
+    Each is the mean of the estimators' calibration target under the oracle
+    outcome model. Uses a dedicated deterministic stream derived from the
+    config seed.
     """
     rng = np.random.default_rng([config.seed, _TRUTH_STREAM])
     x = rng.standard_normal((draws, config.p))
     d = _decisions(policy, x)
-    q_d = config.outcome_mean(x, d)
-    cte = config.outcome_mean(x, 1.0) - config.outcome_mean(x, -1.0)
-    return {"theta": float(np.mean(q_d)), "theta1": float(np.mean(cte * d))}
+    outcome = gaussian_oracle_nuisances(config, rho_hat=config.rho_s).outcome
+    return {e.value: float(np.mean(_policy_target(outcome, x, d, e))) for e in Estimand}
 
 
 def _run_replicate(r: int, config: McConfig, truth: dict):
@@ -252,7 +256,7 @@ def run_replications(config: McConfig) -> McSummary:
     rts = np.array([res[3] for res in results])
 
     variances = _theoretical_variances(
-        gaussian_shift_truth(config.base),
+        config.base,
         config.policy,
         tuple(dict.fromkeys(spec.variant for spec in config.estimators)),
         mc_draws=config.variance_draws,

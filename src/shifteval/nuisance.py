@@ -34,7 +34,13 @@ from numpy.typing import NDArray
 # kernel and entropy-balancing solvers, as loading them slows every start
 from scipy.special import expit, logsumexp
 
-from .data_model import PooledDataset, SimulationConfig, _as_matrix, true_weight_gaussian
+from .data_model import (
+    LinearQModel,
+    PooledDataset,
+    SimulationConfig,
+    _as_matrix,
+    true_weight_gaussian,
+)
 from .errors import (
     InfeasibleBalance,
     InvalidConfig,
@@ -57,7 +63,6 @@ __all__ = [
     "OutcomeModel",
     "WeightModel",
     "NuisanceSet",
-    "SimulationTruth",
     "fit_propensity_logistic",
     "fit_outcome_regression",
     "fit_weights_aipsw",
@@ -67,7 +72,6 @@ __all__ = [
     "check_positivity",
     "PositivityReport",
     "gaussian_oracle_nuisances",
-    "gaussian_shift_truth",
 ]
 
 TAU_CLIP = 1e-3  # default clip for treatment propensities
@@ -112,8 +116,16 @@ def _kernel_matrix(family: str, bandwidth: float | None, xa: NDArray, xb: NDArra
 
 
 def median_bandwidth(x: NDArray, cap: int = 2000) -> float:
-    """Median pairwise Euclidean distance (first ``cap`` rows), 1.0 if degenerate."""
-    x = np.asarray(x, dtype=float)[:cap]
+    """Median pairwise Euclidean distance, 1.0 if degenerate.
+
+    Above ``cap`` rows the distances are those among ``cap`` evenly spaced
+    rows of the lexicographically sorted matrix, so the bandwidth does not
+    depend on the row order. The chosen rows keep their own order, as the
+    median's selection runs slower on distances between sorted rows.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.shape[0] > cap:
+        x = x[np.sort(np.lexsort(x.T[::-1])[np.arange(cap) * x.shape[0] // cap])]
     if x.shape[0] < 2:
         return 1.0
     from scipy.spatial.distance import pdist
@@ -192,21 +204,6 @@ class PropensityModel:
             p1 = np.clip(p1, self.clip, 1.0 - self.clip)
         a = np.asarray(a)
         return np.where(a == 1, p1, 1.0 - p1)
-
-
-@dataclass(frozen=True, eq=False)
-class LinearQModel:
-    """Q(x, a) = b0 + bx.x + a * (g0 + gx.x) with coefficient layout
-    [b0, bx_1..bx_p, g0, gx_1..gx_p]."""
-
-    beta: NDArray
-    p: int
-
-    def __call__(self, x: NDArray, a) -> NDArray:
-        b = self.beta
-        main = b[0] + x @ b[1 : self.p + 1]
-        effect = b[self.p + 1] + x @ b[self.p + 2 :]
-        return main + np.asarray(a, dtype=float) * effect
 
 
 @dataclass(frozen=True, eq=False)
@@ -812,7 +809,7 @@ def check_positivity(
 
 
 # ---------------------------------------------------------------------------
-# Oracle nuisances and simulation truth
+# Oracle nuisances
 # ---------------------------------------------------------------------------
 
 
@@ -834,41 +831,3 @@ def gaussian_oracle_nuisances(config: SimulationConfig, rho_hat: float) -> Nuisa
         info={"model": "oracle", "coef": config.outcome_coeffs.tolist()},
     )
     return NuisanceSet(weight=weight, propensity=propensity, outcome=outcome, rho_hat=rho_hat)
-
-
-@dataclass(frozen=True, eq=False)
-class GaussianSampler:
-    mean: NDArray
-
-    def __call__(self, rng: np.random.Generator, size: int) -> NDArray:
-        return rng.standard_normal((size, self.mean.shape[0])) + self.mean
-
-
-@dataclass(frozen=True, eq=False)
-class ConstantSigma2:
-    value: float
-
-    def __call__(self, x: NDArray, s, a) -> NDArray:
-        return np.full(_as_matrix(x).shape[0], self.value)
-
-
-@dataclass(frozen=True, eq=False)
-class SimulationTruth:
-    """Everything the closed-form variance integrals need: oracle nuisances,
-    the conditional outcome variance, and per-stratum covariate samplers."""
-
-    nuisances: NuisanceSet
-    sigma2: Callable  # (x, s, a) -> conditional Var[Y(a) | X=x, S=s]
-    sample_training: Callable  # (rng, size) -> covariate draws given S=1
-    sample_calibration: Callable  # (rng, size) -> covariate draws given S=0
-    rho_s: float
-
-
-def gaussian_shift_truth(config: SimulationConfig) -> SimulationTruth:
-    return SimulationTruth(
-        nuisances=gaussian_oracle_nuisances(config, rho_hat=config.rho_s),
-        sigma2=ConstantSigma2(value=config.noise_sd**2),
-        sample_training=GaussianSampler(mean=config.mu),
-        sample_calibration=GaussianSampler(mean=np.zeros(config.p)),
-        rho_s=config.rho_s,
-    )

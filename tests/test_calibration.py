@@ -24,7 +24,8 @@ from shifteval.errors import (
     InvalidConfig,
     MissingTreatmentsOutcomes,
 )
-from shifteval.nuisance import LinearQModel, OutcomeModel
+from shifteval.data_model import LinearQModel
+from shifteval.nuisance import OutcomeModel
 
 from conftest import make_config
 

@@ -305,6 +305,9 @@ class TestMonteCarloCommand:
 BAD_VALUES = [
     ("simulate", ("p",), "two", "InvalidConfig", ()),
     ("simulate", ("mu",), [0.5, "a"], "InvalidConfig", ()),
+    ("simulate", ("n",), 100.9, "InvalidConfig", ()),
+    ("simulate", ("seed",), 7.8, "InvalidConfig", ()),
+    ("simulate", ("noise_sd",), float("nan"), "NonFiniteValue", ()),
     ("estimate", ("crossfit",), "abc", "InvalidConfig", ()),
     ("estimate", ("crossfit",), 2.7, "InvalidConfig", ()),
     ("estimate", ("crossfit",), -3, "InvalidConfig", ()),
@@ -329,6 +332,8 @@ BAD_VALUES = [
     ("montecarlo", ("estimators", 1, "crossfit"), "false", "InvalidConfig", ()),
     ("montecarlo", ("estimators", 1, "weights"), "foo", "InvalidConfig", ()),
     ("montecarlo", ("base",), [1], "InvalidConfig", ("--seed", "7")),
+    ("montecarlo", ("base", "n"), 300.5, "InvalidConfig", ()),
+    ("montecarlo", ("base", "noise_sd"), float("inf"), "NonFiniteValue", ()),
 ]
 
 

@@ -5,9 +5,12 @@ from hypothesis import strategies as st
 
 from shifteval import (
     DatasetKind,
+    Estimand,
+    FitRecipe,
     Observation,
     PooledDataset,
     constant_policy,
+    cross_fit_estimate,
     LinearPolicy,
     SimulationConfig,
     read_dataset_csv,
@@ -81,6 +84,40 @@ class TestValidateDataset:
         np.testing.assert_array_equal(again.s, data.s)
         np.testing.assert_array_equal(again.a, data.a)
         np.testing.assert_array_equal(again.y, data.y)
+
+
+class TestDerivedDatasets:
+    """``as_type2`` and ``subset`` build on values checked when the source
+    dataset was built, and check only the stratum sizes again."""
+
+    def test_no_revalidation_in_type2_view_or_cross_fit(self, monkeypatch, policy):
+        data, _ = simulate_gaussian_shift(make_config(n=300, seed=41))
+        folds = split_cross_fit_folds(data, 5, seed=41)
+        calls = []
+        real = PooledDataset.from_arrays
+        monkeypatch.setattr(PooledDataset, "from_arrays",
+                            classmethod(lambda cls, *args: calls.append(args) or real(*args)))
+        type2 = data.as_type2()
+        recipe = FitRecipe(weights="aipsw", propensity="logistic", outcome="linear")
+        for kind in DatasetKind:
+            cross_fit_estimate(data, folds, recipe, policy, Estimand.VALUE, kind=kind)
+        assert calls == []
+        monkeypatch.undo()
+        mask = folds.bag_of != 1
+        for derived, (x, a, y, s, kind) in (
+            (type2, (data.x, type2.a, type2.y, data.s, DatasetKind.TYPE2)),
+            (data.subset(mask), (data.x[mask], data.a[mask], data.y[mask], data.s[mask], data.kind)),
+        ):
+            checked = PooledDataset.from_arrays(x, a, y, s, kind)
+            for name in ("x", "a", "y", "s", "observed"):
+                got, want = getattr(derived, name), getattr(checked, name)
+                assert got.dtype == want.dtype and np.array_equal(got, want, equal_nan=True)
+            assert (derived.kind, derived.n1, derived.n0) == (kind, checked.n1, checked.n0)
+
+    def test_subset_emptying_a_stratum_raises(self):
+        data, _ = simulate_gaussian_shift(make_config(n=60, seed=42))
+        with pytest.raises(EmptyStratum, match="both strata must be non-empty"):
+            data.subset(data.s == 1)
 
 
 class TestTrueWeight:

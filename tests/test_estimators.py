@@ -23,7 +23,6 @@ from shifteval import (
     estimate_efficient,
     estimate_plugin_identification,
     gaussian_oracle_nuisances,
-    gaussian_shift_truth,
     simulate_gaussian_shift,
     split_cross_fit_folds,
     theoretical_variance,
@@ -349,37 +348,82 @@ class TestCrossFit:
         assert fits == []
 
 
-def reference_variance(truth, policy, variant, rho, draws, seed):
-    """The variance integrals of one variant written out on their own."""
+class TestRowPermutation:
+    """Plain fits do not depend on the row order; permuting the rows only
+    reorders sums, so estimates agree to a relative 1e-10."""
+
+    @staticmethod
+    def estimates(data, recipe, estimand, kind, seed):
+        policy = LinearPolicy(0.2, np.array([1.0, -1.0]))
+        perm = np.random.default_rng(seed).permutation(data.n)
+        shuffled = PooledDataset.from_arrays(
+            data.x[perm], data.a[perm], data.y[perm], data.s[perm], data.kind
+        )
+        return tuple(fit_and_estimate(d, recipe, policy, estimand, kind).estimate
+                     for d in (data, shuffled))
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(200, 600),
+        weights=st.sampled_from(["oracle", "aipsw", "eb"]),
+        estimand=st.sampled_from(Estimand),
+        kind=st.sampled_from(DatasetKind),
+    )
+    def test_non_kernel_backends(self, seed, n, weights, estimand, kind):
+        data, oracle = simulate_gaussian_shift(make_config(n=n, seed=seed))
+        fitted = weights != "oracle"
+        recipe = FitRecipe(weights=weights, propensity="logistic" if fitted else "oracle",
+                           outcome="linear" if fitted else "oracle", oracle=oracle)
+        plain, shuffled = self.estimates(data, recipe, estimand, kind, seed)
+        assert shuffled == pytest.approx(plain, rel=1e-10)
+
+    def test_kulsif_above_the_bandwidth_sample_size(self):
+        # 2500 rows: the median-distance bandwidth is taken on a 2000-row sample
+        data, _ = simulate_gaussian_shift(make_config(n=2500, seed=3))
+        recipe = FitRecipe(weights="kulsif", propensity="logistic", outcome="linear")
+        plain, shuffled = self.estimates(
+            data.as_type2(), recipe, Estimand.VALUE, DatasetKind.TYPE2, seed=3
+        )
+        assert shuffled == pytest.approx(plain, rel=1e-10)
+
+
+def reference_variance(cfg, policy, variant, draws, seed):
+    """The variance integrals of one variant written out on their own from the
+    Gaussian-shift design: x1 ~ N(mu, I) then x0 ~ N(0, I) from one generator,
+    w(x) = exp(||mu||^2 / 2 - mu . x), pi_A(+1 | x, s) = propensity and
+    Var(Y | x, s, a) = noise_sd^2, at sampling rate rho_s."""
     rng = np.random.default_rng(seed)
-    nus, s2 = truth.nuisances, truth.sigma2
-    x1 = truth.sample_training(rng, draws)
+    rho, s2, mu = cfg.rho_s, cfg.noise_sd**2, cfg.mu
+
+    def pi(a):
+        return np.where(np.asarray(a) == 1, cfg.propensity, 1.0 - cfg.propensity)
+
+    x1 = rng.standard_normal((draws, cfg.p)) + mu
     d1 = np.asarray(policy(x1), dtype=float)
-    w = nus.weight(x1)
+    w = np.exp(0.5 * float(mu @ mu) - x1 @ mu)
     if variant.estimand is Estimand.VALUE:
-        integrand = w**2 * s2(x1, 1, d1) / nus.propensity.prob(d1, x1, 1)
+        integrand = w**2 * s2 / pi(d1)
     else:
-        integrand = w**2 * (s2(x1, 1, 1) / nus.propensity.prob(1, x1, 1)
-                            + s2(x1, 1, -1) / nus.propensity.prob(-1, x1, 1))
+        integrand = w**2 * (s2 / pi(1) + s2 / pi(-1))
     nu = float(np.mean(integrand))
     nu_se = float(np.std(integrand, ddof=1) / np.sqrt(draws))
     if variant.kind is DatasetKind.TYPE1:
         nu, nu_se = rho**2 * nu, rho**2 * nu_se
-    x0 = truth.sample_calibration(rng, draws)
+    x0 = rng.standard_normal((draws, cfg.p))
     d0 = np.asarray(policy(x0), dtype=float)
     if variant.estimand is Estimand.VALUE:
-        target = nus.outcome.q(x0, d0)
+        target = cfg.outcome_mean(x0, d0)
     else:
-        target = nus.outcome.cte(x0) * d0
+        target = (cfg.outcome_mean(x0, 1.0) - cfg.outcome_mean(x0, -1.0)) * d0
     centered = target - np.mean(target)
     zeta = float(np.mean(centered**2))
     zeta_se = float(np.sqrt(max(np.mean(centered**4) - zeta**2, 0.0) / draws))
     if variant.kind is DatasetKind.TYPE1:
         if variant.estimand is Estimand.VALUE:
-            extra = s2(x0, 0, d0) / nus.propensity.prob(d0, x0, 0)
+            extra = s2 / pi(d0)
         else:
-            extra = (s2(x0, 0, 1) / nus.propensity.prob(1, x0, 0)
-                     + s2(x0, 0, -1) / nus.propensity.prob(-1, x0, 0))
+            extra = np.full(draws, s2 / pi(1) + s2 / pi(-1))
         zeta_se = float(np.hypot((1.0 - rho) ** 2 * np.std(extra, ddof=1) / np.sqrt(draws),
                                  zeta_se))
         zeta = (1.0 - rho) ** 2 * float(np.mean(extra)) + zeta
@@ -390,29 +434,26 @@ TV_FIELDS = ("nu_eff", "zeta_eff", "nu_se", "zeta_se")
 
 
 class TestTheoreticalVariance:
-    @pytest.mark.parametrize("rho_s", [None, 0.3])
+    @pytest.mark.parametrize("rho_s", [0.4, 0.3])
     def test_matches_reference_integrals(self, policy, rho_s):
-        truth = gaussian_shift_truth(make_config(rho_s=0.4, seed=23))
-        rho = truth.rho_s if rho_s is None else rho_s
+        cfg = make_config(rho_s=rho_s, seed=23)
         for v in ALL_VARIANTS:
-            tv = theoretical_variance(truth, policy, v, rho_s=rho_s, mc_draws=3000, seed=4)
+            tv = theoretical_variance(cfg, policy, v, mc_draws=3000, seed=4)
             assert tuple(getattr(tv, f) for f in TV_FIELDS) == reference_variance(
-                truth, policy, v, rho, 3000, 4
+                cfg, policy, v, 3000, 4
             )
 
-    @pytest.mark.parametrize("rho_s", [None, 0.3])
+    @pytest.mark.parametrize("rho_s", [0.4, 0.3])
     def test_one_pass_equals_one_call_per_variant(self, policy, rho_s):
-        truth = gaussian_shift_truth(make_config(rho_s=0.4, seed=24))
+        cfg = make_config(rho_s=rho_s, seed=24)
         single = {
-            v: theoretical_variance(truth, policy, v, rho_s=rho_s, mc_draws=3000, seed=5)
+            v: theoretical_variance(cfg, policy, v, mc_draws=3000, seed=5)
             for v in ALL_VARIANTS
         }
         subsets = [c for r in range(1, 5) for c in itertools.combinations(ALL_VARIANTS, r)]
         subsets.append(tuple(ALL_VARIANTS[i] for i in (3, 0, 2, 1)))
         for subset in subsets:
-            joint = estimators._theoretical_variances(
-                truth, policy, subset, rho_s=rho_s, mc_draws=3000, seed=5
-            )
+            joint = estimators._theoretical_variances(cfg, policy, subset, mc_draws=3000, seed=5)
             assert list(joint) == list(subset)
             for v in subset:
                 assert joint[v].variant == v
@@ -423,7 +464,7 @@ class TestTheoreticalVariance:
         # bx = gx = 0 makes Q(x, a) constant in x, so Var[Q(X, d) | S=0] = 0
         cfg = make_config(outcome_coeffs=[1.0, 0.0, 0.0, 0.5, 0.0, 0.0], seed=17)
         tv = theoretical_variance(
-            gaussian_shift_truth(cfg),
+            cfg,
             constant_policy(1, 2),
             EifVariant(Estimand.VALUE, DatasetKind.TYPE2),
             mc_draws=20_000,
@@ -434,22 +475,20 @@ class TestTheoreticalVariance:
         # w = 1, sigma^2 = 1, pi = 0.5 -> E[w^2 sigma^2 / pi] = 2
         cfg = make_config(mu=(0.0, 0.0), noise_sd=1.0, propensity=0.5, seed=18)
         tv = theoretical_variance(
-            gaussian_shift_truth(cfg), policy, EifVariant(Estimand.VALUE, DatasetKind.TYPE2),
-            mc_draws=50_000,
+            cfg, policy, EifVariant(Estimand.VALUE, DatasetKind.TYPE2), mc_draws=50_000,
         )
         assert abs(tv.nu_eff - 2.0) <= max(3 * tv.nu_se, 1e-9)
 
     def test_type1_training_component_is_rho_squared_scaled(self, policy):
         cfg = make_config(rho_s=0.3, seed=19)
-        truth = gaussian_shift_truth(cfg)
-        t1 = theoretical_variance(truth, policy, EifVariant(Estimand.VALUE, DatasetKind.TYPE1), mc_draws=20_000, seed=5)
-        t2 = theoretical_variance(truth, policy, EifVariant(Estimand.VALUE, DatasetKind.TYPE2), mc_draws=20_000, seed=5)
+        t1 = theoretical_variance(cfg, policy, EifVariant(Estimand.VALUE, DatasetKind.TYPE1), mc_draws=20_000, seed=5)
+        t2 = theoretical_variance(cfg, policy, EifVariant(Estimand.VALUE, DatasetKind.TYPE2), mc_draws=20_000, seed=5)
         assert t1.nu_eff / t2.nu_eff == pytest.approx(0.3**2, rel=1e-12)
 
     def test_min_draws_enforced(self, policy):
         cfg = make_config(seed=20)
         with pytest.raises(InvalidConfig):
-            theoretical_variance(gaussian_shift_truth(cfg), policy, EifVariant(Estimand.VALUE, DatasetKind.TYPE2), mc_draws=10)
+            theoretical_variance(cfg, policy, EifVariant(Estimand.VALUE, DatasetKind.TYPE2), mc_draws=10)
 
 
 class TestWaldCi:
