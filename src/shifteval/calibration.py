@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data_model import LinearPolicy, Policy, PooledDataset
+from .data_model import LinearPolicy, Policy, PooledDataset, _cast, _field, _float, _of
 from .errors import (
     EmptyCalibration,
     InvalidConfig,
@@ -41,6 +41,12 @@ def check_method(method: str) -> None:
         raise InvalidConfig(f"unknown calibration method {method!r}")
 
 
+def check_propensity_stratum(stratum: int) -> None:
+    """Reject an IPW propensity stratum other than 0 (calibration) or 1 (training)."""
+    if stratum not in (0, 1):
+        raise InvalidConfig(f"ipw_propensity_stratum must be 0 or 1, got {stratum!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class CandidateSet:
     """Candidate rules, each tagged with its distinct robustness constant c."""
@@ -57,17 +63,10 @@ class CandidateSet:
 
 def candidates_from_json(text: str) -> CandidateSet:
     """Parse a candidate file: a JSON list of {c, rule: {type, intercept, coeffs}}."""
-    raw = json.loads(text)
-    if not isinstance(raw, list):
-        raise InvalidConfig("candidate file must contain a JSON list")
     entries = []
-    for item in raw:
-        try:
-            c, rule = float(item["c"]), item["rule"]
-        except KeyError as e:
-            raise InvalidConfig(f"candidate entry missing field {e}") from e
-        except (TypeError, ValueError) as e:
-            raise InvalidConfig(f"malformed candidate entry {item!r}: {e}") from None
+    for item in _cast(json.loads(text), _of(list), "candidate file"):
+        c = _field(item, "c", _float)
+        rule = _field(item, "rule", _of(dict))
         entries.append((c, LinearPolicy.from_json_dict(rule, label=f"linear(c={c:g})")))
     return CandidateSet(candidates=tuple(entries))
 
@@ -96,6 +95,7 @@ def calib_value_ipw(
     rows. By default the propensity is evaluated at the training stratum
     (s* = 1); ``propensity_stratum=0`` switches to the calibration stratum.
     """
+    check_propensity_stratum(propensity_stratum)
     calib = data.s == 0
     if not calib.any():
         raise EmptyCalibration("no calibration rows (s = 0)")

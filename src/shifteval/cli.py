@@ -23,12 +23,12 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .calibration import candidates_from_json, check_method, select_policy
+from .calibration import candidates_from_json, check_method, check_propensity_stratum, select_policy
+from .data_model import _cast, _field, _float, _int, _of  # the one JSON config reader
 from .data_model import (
     DatasetKind,
     LinearPolicy,
     SimulationConfig,
-    _int,
     read_dataset_csv,
     simulate_gaussian_shift,
     write_dataset_csv,
@@ -60,10 +60,7 @@ def canonical_hash(config: dict) -> str:
 
 def _load_json(path) -> dict:
     with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if not isinstance(payload, dict):
-        raise InvalidConfig(f"{path}: expected a JSON object, got {type(payload).__name__}")
-    return payload
+        return _cast(json.load(fh), _of(dict), str(path))
 
 
 def _write_json(path, payload: dict) -> None:
@@ -94,32 +91,6 @@ def _emit(out: Path, name, payload: dict, config: dict, note: str | None = None)
     return out / name
 
 
-def _required(config: dict, key: str):
-    try:
-        return config[key]
-    except KeyError:
-        raise InvalidConfig(f"config missing required field {key!r}") from None
-
-
-def _path(config: dict, key: str) -> str:
-    """The required file path ``config[key]``; any other JSON type is refused,
-    since ``open()`` would take an integer as a file descriptor."""
-    value = _required(config, key)
-    if not isinstance(value, str):
-        raise InvalidConfig(f"config field {key!r} must be a path string, got {value!r}")
-    return value
-
-
-def _field(config: dict, key: str, cast, default=None):
-    """``cast(config[key])``, or ``cast(default)`` when the key is absent; the
-    key is required when ``default`` is None."""
-    value = _required(config, key) if default is None else config.get(key, default)
-    try:
-        return cast(value)
-    except (TypeError, ValueError) as e:
-        raise InvalidConfig(f"config field {key!r}: {e}") from None
-
-
 def _check_policy_dimension(policy: LinearPolicy, p: int) -> LinearPolicy:
     if policy.coeffs.shape[0] != p:
         raise DimensionMismatch(
@@ -134,30 +105,27 @@ def _policy_from_dict(d: dict, p: int) -> LinearPolicy:
 
 
 def _kernel_from_config(config: dict) -> KernelSpec | None:
-    k = config.get("kernel")
+    k = _field(config, "kernel", _of(dict), None)
     if k is None:
         return None
-    try:
-        return KernelSpec(
-            family=k.get("family", "rbf"),
-            bandwidth=k.get("bandwidth"),
-            ridge=k.get("ridge"),
-        )
-    except (AttributeError, TypeError) as e:
-        raise InvalidConfig(f"malformed kernel block {k!r}: {e}") from None
+    return KernelSpec(
+        family=_field(k, "family", _of(str), "rbf"),
+        bandwidth=_field(k, "bandwidth", _float, None),
+        ridge=_field(k, "ridge", _float, None),
+    )
 
 
 def _recipe_from_config(config: dict, data, default_weights: str) -> FitRecipe:
     """Nuisance backends named in ``config``; oracle components come from the
     simulation recorded in the ``truth`` file, with rho_hat = n1/n of ``data``."""
-    weights = config.get("weights", default_weights)
-    propensity = config.get("propensity", "oracle")
-    outcome = config.get("outcome", "oracle")
+    weights = _field(config, "weights", _of(str), default_weights)
+    propensity = _field(config, "propensity", _of(str), "oracle")
+    outcome = _field(config, "outcome", _of(str), "oracle")
     oracle = None
     if "oracle" in (weights, propensity, outcome):
         if "truth" not in config:
             raise InvalidConfig("oracle nuisances requested but no 'truth' path configured")
-        sim = SimulationConfig.from_json_dict(_load_json(_path(config, "truth")))
+        sim = SimulationConfig.from_json_dict(_load_json(_field(config, "truth", _of(str))))
         oracle = gaussian_oracle_nuisances(sim, rho_hat=data.n1 / data.n)
     return FitRecipe(
         weights=weights,
@@ -207,11 +175,11 @@ def cmd_estimate(args) -> int:
         if flag is not None:
             config[key] = flag
 
-    data = read_dataset_csv(_path(config, "dataset"))
-    estimand = _field(config, "estimand", Estimand, "theta")
+    data = read_dataset_csv(_field(config, "dataset", _of(str)))
+    estimand = _field(config, "estimand", Estimand, Estimand.VALUE)
     kind = _field(config, "kind", DatasetKind, data.kind)
-    policy = _policy_from_dict(_required(config, "policy"), data.p)
-    level = _field(config, "level", float, DEFAULT_LEVEL)
+    policy = _policy_from_dict(_field(config, "policy", _of(dict)), data.p)
+    level = _field(config, "level", _float, DEFAULT_LEVEL)
     check_level(level)
     crossfit = _field(config, "crossfit", _int, 0)
     if crossfit < 0:
@@ -237,14 +205,15 @@ def cmd_calibrate(args) -> int:
     config = _load_json(args.config)
     if args.seed is not None:
         config["seed"] = args.seed
-    data = read_dataset_csv(_path(config, "dataset"))
-    with open(_path(config, "candidates")) as fh:
+    data = read_dataset_csv(_field(config, "dataset", _of(str)))
+    with open(_field(config, "candidates", _of(str))) as fh:
         candidates = candidates_from_json(fh.read())
     for _, policy in candidates.candidates:
         _check_policy_dimension(policy, data.p)
-    method = config.get("method", "covariates_only")
+    method = _field(config, "method", _of(str), "covariates_only")
     check_method(method)
     stratum = _field(config, "ipw_propensity_stratum", _int, 1)
+    check_propensity_stratum(stratum)
 
     recipe = _recipe_from_config(config, data, default_weights="aipsw")
     nuisances = assemble_nuisances(data, recipe)
@@ -263,19 +232,14 @@ def cmd_calibrate(args) -> int:
 
 
 def _estimator_spec(e: dict) -> EstimatorSpec:
-    if not isinstance(e, dict):
-        raise InvalidConfig(f"estimator entry must be an object, got {e!r}")
-    name, crossfit = _required(e, "name"), e.get("crossfit", False)
-    if not isinstance(name, str) or not isinstance(crossfit, bool):
-        raise InvalidConfig(f"estimator needs a string 'name' and a boolean 'crossfit', got {e!r}")
     return EstimatorSpec(
-        name=name,
-        estimand=_field(e, "estimand", Estimand, "theta"),
-        kind=_field(e, "kind", DatasetKind, "type2"),
-        weights=e.get("weights", "oracle"),
-        propensity=e.get("propensity", "oracle"),
-        outcome=e.get("outcome", "oracle"),
-        crossfit=crossfit,
+        name=_field(e, "name", _of(str)),
+        estimand=_field(e, "estimand", Estimand, Estimand.VALUE),
+        kind=_field(e, "kind", DatasetKind, DatasetKind.TYPE2),
+        weights=_field(e, "weights", _of(str), "oracle"),
+        propensity=_field(e, "propensity", _of(str), "oracle"),
+        outcome=_field(e, "outcome", _of(str), "oracle"),
+        crossfit=_field(e, "crossfit", _of(bool), False),
     )
 
 
@@ -283,22 +247,16 @@ def cmd_montecarlo(args) -> int:
     out = _out_dir(args.out)
     config = _load_json(args.config)
     if args.seed is not None:
-        base = config.setdefault("base", {})
-        if not isinstance(base, dict):
-            raise InvalidConfig(f"config field 'base' must be an object, got {base!r}")
-        base["seed"] = args.seed
-    base = SimulationConfig.from_json_dict(_required(config, "base"))
-    policy = _policy_from_dict(_required(config, "policy"), base.p)
-    entries = _required(config, "estimators")
-    if not isinstance(entries, list):
-        raise InvalidConfig(f"'estimators' must be a list, got {entries!r}")
+        config["base"] = _field(config, "base", _of(dict), {}) | {"seed": args.seed}
+    base = SimulationConfig.from_json_dict(_field(config, "base", _of(dict)))
+    policy = _policy_from_dict(_field(config, "policy", _of(dict)), base.p)
     mc = McConfig(
         base=base,
         replications=_field(config, "replications", _int),
         policy=policy,
-        estimators=tuple(_estimator_spec(e) for e in entries),
+        estimators=tuple(map(_estimator_spec, _field(config, "estimators", _of(list)))),
         crossfit_k=_field(config, "crossfit_k", _int, 5),
-        level=_field(config, "level", float, DEFAULT_LEVEL),
+        level=_field(config, "level", _float, DEFAULT_LEVEL),
         n_jobs=_field(config, "n_jobs", _int, 1),
         truth_draws=_field(config, "truth_draws", _int, 1_000_000),
         variance_draws=_field(config, "variance_draws", _int, 1_000_000),

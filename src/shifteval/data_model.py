@@ -228,6 +228,58 @@ def validate_dataset(rows: Sequence[Observation], kind: DatasetKind) -> PooledDa
 
 
 # ---------------------------------------------------------------------------
+# JSON config values
+# ---------------------------------------------------------------------------
+
+
+def _cast(value, cast, what: str):
+    """``cast(value)``; a value the cast refuses raises InvalidConfig naming ``what``."""
+    try:
+        return cast(value)
+    except (TypeError, ValueError, OverflowError) as e:
+        raise InvalidConfig(f"{what}: {e}") from None
+
+
+def _field(d: dict, key: str, cast, default=...):
+    """``cast(d[key])``, or ``default`` unchanged when ``key`` is absent (required
+    when no default is given); the one reader of JSON config values."""
+    if key in _cast(d, _of(dict), f"object holding {key!r}"):
+        return _cast(d[key], cast, f"config field {key!r}")
+    if default is ...:
+        raise InvalidConfig(f"config missing required field {key!r}")
+    return default
+
+
+def _float(value) -> float:
+    """A JSON number as a float; ``float`` would take a bool or a string."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def _int(value) -> int:
+    """A JSON number with no fractional part, which ``int`` would truncate."""
+    if not _float(value).is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def _floats(value) -> NDArray:
+    """A JSON list of numbers as a float vector."""
+    return np.array([_float(v) for v in _of(list)(value)], dtype=float)
+
+
+def _of(*types):
+    """The cast that passes a value of one of ``types`` through unchanged."""
+    def cast(value):
+        if not isinstance(value, types):
+            names = " or ".join(t.__name__ for t in types)
+            raise ValueError(f"expected {names}, got {type(value).__name__}")
+        return value
+    return cast
+
+
+# ---------------------------------------------------------------------------
 # Policies
 # ---------------------------------------------------------------------------
 
@@ -262,18 +314,14 @@ class LinearPolicy(Policy):
     def from_json_dict(cls, d: dict, label: str | None = None) -> "LinearPolicy":
         """Parse {"type": "linear", "intercept", "coeffs"[, "label"]}; a given
         ``label`` replaces the rule's own."""
-        try:
-            if d["type"] != "linear":
-                raise InvalidConfig(f"unsupported policy type {d['type']!r}")
-            return cls(
-                intercept=float(d["intercept"]),
-                coeffs=np.asarray(d["coeffs"], dtype=float),
-                label=d.get("label", "linear") if label is None else label,
-            )
-        except KeyError as e:
-            raise InvalidConfig(f"policy specification missing field {e}") from None
-        except (TypeError, ValueError) as e:
-            raise InvalidConfig(f"malformed policy specification: {e}") from None
+        kind = _field(d, "type", _of(str))
+        if kind != "linear":
+            raise InvalidConfig(f"unsupported policy type {kind!r}")
+        return cls(
+            intercept=_field(d, "intercept", _float),
+            coeffs=_field(d, "coeffs", _floats),
+            label=_field(d, "label", _of(str), "linear") if label is None else label,
+        )
 
     def decide(self, x: NDArray) -> NDArray:
         score = self.intercept + x @ self.coeffs
@@ -300,14 +348,6 @@ def constant_policy(sign: int, p: int) -> LinearPolicy:
 # ---------------------------------------------------------------------------
 # Gaussian-shift simulation
 # ---------------------------------------------------------------------------
-
-
-def _int(value) -> int:
-    """``int(value)``, refusing a number with a fractional part, which ``int``
-    would truncate."""
-    if isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"expected an integer, got {value!r}")
-    return int(value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -396,21 +436,16 @@ class SimulationConfig:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "SimulationConfig":
-        try:
-            return cls(
-                p=_int(d["p"]),
-                mu=np.asarray(d["mu"], dtype=float),
-                rho_s=float(d["rho_s"]),
-                n=_int(d["n"]),
-                outcome_coeffs=np.asarray(d["outcome_coeffs"], dtype=float),
-                noise_sd=float(d["noise_sd"]),
-                propensity=float(d["propensity"]),
-                seed=_int(d["seed"]),
-            )
-        except KeyError as e:
-            raise InvalidConfig(f"simulation config missing field {e}") from e
-        except (TypeError, ValueError) as e:
-            raise InvalidConfig(f"malformed simulation config: {e}") from None
+        return cls(
+            p=_field(d, "p", _int),
+            mu=_field(d, "mu", _floats),
+            rho_s=_field(d, "rho_s", _float),
+            n=_field(d, "n", _int),
+            outcome_coeffs=_field(d, "outcome_coeffs", _floats),
+            noise_sd=_field(d, "noise_sd", _float),
+            propensity=_field(d, "propensity", _float),
+            seed=_field(d, "seed", _int),
+        )
 
 
 def true_weight_gaussian(x: NDArray, mu: NDArray) -> NDArray:

@@ -554,7 +554,6 @@ class FitRecipe:
     outcome: str = "linear"
     oracle: NuisanceSet | None = None
     kernel: KernelSpec | None = None
-    instruments: InstrumentSet | None = None
 
     def __post_init__(self):
         check_backends(self)
@@ -583,9 +582,7 @@ def assemble_nuisances(data: PooledDataset, recipe: FitRecipe) -> NuisanceSet:
     elif recipe.weights == "kulsif":
         weight = fit_weights_kulsif(data, kernel)
     else:
-        weight = fit_weights_entropy_balancing(
-            data, recipe.instruments or InstrumentSet.default(data.p)
-        )
+        weight = fit_weights_entropy_balancing(data, InstrumentSet.default(data.p))
 
     if recipe.propensity == "oracle":
         propensity = recipe.oracle.propensity

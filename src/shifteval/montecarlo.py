@@ -15,10 +15,11 @@ estimator then evaluates only its own estimand's targets, giving the same
 estimates, bit for bit, as one fit per estimator. The variance
 targets of all the menu's variants come from one integration pass.
 
-Replicates are independent; with ``n_jobs > 1`` they run in worker
-processes and are aggregated in replicate order, so results are identical
-to the serial run. Per-estimator runtimes are collected for console
-reporting but deliberately left out of the serialized summary so that
+Replicates are independent; they run in min(n_jobs, replications, usable
+CPUs) worker processes (a pool starts all its workers at once), serially
+when that is 1, and are aggregated in replicate order, so results are
+identical to the serial run. Per-estimator runtimes are collected for
+console reporting but deliberately left out of the serialized summary so that
 fixed-seed runs are byte-for-byte reproducible. A shared fit is timed with
 the first estimator of its recipe in menu order.
 """
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -241,13 +243,15 @@ def run_replications(config: McConfig) -> McSummary:
     truth = true_policy_values(config.base, config.policy, draws=config.truth_draws)
 
     worker = partial(_run_replicate, config=config, truth=truth)
-    if config.n_jobs > 1:
-        with ProcessPoolExecutor(max_workers=config.n_jobs) as pool:
-            results = list(
-                pool.map(worker, range(config.replications), chunksize=max(1, config.replications // (4 * config.n_jobs)))
-            )
+    reps = range(config.replications)
+    affinity = getattr(os, "sched_getaffinity", None)
+    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+    workers = min(config.n_jobs, config.replications, cpus)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(worker, reps, chunksize=max(1, len(reps) // (4 * workers))))
     else:
-        results = [worker(r) for r in range(config.replications)]
+        results = [worker(r) for r in reps]
 
     n_est = len(config.estimators)
     est = np.array([res[0] for res in results])  # (R, n_est)

@@ -78,6 +78,12 @@ TAU_CLIP = 1e-3  # default clip for treatment propensities
 DELTA_CLIP = 1e-3  # default clip for selection probabilities
 
 _COND_WARN = 1e12
+_BANDWIDTH_ROWS = 2000  # rows the median-distance bandwidth is taken over
+_NEWTON_MAX_ITER = 50  # logistic Newton iterations
+_NEWTON_TOL = 1e-10  # logistic stop: max |gradient| / n
+_EB_MAX_ITER = 100  # entropy-balancing Newton iterations
+_EB_GRAD_TOL = 1e-10  # entropy-balancing stop: max |dual gradient|
+_N_WORST = 5  # rows listed per positivity check
 
 
 # ---------------------------------------------------------------------------
@@ -115,17 +121,18 @@ def _kernel_matrix(family: str, bandwidth: float | None, xa: NDArray, xb: NDArra
     return np.exp(-d2 / (2.0 * bandwidth**2))
 
 
-def median_bandwidth(x: NDArray, cap: int = 2000) -> float:
+def median_bandwidth(x: NDArray) -> float:
     """Median pairwise Euclidean distance, 1.0 if degenerate.
 
-    Above ``cap`` rows the distances are those among ``cap`` evenly spaced
+    Above 2000 rows the distances are those among 2000 evenly spaced
     rows of the lexicographically sorted matrix, so the bandwidth does not
     depend on the row order. The chosen rows keep their own order, as the
     median's selection runs slower on distances between sorted rows.
     """
     x = np.asarray(x, dtype=float)
-    if x.shape[0] > cap:
-        x = x[np.sort(np.lexsort(x.T[::-1])[np.arange(cap) * x.shape[0] // cap])]
+    if x.shape[0] > _BANDWIDTH_ROWS:
+        picks = np.arange(_BANDWIDTH_ROWS) * x.shape[0] // _BANDWIDTH_ROWS
+        x = x[np.sort(np.lexsort(x.T[::-1])[picks])]
     if x.shape[0] < 2:
         return 1.0
     from scipy.spatial.distance import pdist
@@ -293,7 +300,7 @@ def _log_likelihood(design: NDArray, b: NDArray, beta: NDArray) -> float:
     return float(np.sum(b * eta - np.logaddexp(0.0, eta)))
 
 
-def _newton_logistic(design: NDArray, b: NDArray, max_iter: int = 50, tol: float = 1e-10):
+def _newton_logistic(design: NDArray, b: NDArray):
     """Maximize the Bernoulli log-likelihood; returns (beta, info).
 
     Raises ``Separation`` when the data are (quasi-)separated and the
@@ -307,11 +314,11 @@ def _newton_logistic(design: NDArray, b: NDArray, max_iter: int = 50, tol: float
     ll = _log_likelihood(design, b, beta)
     converged = False
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, _NEWTON_MAX_ITER + 1):
         eta = design @ beta
         pr = expit(eta)
         grad = design.T @ (b - pr)
-        if np.max(np.abs(grad)) / n <= tol:
+        if np.max(np.abs(grad)) / n <= _NEWTON_TOL:
             converged = True
             break
         wvar = pr * (1.0 - pr)
@@ -606,12 +613,7 @@ class EntropyBalanceWeightFn:
         return self.n1 * np.exp(g @ self.lam - self.log_denom)
 
 
-def fit_weights_entropy_balancing(
-    data: PooledDataset,
-    instruments: InstrumentSet,
-    max_iter: int = 100,
-    grad_tol: float = 1e-10,
-) -> WeightModel:
+def fit_weights_entropy_balancing(data: PooledDataset, instruments: InstrumentSet) -> WeightModel:
     """Entropy-balancing weights via damped Newton on the strictly convex dual.
 
     The returned training-row weights W_i are strictly positive, sum to one,
@@ -659,7 +661,7 @@ def fit_weights_entropy_balancing(
 
     f_val = dual(lam)
     grad_norm = np.inf
-    for it in range(1, max_iter + 1):
+    for it in range(1, _EB_MAX_ITER + 1):
         z = g1 @ lam
         z -= z.max()
         wts = np.exp(z)
@@ -667,7 +669,7 @@ def fit_weights_entropy_balancing(
         mean_g = g1.T @ wts
         grad = mean_g - g0bar
         grad_norm = float(np.max(np.abs(grad)))
-        if grad_norm <= grad_tol:
+        if grad_norm <= _EB_GRAD_TOL:
             converged = True
             break
         centered = g1 - mean_g
@@ -774,7 +776,6 @@ def check_positivity(
     data: PooledDataset,
     tau: float = 0.05,
     delta: float = 0.05,
-    n_worst: int = 5,
 ) -> PositivityReport:
     """Flag rows whose fitted propensities or implied selection probabilities
     fall below the positivity thresholds. Diagnostic only; never raises.
@@ -795,8 +796,8 @@ def check_positivity(
     min_stratum = np.minimum(pi_s1, 1.0 - pi_s1)
     flagged_sel = min_stratum < delta
 
-    order_prop = np.argsort(min_arm)[:n_worst]
-    order_sel = np.argsort(min_stratum)[:n_worst]
+    order_prop = np.argsort(min_arm)[:_N_WORST]
+    order_sel = np.argsort(min_stratum)[:_N_WORST]
     return PositivityReport(
         tau=tau,
         delta=delta,

@@ -118,6 +118,11 @@ class TestIpw:
         with pytest.raises(MissingTreatmentsOutcomes):
             calib_value_ipw(data.as_type2(), oracle.propensity, constant_policy(1, 2))
 
+    def test_propensity_stratum_outside_0_1_is_refused(self):
+        # the constant oracle propensity ignores the stratum, so only the check can refuse it
+        with pytest.raises(InvalidConfig, match="ipw_propensity_stratum"):
+            calib_value_ipw(self.toy(), self.oracle_prop(), constant_policy(1, 1), 7)
+
     def test_propensity_stratum_switch(self):
         data, _ = simulate_gaussian_shift(make_config(n=400, seed=5))
         from shifteval import fit_propensity_logistic
@@ -240,3 +245,20 @@ class TestCandidateParsing:
     def test_not_a_list(self):
         with pytest.raises(InvalidConfig):
             candidates_from_json(json.dumps({"c": 1}))
+
+    @pytest.mark.parametrize("entry", [
+        {"c": "0.1", "rule": {"type": "linear", "intercept": 0, "coeffs": [0.0]}},
+        {"c": True, "rule": {"type": "linear", "intercept": 0, "coeffs": [0.0]}},
+        {"c": 0.1, "rule": {"type": "linear", "intercept": 0, "coeffs": ["0.0"]}},
+        {"c": 0.1, "rule": {"type": "linear", "intercept": 0, "coeffs": 0.0}},
+        {"c": 0.1, "rule": [0.0]},
+        "rule",
+    ])
+    def test_non_numbers_and_non_objects_are_refused(self, entry):
+        with pytest.raises(InvalidConfig):
+            candidates_from_json(json.dumps([entry]))
+
+    @pytest.mark.parametrize("spec", [None, 3, [1.0], "linear"])
+    def test_non_dict_policy_is_invalid_config(self, spec):
+        with pytest.raises(InvalidConfig):
+            LinearPolicy.from_json_dict(spec)

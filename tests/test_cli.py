@@ -334,6 +334,17 @@ BAD_VALUES = [
     ("montecarlo", ("base",), [1], "InvalidConfig", ("--seed", "7")),
     ("montecarlo", ("base", "n"), 300.5, "InvalidConfig", ()),
     ("montecarlo", ("base", "noise_sd"), float("inf"), "NonFiniteValue", ()),
+    # a JSON boolean or string is not a number, nor a boolean an integer
+    ("simulate", ("seed",), True, "InvalidConfig", ()),
+    ("simulate", ("rho_s",), "0.5", "InvalidConfig", ()),
+    ("simulate", ("mu",), ["0.5", "0.5"], "InvalidConfig", ()),
+    ("estimate", ("crossfit",), True, "InvalidConfig", ()),
+    ("estimate", ("kernel",), {"ridge": True}, "InvalidConfig", ()),
+    ("estimate", ("policy", "intercept"), True, "InvalidConfig", ()),
+    ("calibrate", ("candidates", 0, "c"), "0.1", "InvalidConfig", ()),
+    ("calibrate", ("ipw_propensity_stratum",), 7, "InvalidConfig", ()),
+    ("montecarlo", ("n_jobs",), True, "InvalidConfig", ()),
+    ("montecarlo", ("base", "p"), "2", "InvalidConfig", ()),
 ]
 
 
@@ -414,7 +425,7 @@ class TestErrorsAndExitCodes:
             "simulate": sim_config_dict(n=40, seed=1),
             "estimate": {
                 "dataset": str(sim_out / "dataset.csv"), "truth": str(sim_out / "truth.json"),
-                "policy": POLICY, "weights": "aipsw", "propensity": "logistic",
+                "policy": dict(POLICY), "weights": "aipsw", "propensity": "logistic",
                 "outcome": "oracle", "crossfit": 3,
             },
             "calibrate": {

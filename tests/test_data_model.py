@@ -216,6 +216,26 @@ class TestSimulate:
         again = SimulationConfig.from_json_dict(cfg.to_json_dict())
         assert again.to_json_dict() == cfg.to_json_dict()
 
+    def test_integral_float_reads_as_int(self):
+        d = make_config(seed=17).to_json_dict() | {"n": 300.0, "seed": 5.0}
+        cfg = SimulationConfig.from_json_dict(d)
+        assert (cfg.n, cfg.seed) == (300, 5) and type(cfg.n) is int
+
+    @pytest.mark.parametrize("key, value", [
+        ("seed", True), ("n", False), ("p", "2"), ("rho_s", "0.5"), ("noise_sd", None),
+        ("mu", ["0.5", "0.5"]), ("mu", [True, 0.5]), ("mu", 0.5), ("outcome_coeffs", "1"),
+        ("seed", 10**400),
+    ])
+    def test_json_booleans_and_strings_are_not_numbers(self, key, value):
+        d = make_config(seed=17).to_json_dict() | {key: value}
+        with pytest.raises(InvalidConfig, match=key):
+            SimulationConfig.from_json_dict(d)
+
+    @pytest.mark.parametrize("d", [None, 3, [1, 2], {"p": 2}])
+    def test_non_object_or_incomplete_config_is_invalid(self, d):
+        with pytest.raises(InvalidConfig):
+            SimulationConfig.from_json_dict(d)
+
 
 class TestFolds:
     def test_even_split(self):

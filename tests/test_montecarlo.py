@@ -16,7 +16,7 @@ from shifteval import (
     simulate_gaussian_shift,
     true_policy_values,
 )
-from shifteval import estimators
+from shifteval import estimators, montecarlo
 from shifteval.errors import ShiftEvalError, VariantMismatch
 from shifteval.estimators import fit_and_estimate
 from shifteval.montecarlo import (
@@ -134,6 +134,41 @@ class TestRunReplications:
         assert json.dumps(s1.to_json_dict(), sort_keys=True) == json.dumps(
             s2.to_json_dict(), sort_keys=True
         )
+
+    @pytest.mark.parametrize("n_jobs, cpus, expected", [
+        (64, 8, 3),  # capped by the replicate count
+        (64, 2, 2),  # capped by the usable CPUs
+        (64, 1, None),  # one worker: serial, no pool
+        (2, 8, 2),
+    ])
+    def test_worker_count_is_capped(self, policy, monkeypatch, n_jobs, cpus, expected):
+        started = []
+
+        class SerialPool:
+            """Records ``max_workers`` and maps in this process, starting none."""
+
+            def __init__(self, max_workers):
+                self.max_workers = max_workers
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, iterable, chunksize=1):
+                assert chunksize == max(1, 3 // (4 * self.max_workers))
+                return map(fn, iterable)
+
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        mc = McConfig(base=make_config(n=200, seed=6), replications=3, policy=policy,
+                      estimators=oracle_menu()[:1], truth_draws=10_000, variance_draws=10_000)
+        serial = run_replications(mc)
+        capped = run_replications(replace(mc, n_jobs=n_jobs))
+        assert started == ([] if expected is None else [expected])
+        assert capped.to_json_dict() == serial.to_json_dict()
 
     def test_shared_replicate_work_equals_one_fit_per_estimator(self, policy, monkeypatch):
         # estimators sharing a (kind, recipe, crossfit) share one fit per

@@ -366,6 +366,27 @@ class TestEntropyBalancing:
         assert np.sum(w) == pytest.approx(1.0, abs=1e-12)
         assert np.max(np.abs(check_balance(wm, data, instruments))) <= 1e-8
 
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(200, 2000),
+        mu=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_balanced_or_infeasible_property(self, seed, n, mu):
+        data, _ = simulate_gaussian_shift(make_config(mu=mu, n=n, seed=seed))
+        instruments = InstrumentSet.default(2)
+        x1 = data.x[data.s == 1]
+        calib_mean = data.x[data.s == 0].mean(axis=0)
+        if np.any((calib_mean < x1.min(axis=0)) | (calib_mean > x1.max(axis=0))):
+            with pytest.raises(InfeasibleBalance):
+                fit_weights_entropy_balancing(data, instruments)
+            return
+        wm = fit_weights_entropy_balancing(data, instruments)
+        assert np.sum(wm(x1) / data.n1) == pytest.approx(1.0, abs=1e-12)
+        assert wm.info["max_balance_residual"] <= 1e-8
+        residual = np.max(np.abs(check_balance(wm, data, instruments)))
+        assert residual == pytest.approx(wm.info["max_balance_residual"], abs=1e-8)
+
     def test_entropy_minimality(self):
         data, _ = simulate_gaussian_shift(make_config(mu=(0.2, 0.2), n=400, seed=0))
         base_instruments = InstrumentSet.default(2)
