@@ -19,6 +19,7 @@ from .errors import (
     EmptyCalibration,
     InvalidConfig,
     MissingTreatmentsOutcomes,
+    NonFiniteValue,
 )
 from .estimators import Estimand, _policy_target
 from .nuisance import NuisanceSet, OutcomeModel, PropensityModel
@@ -57,6 +58,8 @@ class CandidateSet:
         if len(self.candidates) == 0:
             raise InvalidConfig("candidate set must be non-empty")
         cs = [c for c, _ in self.candidates]
+        if not np.isfinite(cs).all():
+            raise NonFiniteValue("candidate robustness constants c must be finite")
         if len(set(cs)) != len(cs):
             raise InvalidConfig("candidate robustness constants must be distinct")
 

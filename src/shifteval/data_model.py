@@ -309,6 +309,10 @@ class LinearPolicy(Policy):
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", np.asarray(self.coeffs, dtype=float).ravel())
+        # a NaN score compares false, which would make the rule "always -1"
+        for name in ("intercept", "coeffs"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise NonFiniteValue(f"linear policy field {name!r} must be finite")
 
     @classmethod
     def from_json_dict(cls, d: dict, label: str | None = None) -> "LinearPolicy":

@@ -55,6 +55,10 @@ class SolveFailure(ShiftEvalError):
     pass
 
 
+class KernelTooLarge(ShiftEvalError):
+    """A dense kernel fit would need more memory than the machine has."""
+
+
 class InfeasibleBalance(ShiftEvalError):
     def __init__(self, message: str, coordinate: str | None = None):
         super().__init__(message)

@@ -11,11 +11,16 @@ calibration-to-training covariates at arbitrary points:
 * ``eb``     -- entropy balancing: minimum Kullback-Leibler weights subject to
   exact moment constraints, solved by damped Newton on the dual.
 
-A weight model holds only its function; training-row weights are that
-function evaluated at the training rows. The logistic propensity is one
-model with a per-stratum fit for every stratum that has observed (a, y).
-Dense kernel systems are solved by Cholesky, and every solve warns when the
-1-norm condition estimate from the Cholesky factor exceeds 1e12, at any size.
+Training-row weights are the weight function evaluated at the training
+rows. With the rbf kernel, the dense-kernel fits (KuLSIF weights, kernel
+ridge outcome) also keep K alpha at their own fit rows, from the kernel
+matrix the fit already built, and use it, bit for bit equal to a fresh
+kernel evaluation, when evaluated at exactly those rows. The logistic
+propensity is one model with a per-stratum fit for every stratum that has
+observed (a, y). Dense kernel systems are solved by Cholesky, and every
+solve warns when the 1-norm condition estimate from the Cholesky factor
+exceeds 1e12, at any size. A dense-kernel fit whose matrices would exceed physical memory
+raises ``KernelTooLarge`` before it allocates any of them.
 The dense-kernel and entropy-balancing solvers load ``scipy.linalg`` and
 ``scipy.spatial`` on first use, so a process that fits neither never does.
 
@@ -24,6 +29,7 @@ Fitted models are immutable and safe to share across threads.
 
 from __future__ import annotations
 
+import os
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable
@@ -44,6 +50,7 @@ from .data_model import (
 from .errors import (
     InfeasibleBalance,
     InvalidConfig,
+    KernelTooLarge,
     MissingStratum,
     NoObservedOutcomes,
     RankDeficient,
@@ -84,6 +91,10 @@ _NEWTON_TOL = 1e-10  # logistic stop: max |gradient| / n
 _EB_MAX_ITER = 100  # entropy-balancing Newton iterations
 _EB_GRAD_TOL = 1e-10  # entropy-balancing stop: max |dual gradient|
 _N_WORST = 5  # rows listed per positivity check
+try:  # bytes of physical memory, the most the dense kernel matrices may take
+    _MEMORY_CAP = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+except (AttributeError, ValueError, OSError):  # no sysconf: no cap
+    _MEMORY_CAP = float("inf")
 
 
 # ---------------------------------------------------------------------------
@@ -117,8 +128,36 @@ def _kernel_matrix(family: str, bandwidth: float | None, xa: NDArray, xb: NDArra
         return xa @ xb.T
     from scipy.spatial.distance import cdist
 
-    d2 = cdist(xa, xb, metric="sqeuclidean")
-    return np.exp(-d2 / (2.0 * bandwidth**2))
+    # in place, and exact: (-a) / c == a / (-c)
+    k = cdist(xa, xb, metric="sqeuclidean")
+    np.divide(k, -2.0 * bandwidth**2, out=k)
+    return np.exp(k, out=k)
+
+
+def _check_kernel_memory(n_floats: int, context: str) -> None:
+    """Raise KernelTooLarge when ``n_floats`` float64 values, the most a
+    dense-kernel fit holds at once, exceed physical memory."""
+    need = 8 * n_floats
+    if need > _MEMORY_CAP:
+        raise KernelTooLarge(
+            f"{context} needs {need / 2**30:.1f} GiB of dense kernel matrices, "
+            f"more than the {_MEMORY_CAP / 2**30:.1f} GiB of physical memory"
+        )
+
+
+def _ridge_system(kmat: NDArray, divisor: float, diagonal: float) -> NDArray:
+    """``kmat / divisor`` plus ``diagonal`` on its diagonal, as one new array
+    whose Fortran-order view the Cholesky factor overwrites in place.
+
+    Equal, bit for bit, to ``kmat / divisor + diagonal * np.eye(m)``: adding
+    0.0 off the diagonal is exact. ``kmat`` is a K(x, x), symmetric bit for
+    bit (each entry is a symmetric function of its two rows, and numpy
+    computes x @ x.T as a symmetric rank-k update), so its transpose is the
+    same matrix and LAPACK reads the values a Fortran-order copy would hold.
+    """
+    lhs = kmat / divisor
+    lhs.flat[:: lhs.shape[0] + 1] += diagonal
+    return lhs.T
 
 
 def median_bandwidth(x: NDArray) -> float:
@@ -137,24 +176,27 @@ def median_bandwidth(x: NDArray) -> float:
         return 1.0
     from scipy.spatial.distance import pdist
 
-    med = float(np.median(pdist(x)))
+    med = float(np.median(pdist(x), overwrite_input=True))
     return med if med > 0 else 1.0
 
 
 def _solve_spd(matrix: NDArray, rhs: NDArray, context: str) -> NDArray:
     """Dense Cholesky solve with a condition-number warning above 1e12.
 
-    The condition number is LAPACK's O(m^2) 1-norm estimate from the
-    Cholesky factor (?pocon; Hager 1984, Higham 1988), checked at every size.
+    A Fortran-order ``matrix`` is overwritten by its Cholesky factor; any
+    other is copied first. The condition number is LAPACK's O(m^2) 1-norm
+    estimate from the Cholesky factor (?pocon; Hager 1984, Higham 1988),
+    checked at every size.
     """
     from scipy.linalg import cho_factor, cho_solve
-    from scipy.linalg.lapack import dpocon
+    from scipy.linalg.lapack import dlange, dpocon
 
+    norm1 = dlange("1", matrix)  # before the factor overwrites it; no n^2 temporary
     try:
-        factor = cho_factor(matrix, lower=True)
+        factor = cho_factor(matrix, lower=True, overwrite_a=True)
     except np.linalg.LinAlgError as e:
         raise SolveFailure(f"{context}: {e}") from e
-    rcond, _ = dpocon(factor[0], np.linalg.norm(matrix, 1), uplo="L")
+    rcond, _ = dpocon(factor[0], norm1, uplo="L")
     cond = 1.0 / rcond if rcond > 0 else np.inf
     if cond > _COND_WARN:
         warnings.warn(f"{context}: condition number {cond:.2e}", stacklevel=3)
@@ -213,11 +255,31 @@ class PropensityModel:
         return np.where(a == 1, p1, 1.0 - p1)
 
 
+def _same_rows(x: NDArray, rows: NDArray) -> bool:
+    return x.shape == rows.shape and np.array_equal(x, rows)
+
+
+def _keeps_fit_rows(family: str) -> bool:
+    """Whether a fit keeps K(x, x) @ alpha at its own rows x: only where a
+    fresh evaluation at a copy of x equals it bit for bit.
+
+    That holds for rbf, whose cdist is the same for any copy of x. It does
+    not for linear: numpy computes x @ x.T as a symmetric rank-k update,
+    which rounds otherwise than the general product of a copy with x.T.
+    """
+    return family == "rbf"
+
+
 @dataclass(frozen=True, eq=False)
 class KernelRidgeQModel:
-    """Per-arm kernel ridge fits; evaluation is the representer expansion."""
+    """Per-arm kernel ridge fits; evaluation is the representer expansion.
 
-    anchors: dict  # a -> (x_arm, alpha_arm)
+    An arm evaluated at exactly its own fit rows returns the fitted values
+    the fit computed, K alpha, which a fresh evaluation equals bit for bit
+    (rbf only; see ``_keeps_fit_rows``).
+    """
+
+    anchors: dict  # a -> (x_arm, alpha_arm, K_arm @ alpha_arm or None)
     family: str
     bandwidth: float | None
 
@@ -228,8 +290,12 @@ class KernelRidgeQModel:
             mask = a_arr == arm
             if not mask.any():
                 continue
-            xa, alpha = self.anchors[arm]
-            out[mask] = _kernel_matrix(self.family, self.bandwidth, x[mask], xa) @ alpha
+            xa, alpha, fitted = self.anchors[arm]
+            xm = x[mask]
+            if fitted is not None and _same_rows(xm, xa):
+                out[mask] = fitted
+            else:
+                out[mask] = _kernel_matrix(self.family, self.bandwidth, xm, xa) @ alpha
         return out
 
 
@@ -255,7 +321,8 @@ class WeightModel:
 
     Training-row weights are the function evaluated at the training rows;
     for entropy balancing, ``w(x_train) / n1`` are the fitted balancing
-    weights.
+    weights. With the rbf kernel, the KuLSIF evaluator also holds K11 alpha
+    from its fit and uses it when evaluated at exactly the training rows.
     """
 
     backend: str  # "oracle" | "aipsw" | "kulsif" | "eb"
@@ -404,6 +471,9 @@ def fit_outcome_regression(
     if method == "kernel_ridge":
         if spec is None:
             raise InvalidConfig("kernel_ridge requires a KernelSpec")
+        # each arm holds its kernel matrix and the system's copy at once
+        largest = max(int(np.sum(a == -1)), int(np.sum(a == 1)))
+        _check_kernel_memory(2 * largest**2, "kernel ridge")
         bandwidth = spec.bandwidth
         if spec.family == "rbf" and bandwidth is None:
             bandwidth = median_bandwidth(x)
@@ -412,20 +482,23 @@ def fit_outcome_regression(
             mask = a == arm
             if not mask.any():
                 raise NoObservedOutcomes(f"no observed outcomes for arm a={arm}")
-            xa, ya = x[mask], y[mask]
-            n_arm = xa.shape[0]
-            lam = spec.ridge if spec.ridge is not None else 1.0 / n_arm
-            kmat = _kernel_matrix(spec.family, bandwidth, xa, xa)
-            alpha = _solve_spd(
-                kmat + n_arm * lam * np.eye(n_arm), ya, f"kernel ridge (arm {arm})"
-            )
-            anchors[arm] = (xa, alpha)
+            anchors[arm] = _fit_kernel_ridge_arm(spec, bandwidth, x[mask], y[mask], arm)
         return OutcomeModel(
             evaluator=KernelRidgeQModel(anchors=anchors, family=spec.family, bandwidth=bandwidth),
             info={"model": "kernel_ridge", "family": spec.family, "bandwidth": bandwidth},
         )
 
     raise InvalidConfig(f"unknown outcome regression method {method!r}")
+
+
+def _fit_kernel_ridge_arm(spec: KernelSpec, bandwidth, xa: NDArray, ya: NDArray, arm: int):
+    """(xa, alpha, fitted values K alpha or None) of one arm's
+    (K + n lambda I) alpha = y."""
+    n_arm = xa.shape[0]
+    lam = spec.ridge if spec.ridge is not None else 1.0 / n_arm
+    kmat = _kernel_matrix(spec.family, bandwidth, xa, xa)
+    alpha = _solve_spd(_ridge_system(kmat, 1.0, n_arm * lam), ya, f"kernel ridge (arm {arm})")
+    return xa, alpha, kmat @ alpha if _keeps_fit_rows(spec.family) else None
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +542,13 @@ def fit_weights_aipsw(data: PooledDataset, clip: float = DELTA_CLIP) -> WeightMo
 
 @dataclass(frozen=True, eq=False)
 class KulsifWeightFn:
-    """Representer-form KuLSIF weight; negative predictions truncate to 0."""
+    """Representer-form KuLSIF weight; negative predictions truncate to 0.
+
+    ``train_k_alpha`` is K(train_x, train_x) @ alpha as the fit computed it
+    (None where ``_keeps_fit_rows`` is false); it stands in for the
+    training-kernel term when ``x`` is exactly ``train_x``, and equals a
+    fresh evaluation of that term bit for bit.
+    """
 
     train_x: NDArray
     calib_x: NDArray
@@ -477,11 +556,15 @@ class KulsifWeightFn:
     lam: float
     family: str
     bandwidth: float | None
+    train_k_alpha: NDArray | None
 
     def raw(self, x: NDArray) -> NDArray:
-        k1 = _kernel_matrix(self.family, self.bandwidth, x, self.train_x)
+        if self.train_k_alpha is not None and _same_rows(x, self.train_x):
+            k1_alpha = self.train_k_alpha
+        else:
+            k1_alpha = _kernel_matrix(self.family, self.bandwidth, x, self.train_x) @ self.alpha
         k0 = _kernel_matrix(self.family, self.bandwidth, x, self.calib_x)
-        return k1 @ self.alpha + k0.sum(axis=1) / (self.lam * self.calib_x.shape[0])
+        return k1_alpha + k0.sum(axis=1) / (self.lam * self.calib_x.shape[0])
 
     def __call__(self, x: NDArray) -> NDArray:
         return np.maximum(self.raw(x), 0.0)
@@ -497,31 +580,44 @@ def fit_weights_kulsif(data: PooledDataset, spec: KernelSpec) -> WeightModel:
         (K11 / n1 + lambda I) alpha = -K01^T 1 / (lambda n0 n1)
 
     (the stationarity condition of the primal objective); the system is
-    solved by dense Cholesky.
+    solved by dense Cholesky. With the rbf kernel the fit keeps K11 alpha,
+    the training-kernel term of the representer values at the training
+    rows (see ``_keeps_fit_rows``). It does not keep
+    their calibration term: summed as an evaluation sums it, along rows of
+    K(x1, x0) rather than down the columns of K01, it would cost every fit
+    an n1 n0 kernel build that a cross-fit bag, evaluated out of bag, never
+    reads.
     """
     x1 = data.x[data.s == 1]
     x0 = data.x[data.s == 0]
     n1, n0 = x1.shape[0], x0.shape[0]
+    # K(x0, x1), freed before K11 and the system's copy
+    _check_kernel_memory(max(n0 * n1, 2 * n1**2), "KuLSIF")
     bandwidth = spec.bandwidth
     if spec.family == "rbf" and bandwidth is None:
         bandwidth = median_bandwidth(data.x)
     lam = spec.ridge if spec.ridge is not None else 1.0 / min(n1, n0)
 
+    rhs = -_kernel_matrix(spec.family, bandwidth, x0, x1).sum(axis=0) / (lam * n0 * n1)
     k11 = _kernel_matrix(spec.family, bandwidth, x1, x1)
-    k01 = _kernel_matrix(spec.family, bandwidth, x0, x1)
-    lhs = k11 / n1 + lam * np.eye(n1)
-    rhs = -k01.sum(axis=0) / (lam * n0 * n1)
-    alpha = _solve_spd(lhs, rhs, "KuLSIF dual")
-    residual = float(np.max(np.abs(lhs @ alpha - rhs)))
+    alpha = _solve_spd(_ridge_system(k11, n1, lam), rhs, "KuLSIF dual")
+    k11_alpha = k11 @ alpha
+    residual = float(np.max(np.abs(k11_alpha / n1 + lam * alpha - rhs)))
     if residual > 1e-8:
         raise SolveFailure(f"KuLSIF dual residual {residual:.2e} exceeds 1e-8")
 
     # the representer form at the training rows: K11 alpha + K01^T 1 / (lambda n0)
-    n_truncated = int(np.sum(k11 @ alpha - n1 * rhs < 0.0))
+    n_truncated = int(np.sum(k11_alpha - n1 * rhs < 0.0))
     return WeightModel(
         backend="kulsif",
         evaluator=KulsifWeightFn(
-            train_x=x1, calib_x=x0, alpha=alpha, lam=lam, family=spec.family, bandwidth=bandwidth
+            train_x=x1,
+            calib_x=x0,
+            alpha=alpha,
+            lam=lam,
+            family=spec.family,
+            bandwidth=bandwidth,
+            train_k_alpha=k11_alpha if _keeps_fit_rows(spec.family) else None,
         ),
         info={
             "lambda": lam,

@@ -23,6 +23,7 @@ from shifteval.errors import (
     EmptyCalibration,
     InvalidConfig,
     MissingTreatmentsOutcomes,
+    NonFiniteValue,
 )
 from shifteval.data_model import LinearQModel
 from shifteval.nuisance import OutcomeModel
@@ -257,6 +258,12 @@ class TestCandidateParsing:
     def test_non_numbers_and_non_objects_are_refused(self, entry):
         with pytest.raises(InvalidConfig):
             candidates_from_json(json.dumps([entry]))
+
+    @pytest.mark.parametrize("c", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_c_is_refused(self, c):
+        text = f'[{{"c": {c}, "rule": {{"type": "linear", "intercept": 0, "coeffs": [0.0]}}}}]'
+        with pytest.raises(NonFiniteValue, match="c must be finite"):
+            candidates_from_json(text)
 
     @pytest.mark.parametrize("spec", [None, 3, [1.0], "linear"])
     def test_non_dict_policy_is_invalid_config(self, spec):

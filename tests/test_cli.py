@@ -345,6 +345,12 @@ BAD_VALUES = [
     ("calibrate", ("ipw_propensity_stratum",), 7, "InvalidConfig", ()),
     ("montecarlo", ("n_jobs",), True, "InvalidConfig", ()),
     ("montecarlo", ("base", "p"), "2", "InvalidConfig", ()),
+    # a NaN rule would decide -1 everywhere; a NaN c would fail only on writing
+    ("estimate", ("policy", "intercept"), float("nan"), "NonFiniteValue", ()),
+    ("estimate", ("policy", "coeffs"), [1.0, float("inf")], "NonFiniteValue", ()),
+    ("calibrate", ("candidates", 0, "rule", "intercept"), float("nan"), "NonFiniteValue", ()),
+    ("calibrate", ("candidates", 0, "c"), float("nan"), "NonFiniteValue", ()),
+    ("montecarlo", ("policy", "intercept"), float("nan"), "NonFiniteValue", ()),
 ]
 
 
@@ -434,7 +440,8 @@ class TestErrorsAndExitCodes:
                 "weights": "aipsw", "propensity": "logistic", "outcome": "linear",
             },
             "montecarlo": {
-                "base": sim_config_dict(n=300, seed=13), "replications": 3, "policy": POLICY,
+                "base": sim_config_dict(n=300, seed=13), "replications": 3,
+                "policy": dict(POLICY),
                 "estimators": [
                     {"name": "theta_t2", "estimand": "theta", "kind": "type2"},
                     {"name": "cf", "weights": "aipsw", "propensity": "logistic",
@@ -467,6 +474,26 @@ class TestErrorsAndExitCodes:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == error
         assert err["message"]
+
+    @pytest.mark.parametrize("weights, outcome", [("kulsif", "linear"), ("aipsw", "kernel_ridge")])
+    def test_kernel_beyond_memory_is_structured(
+        self, tmp_path, capsys, monkeypatch, weights, outcome
+    ):
+        from shifteval import nuisance
+
+        sim_out = simulate_to(tmp_path)
+        config = write_json(tmp_path / "est.json", {
+            "dataset": str(sim_out / "dataset.csv"), "policy": POLICY,
+            "weights": weights, "propensity": "logistic", "outcome": outcome,
+        })
+        monkeypatch.setattr(nuisance, "_MEMORY_CAP", 10**5)
+        capsys.readouterr()
+        code = main(["estimate", "--config", config, "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "KernelTooLarge"
+        assert "physical memory" in err["message"]
+        assert not (tmp_path / "out" / "estimate_report.json").exists()
 
     def test_out_naming_a_file_is_structured(self, tmp_path, capsys, monkeypatch):
         sim_out = simulate_to(tmp_path)

@@ -27,6 +27,7 @@ from shifteval.errors import (
     InvalidConfig,
     InvalidRho,
     MissingnessMismatch,
+    NonFiniteValue,
     StratumTooSmall,
 )
 
@@ -324,6 +325,15 @@ class TestPolicy:
     def test_sign_zero_is_plus_one(self):
         pol = LinearPolicy(0.0, np.array([1.0]))
         assert pol(np.zeros(1)) == 1
+
+    @pytest.mark.parametrize(
+        "intercept, coeffs, field",
+        [(np.nan, [1.0, 1.0], "intercept"), (0.0, [1.0, np.inf], "coeffs"),
+         (-np.inf, [1.0, 1.0], "intercept")],
+    )
+    def test_non_finite_rule_refused(self, intercept, coeffs, field):
+        with pytest.raises(NonFiniteValue, match=field):
+            LinearPolicy(intercept, coeffs)
 
     def test_constant_policy(self):
         pol = constant_policy(-1, 2)

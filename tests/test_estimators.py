@@ -147,6 +147,35 @@ class TestEstimateEfficient:
             cross_fit_estimate(data, split_cross_fit_folds(data, 2, seed=0), recipe, policy,
                                Estimand.VALUE)
 
+    def test_kernel_fits_reuse_their_fit_row_values(self, policy, monkeypatch):
+        from shifteval import nuisance
+
+        data, _ = simulate_gaussian_shift(make_config(n=400, seed=31))
+        data = data.as_type2()
+        recipe = FitRecipe(weights="kulsif", propensity="logistic", outcome="kernel_ridge")
+        nus = assemble_nuisances(data, recipe)
+        expected = estimate_efficient(data, nus, policy, Estimand.VALUE)
+
+        built = []
+        kernel_matrix = nuisance._kernel_matrix
+
+        def spy(family, bandwidth, xa, xb):
+            built.append((xa, xb))
+            return kernel_matrix(family, bandwidth, xa, xb)
+
+        monkeypatch.setattr(nuisance, "_kernel_matrix", spy)
+        report = estimate_efficient(data, nus, policy, Estimand.VALUE)
+        assert report.to_json_dict() == expected.to_json_dict()
+        # no K(x1, x1) for the training-row weights and no kernel for the
+        # residuals: only the weights' calibration term K(x1, x0), then
+        # Q(x, d(x)) at the calibration rows, one build per arm
+        x_tr, x_cal = data.x[data.s == 1], data.x[data.s == 0]
+        d_cal = np.asarray(policy(x_cal))
+        assert len(built) == 3
+        assert np.array_equal(built[0][0], x_tr) and np.array_equal(built[0][1], x_cal)
+        for (xa, _), arm in zip(built[1:], (-1, 1)):
+            assert np.array_equal(xa, x_cal[d_cal == arm])
+
     @given(st.integers(0, 10_000))
     @settings(max_examples=25, deadline=None)
     def test_contrast_antisymmetry_exact(self, seed):

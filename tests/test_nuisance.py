@@ -24,8 +24,10 @@ from shifteval import (
     simulate_gaussian_shift,
     true_weight_gaussian,
 )
+from shifteval import nuisance
 from shifteval.errors import (
     InfeasibleBalance,
+    KernelTooLarge,
     NoObservedOutcomes,
     RankDeficient,
     Separation,
@@ -279,6 +281,10 @@ class TestKulsif:
         ktr, kcal = kmat[:n1, :], kmat[n1:, :]
         gamma = np.linalg.lstsq(ktr.T @ ktr / n1 + lam * kmat, kcal.T @ np.ones(n0) / n0, rcond=None)[0]
         np.testing.assert_allclose(wm.evaluator.raw(x[:n1]), ktr @ gamma, atol=1e-10)
+        # off the training matrix the weight is a fresh kernel evaluation
+        x_new = np.vstack([rng.standard_normal((7, 2)), x[n1:], x[:n1][::-1]])
+        expected = _kernel_matrix("rbf", h, x_new, x) @ gamma
+        np.testing.assert_allclose(wm.evaluator.raw(x_new), expected, atol=1e-10)
 
     def test_dual_residual_and_optimality(self):
         rng = np.random.default_rng(13)
@@ -321,6 +327,16 @@ class TestKulsif:
         k01 = _kernel_matrix(ev.family, ev.bandwidth, ev.calib_x, ev.train_x)
         expected = k11 @ ev.alpha + k01.sum(axis=0) / (ev.lam * n0)
         np.testing.assert_allclose(ev.raw(x[:n1]), expected, atol=1e-10)
+        # the same identity through the kernel path, on rows that are not the
+        # training matrix: its rows reversed, and one row moved by 1e-3
+        np.testing.assert_allclose(ev.raw(x[:n1][::-1]), expected[::-1], atol=1e-10)
+        moved = x[:n1].copy()
+        moved[0, 0] += 1e-3
+        k1 = _kernel_matrix(ev.family, ev.bandwidth, moved, ev.train_x)
+        k0 = _kernel_matrix(ev.family, ev.bandwidth, moved, ev.calib_x)
+        np.testing.assert_allclose(
+            ev.raw(moved), k1 @ ev.alpha + k0.sum(axis=1) / (ev.lam * n0), atol=1e-10
+        )
 
     def test_negative_truncation_flagged(self):
         rng = np.random.default_rng(23)
@@ -334,6 +350,100 @@ class TestKulsif:
         wm = fit_weights_kulsif(ds, KernelSpec(family="rbf", bandwidth=0.5, ridge=0.01))
         assert (wm(x[:n1]) >= 0.0).all()
         assert wm.info["train_negative_truncated"] == int(np.sum(wm.evaluator.raw(x[:n1]) < 0))
+        assert wm.info["train_negative_truncated"] > 0
+        # the truncation also holds on the kernel path, off the training matrix
+        shuffled = x[:n1][::-1]
+        assert (wm(shuffled) >= 0.0).all()
+        assert int(np.sum(wm.evaluator.raw(shuffled) < 0)) == wm.info["train_negative_truncated"]
+
+
+def _fresh_kernel(family, bandwidth, x, rows):
+    """K(x, rows) at a copy of x: the general product an evaluation at a
+    dataset's own rows takes, never numpy's symmetric x @ x.T update."""
+    return _kernel_matrix(family, bandwidth, x.copy(), rows)
+
+
+class TestFitRowValues:
+    """With the rbf kernel, the dense-kernel fits keep K alpha at their own
+    rows, from the fit's kernel matrix; it must equal a fresh kernel
+    evaluation bit for bit. The linear kernel keeps nothing."""
+
+    @given(
+        n=st.integers(50, 600),
+        p=st.sampled_from([2, 5]),
+        seed=st.integers(0, 2**32 - 1),
+        family=st.sampled_from(["rbf", "linear"]),
+        kind=st.sampled_from([DatasetKind.TYPE1, DatasetKind.TYPE2]),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_stored_values_equal_fresh_evaluation(self, n, p, seed, family, kind):
+        data, _ = simulate_gaussian_shift(make_config(p=p, mu=[0.5] * p, n=n, seed=seed))
+        if kind is DatasetKind.TYPE2:
+            data = data.as_type2()
+        spec = KernelSpec(family=family)
+        ev = fit_weights_kulsif(data, spec).evaluator
+        x1 = data.x[data.s == 1]
+        # the ridge systems factor the transpose of K(x, x), so it must be
+        # symmetric bit for bit
+        k11 = _kernel_matrix(family, ev.bandwidth, ev.train_x, ev.train_x)
+        assert np.array_equal(k11, k11.T)
+        k1_alpha = _fresh_kernel(family, ev.bandwidth, x1, ev.train_x) @ ev.alpha
+        k0 = _fresh_kernel(family, ev.bandwidth, x1, ev.calib_x)
+        fresh = k1_alpha + k0.sum(axis=1) / (ev.lam * ev.calib_x.shape[0])
+        if family == "rbf":
+            assert np.array_equal(ev.train_k_alpha, k1_alpha)
+        else:
+            assert ev.train_k_alpha is None
+        assert np.array_equal(ev.raw(x1), fresh)
+
+        q = fit_outcome_regression(data, method="kernel_ridge", spec=spec).evaluator
+        obs = data.observed
+        x, a = data.x[obs], data.a[obs]
+        expected = np.empty(x.shape[0])
+        for arm in (-1, 1):
+            xa, alpha, fitted = q.anchors[arm]
+            at_rows = _fresh_kernel(family, q.bandwidth, xa, xa) @ alpha
+            if family == "rbf":
+                assert np.array_equal(fitted, at_rows)
+            else:
+                assert fitted is None
+            expected[a == arm] = at_rows
+        assert np.array_equal(q(x, a), expected)
+
+
+class TestKernelMemoryGuard:
+    """A dense-kernel fit whose matrices would exceed the physical-memory
+    cap raises KernelTooLarge before it builds any kernel matrix."""
+
+    @pytest.fixture
+    def no_kernels(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a kernel matrix was built")
+
+        monkeypatch.setattr(nuisance, "_kernel_matrix", refuse)
+
+    def test_kulsif_refused_before_any_kernel(self, monkeypatch, no_kernels):
+        data, _ = simulate_gaussian_shift(make_config(n=200, seed=3))
+        n1, n0 = data.n1, data.n0
+        # K(x0, x1), freed before K11 and the system's copy
+        monkeypatch.setattr(nuisance, "_MEMORY_CAP", 8 * max(n0 * n1, 2 * n1**2) - 1)
+        with pytest.raises(KernelTooLarge, match="KuLSIF"):
+            fit_weights_kulsif(data, KernelSpec())
+
+    def test_kernel_ridge_refused_before_any_kernel(self, monkeypatch, no_kernels):
+        data, _ = simulate_gaussian_shift(make_config(n=200, seed=3))
+        largest = max(np.sum(data.a == -1), np.sum(data.a == 1))
+        monkeypatch.setattr(nuisance, "_MEMORY_CAP", 8 * 2 * int(largest) ** 2 - 1)
+        with pytest.raises(KernelTooLarge, match="kernel ridge"):
+            fit_outcome_regression(data, method="kernel_ridge", spec=KernelSpec())
+
+    def test_fits_at_the_predicted_peak(self, monkeypatch):
+        data, _ = simulate_gaussian_shift(make_config(n=200, seed=3))
+        n1, n0 = data.n1, data.n0
+        largest = int(max(np.sum(data.a == -1), np.sum(data.a == 1)))
+        monkeypatch.setattr(nuisance, "_MEMORY_CAP", 8 * max(n0 * n1, 2 * n1**2, 2 * largest**2))
+        fit_weights_kulsif(data, KernelSpec())
+        fit_outcome_regression(data, method="kernel_ridge", spec=KernelSpec())
 
 
 class TestEntropyBalancing:
