@@ -30,9 +30,7 @@ from .data_model import (
     read_dataset_csv,
     simulate_gaussian_shift,
     split_cross_fit_folds,
-    true_log_odds_gaussian,
     true_weight_gaussian,
-    validate_dataset,
     write_dataset_csv,
 )
 from .estimators import (
@@ -58,14 +56,11 @@ from .montecarlo import (
     true_policy_values,
 )
 from .nuisance import (
-    InstrumentSet,
     KernelSpec,
     NuisanceSet,
     OutcomeModel,
     PropensityModel,
     WeightModel,
-    check_balance,
-    check_positivity,
     fit_outcome_regression,
     fit_propensity_logistic,
     fit_weights_aipsw,
@@ -94,9 +89,7 @@ __all__ = [
     "read_dataset_csv",
     "simulate_gaussian_shift",
     "split_cross_fit_folds",
-    "true_log_odds_gaussian",
     "true_weight_gaussian",
-    "validate_dataset",
     "write_dataset_csv",
     "Estimand",
     "EstimateReport",
@@ -116,14 +109,11 @@ __all__ = [
     "compare_to_bound",
     "run_replications",
     "true_policy_values",
-    "InstrumentSet",
     "KernelSpec",
     "NuisanceSet",
     "OutcomeModel",
     "PropensityModel",
     "WeightModel",
-    "check_balance",
-    "check_positivity",
     "fit_outcome_regression",
     "fit_propensity_logistic",
     "fit_weights_aipsw",

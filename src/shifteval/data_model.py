@@ -1,9 +1,11 @@
-"""Domain types, dataset validation, fold splitting, and the Gaussian-shift simulator.
+"""Domain types, dataset validation (``PooledDataset.from_arrays``), JSON config
+values, fold splitting, CSV interchange and the Gaussian-shift simulator.
 
 A pooled dataset mixes rows from a training population (s = 1) and a
 calibration/testing population (s = 0). Treatments a take values in {+1, -1}
 and may be missing together with the outcome y on calibration rows, depending
-on the dataset kind.
+on the dataset kind. ``PooledDataset.rows`` is the ``Observation`` view that
+the scalar EIF reference reads.
 
 All randomness flows through ``numpy.random.Generator`` seeded with PCG64
 (``numpy.random.default_rng``), so every simulation is bitwise reproducible
@@ -15,7 +17,7 @@ from __future__ import annotations
 import csv
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from numpy.typing import NDArray
@@ -24,7 +26,6 @@ from .errors import (
     DimensionMismatch,
     EmptyStratum,
     InvalidConfig,
-    InvalidRho,
     MissingnessMismatch,
     NonFiniteValue,
     StratumTooSmall,
@@ -40,10 +41,8 @@ __all__ = [
     "constant_policy",
     "SimulationConfig",
     "FoldAssignment",
-    "validate_dataset",
     "simulate_gaussian_shift",
     "true_weight_gaussian",
-    "true_log_odds_gaussian",
     "split_cross_fit_folds",
     "read_dataset_csv",
     "write_dataset_csv",
@@ -198,33 +197,6 @@ class PooledDataset:
         a[calib] = np.nan
         y[calib] = np.nan
         return PooledDataset(x=self.x, a=a, y=y, s=self.s, kind=DatasetKind.TYPE2)
-
-
-def validate_dataset(rows: Sequence[Observation], kind: DatasetKind) -> PooledDataset:
-    """Build a validated :class:`PooledDataset` from row objects.
-
-    Raises
-    ------
-    EmptyStratum
-        If either stratum is empty.
-    MissingnessMismatch
-        If the (a, y) missingness pattern contradicts ``kind``.
-    DimensionMismatch
-        If covariate vectors disagree in length.
-    """
-    if len(rows) == 0:
-        raise EmptyStratum("dataset has no rows")
-    p = rows[0].x.shape[0]
-    for r in rows:
-        if r.x.shape[0] != p:
-            raise DimensionMismatch(
-                f"covariate dimension differs across rows: {r.x.shape[0]} vs {p}"
-            )
-    x = np.stack([r.x for r in rows])
-    a = np.array([np.nan if r.a is None else float(r.a) for r in rows])
-    y = np.array([np.nan if r.y is None else float(r.y) for r in rows])
-    s = np.array([r.s for r in rows])
-    return PooledDataset.from_arrays(x, a, y, s, kind)
 
 
 # ---------------------------------------------------------------------------
@@ -468,25 +440,6 @@ def true_weight_gaussian(x: NDArray, mu: NDArray) -> NDArray:
         )
     w = np.exp(0.5 * float(mu @ mu) - xm @ mu)
     return float(w[0]) if single else w
-
-
-def true_log_odds_gaussian(x: NDArray, mu: NDArray, rho_s: float) -> NDArray:
-    """Log-odds of s = 1 given x under the Gaussian-shift design.
-
-    Equals log(rho_s / (1 - rho_s)) - ||mu||^2 / 2 + mu . x, the affine
-    function a correctly specified logistic selection model recovers.
-    """
-    if not 0.0 < rho_s < 1.0:
-        raise InvalidRho(f"rho_s must lie in (0, 1), got {rho_s}")
-    mu = np.asarray(mu, dtype=float).ravel()
-    single = np.asarray(x).ndim == 1
-    xm = _as_matrix(x)
-    if xm.shape[1] != mu.shape[0]:
-        raise DimensionMismatch(
-            f"x has dimension {xm.shape[1]} but mu has dimension {mu.shape[0]}"
-        )
-    out = np.log(rho_s / (1.0 - rho_s)) - 0.5 * float(mu @ mu) + xm @ mu
-    return float(out[0]) if single else out
 
 
 def simulate_gaussian_shift(config: SimulationConfig):

@@ -30,10 +30,6 @@ class InvalidConfig(ShiftEvalError):
     pass
 
 
-class InvalidRho(ShiftEvalError):
-    pass
-
-
 class StratumTooSmall(ShiftEvalError):
     pass
 

@@ -49,7 +49,6 @@ from .errors import (
     ShiftEvalError,
 )
 from .nuisance import (
-    InstrumentSet,
     KernelSpec,
     NuisanceSet,
     fit_outcome_regression,
@@ -375,7 +374,10 @@ def _finish_report(
     """Report with se = sample standard deviation of the per-row ``terms``
     divided by the square root of their count."""
     m = terms.shape[0]
-    se = float(np.std(terms, ddof=1) / np.sqrt(m)) if m > 1 else 0.0
+    with np.errstate(over="ignore"):  # an overflow is refused below
+        se = float(np.std(terms, ddof=1) / np.sqrt(m)) if m > 1 else 0.0
+    if not np.isfinite(se):
+        raise NonFiniteValue("standard error is not finite: the per-row terms overflow")
     return EstimateReport(
         estimate=estimate,
         se=se,
@@ -582,7 +584,7 @@ def assemble_nuisances(data: PooledDataset, recipe: FitRecipe) -> NuisanceSet:
     elif recipe.weights == "kulsif":
         weight = fit_weights_kulsif(data, kernel)
     else:
-        weight = fit_weights_entropy_balancing(data, InstrumentSet.default(data.p))
+        weight = fit_weights_entropy_balancing(data)
 
     if recipe.propensity == "oracle":
         propensity = recipe.oracle.propensity

@@ -8,8 +8,8 @@ calibration-to-training covariates at arbitrary points:
   converted to weights via the selection odds;
 * ``kulsif`` -- kernel-based unconstrained least-squares importance fitting,
   solved in closed form through its ridge-regularized dual;
-* ``eb``     -- entropy balancing: minimum Kullback-Leibler weights subject to
-  exact moment constraints, solved by damped Newton on the dual.
+* ``eb``     -- entropy balancing: minimum Kullback-Leibler weights that
+  balance the moments [1, x] exactly, solved by damped Newton on the dual.
 
 Training-row weights are the weight function evaluated at the training
 rows. With the rbf kernel, the dense-kernel fits (KuLSIF weights, kernel
@@ -19,8 +19,9 @@ kernel evaluation, when evaluated at exactly those rows. The logistic
 propensity is one model with a per-stratum fit for every stratum that has
 observed (a, y). Dense kernel systems are solved by Cholesky, and every
 solve warns when the 1-norm condition estimate from the Cholesky factor
-exceeds 1e12, at any size. A dense-kernel fit whose matrices would exceed physical memory
-raises ``KernelTooLarge`` before it allocates any of them.
+exceeds 1e12, at any size. A dense-kernel fit whose matrices would exceed the
+least of physical memory, the cgroup memory limit and ``RLIMIT_AS`` raises
+``KernelTooLarge`` before it allocates any of them.
 The dense-kernel and entropy-balancing solvers load ``scipy.linalg`` and
 ``scipy.spatial`` on first use, so a process that fits neither never does.
 
@@ -62,10 +63,6 @@ __all__ = [
     "TAU_CLIP",
     "DELTA_CLIP",
     "KernelSpec",
-    "InstrumentSet",
-    "ConstantInstrument",
-    "CoordinateInstrument",
-    "FunctionInstrument",
     "PropensityModel",
     "OutcomeModel",
     "WeightModel",
@@ -75,9 +72,6 @@ __all__ = [
     "fit_weights_aipsw",
     "fit_weights_kulsif",
     "fit_weights_entropy_balancing",
-    "check_balance",
-    "check_positivity",
-    "PositivityReport",
     "gaussian_oracle_nuisances",
 ]
 
@@ -90,11 +84,56 @@ _NEWTON_MAX_ITER = 50  # logistic Newton iterations
 _NEWTON_TOL = 1e-10  # logistic stop: max |gradient| / n
 _EB_MAX_ITER = 100  # entropy-balancing Newton iterations
 _EB_GRAD_TOL = 1e-10  # entropy-balancing stop: max |dual gradient|
-_N_WORST = 5  # rows listed per positivity check
-try:  # bytes of physical memory, the most the dense kernel matrices may take
-    _MEMORY_CAP = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-except (AttributeError, ValueError, OSError):  # no sysconf: no cap
-    _MEMORY_CAP = float("inf")
+
+
+def _physical_memory() -> float:
+    try:
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):  # no sysconf: no cap
+        return float("inf")
+
+
+def _cgroup_memory_limit(proc: str = "/proc/self/cgroup", root: str = "/sys/fs/cgroup") -> float:
+    """The least v2 ``memory.max`` or v1 ``memory.limit_in_bytes`` set on this
+    process's cgroup or an ancestor; ``max`` or an unreadable file sets none."""
+    limits = [float("inf")]
+    try:
+        with open(proc) as f:
+            lines = f.read().splitlines()
+    except OSError:
+        lines = []
+    for line in lines:
+        controllers, _, path = line.partition(":")[2].partition(":")
+        if controllers == "":
+            base, name = root, "memory.max"
+        elif "memory" in controllers.split(","):
+            base, name = os.path.join(root, "memory"), "memory.limit_in_bytes"
+        else:
+            continue
+        parts = [part for part in path.split("/") if part]
+        for depth in range(len(parts) + 1):
+            try:
+                with open(os.path.join(base, *parts[:depth], name)) as f:
+                    limits.append(int(f.read()))
+            except (OSError, ValueError):  # unreadable, or "max"
+                pass
+    return min(limits)
+
+
+def _address_space_limit() -> float:
+    """The soft ``RLIMIT_AS``, inf when unlimited or not available."""
+    try:
+        import resource
+    except ImportError:
+        return float("inf")
+    soft = resource.getrlimit(resource.RLIMIT_AS)[0]
+    return float("inf") if soft == resource.RLIM_INFINITY else soft
+
+
+def _memory_cap() -> float:
+    """Bytes the dense kernel matrices may take: the least of physical memory,
+    the cgroup memory limit and RLIMIT_AS, read (never set) at each call."""
+    return min(_physical_memory(), _cgroup_memory_limit(), _address_space_limit())
 
 
 # ---------------------------------------------------------------------------
@@ -136,12 +175,12 @@ def _kernel_matrix(family: str, bandwidth: float | None, xa: NDArray, xb: NDArra
 
 def _check_kernel_memory(n_floats: int, context: str) -> None:
     """Raise KernelTooLarge when ``n_floats`` float64 values, the most a
-    dense-kernel fit holds at once, exceed physical memory."""
-    need = 8 * n_floats
-    if need > _MEMORY_CAP:
+    dense-kernel fit holds at once, exceed ``_memory_cap()``."""
+    need, cap = 8 * n_floats, _memory_cap()
+    if need > cap:
         raise KernelTooLarge(
-            f"{context} needs {need / 2**30:.1f} GiB of dense kernel matrices, "
-            f"more than the {_MEMORY_CAP / 2**30:.1f} GiB of physical memory"
+            f"{context} needs {need / 2**30:.1f} GiB of dense kernel matrices, more than the "
+            f"{cap / 2**30:.1f} GiB cap (least of physical memory, cgroup limit, RLIMIT_AS)"
         )
 
 
@@ -630,109 +669,36 @@ def fit_weights_kulsif(data: PooledDataset, spec: KernelSpec) -> WeightModel:
 
 
 # ---------------------------------------------------------------------------
-# Instruments and entropy balancing
+# Entropy balancing
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ConstantInstrument:
-    name: str = "const"
-
-    def __call__(self, x: NDArray) -> NDArray:
-        return np.ones(x.shape[0])
-
-
-@dataclass(frozen=True)
-class CoordinateInstrument:
-    index: int
-
-    @property
-    def name(self) -> str:
-        return f"x_{self.index + 1}"
-
-    def __call__(self, x: NDArray) -> NDArray:
-        return x[:, self.index]
-
-
-@dataclass(frozen=True, eq=False)
-class FunctionInstrument:
-    fn: Callable[[NDArray], NDArray]
-    name: str
-
-    def __call__(self, x: NDArray) -> NDArray:
-        return np.asarray(self.fn(x), dtype=float)
-
-
-@dataclass(frozen=True, eq=False)
-class InstrumentSet:
-    """Deterministic covariate functions used as balancing conditions.
-
-    When ``includes_constant`` is true the first function must be the
-    constant 1 (its balance condition is enforced by weight normalization).
-    """
-
-    functions: tuple
-    includes_constant: bool
-
-    def __post_init__(self):
-        if len(self.functions) < 1:
-            raise InvalidConfig("instrument set must contain at least one function")
-
-    @property
-    def names(self) -> list[str]:
-        return [getattr(f, "name", f"g_{j}") for j, f in enumerate(self.functions)]
-
-    def evaluate(self, x: NDArray) -> NDArray:
-        x = _as_matrix(x)
-        return np.column_stack([f(x) for f in self.functions])
-
-    @staticmethod
-    def default(p: int) -> "InstrumentSet":
-        """Constant plus the raw coordinates."""
-        fns = (ConstantInstrument(),) + tuple(CoordinateInstrument(j) for j in range(p))
-        return InstrumentSet(functions=fns, includes_constant=True)
 
 
 @dataclass(frozen=True, eq=False)
 class EntropyBalanceWeightFn:
-    """w(x) = n1 * exp(lambda . g(x)) / sum_train exp(lambda . g(X_j))."""
+    """w(x) = n1 * exp(lambda . x) / sum_train exp(lambda . X_j)."""
 
-    instruments: InstrumentSet
-    lam: NDArray  # coefficients for the non-constant instruments
+    lam: NDArray  # coefficients of the coordinates
     log_denom: float
     n1: int
 
     def __call__(self, x: NDArray) -> NDArray:
-        g = self.instruments.evaluate(x)
-        if self.instruments.includes_constant:
-            g = g[:, 1:]
-        return self.n1 * np.exp(g @ self.lam - self.log_denom)
+        return self.n1 * np.exp(x @ self.lam - self.log_denom)
 
 
-def fit_weights_entropy_balancing(data: PooledDataset, instruments: InstrumentSet) -> WeightModel:
-    """Entropy-balancing weights via damped Newton on the strictly convex dual.
+def fit_weights_entropy_balancing(data: PooledDataset) -> WeightModel:
+    """Entropy-balancing weights on [1, x] (Hainmueller 2012) by damped Newton
+    on the strictly convex dual.
 
-    The returned training-row weights W_i are strictly positive, sum to one,
-    and satisfy every balancing condition to within 1e-8. The weight model
-    evaluates the n1-rescaled exponential-tilt form at arbitrary covariates.
+    The training-row weights W_i are strictly positive, sum to one, and
+    balance x to within 1e-8. The weight model evaluates the n1-rescaled
+    exponential-tilt form at arbitrary covariates.
     """
     x1 = data.x[data.s == 1]
     x0 = data.x[data.s == 0]
-    n1 = x1.shape[0]
-    g1_full = instruments.evaluate(x1)
-    g0bar_full = instruments.evaluate(x0).mean(axis=0)
-    names = instruments.names
-
-    if instruments.includes_constant:
-        if not np.allclose(g1_full[:, 0], 1.0) or not np.isclose(g0bar_full[0], 1.0):
-            raise InvalidConfig(
-                "includes_constant requires the first instrument to be identically 1"
-            )
-        g1, g0bar = g1_full[:, 1:], g0bar_full[1:]
-        free_names = names[1:]
-    else:
-        g1, g0bar = g1_full, g0bar_full
-        free_names = names
+    g1_full = np.column_stack([np.ones(data.n1), x1])
+    g0bar_full = np.column_stack([np.ones(x0.shape[0]), x0]).mean(axis=0)
+    names = ["const"] + [f"x_{j + 1}" for j in range(data.p)]
+    g1, g0bar = g1_full[:, 1:], g0bar_full[1:]
 
     # the calibration moment must lie inside the per-coordinate training range
     lo, hi = g1.min(axis=0), g1.max(axis=0)
@@ -740,15 +706,14 @@ def fit_weights_entropy_balancing(data: PooledDataset, instruments: InstrumentSe
     if outside.any():
         j = int(np.argmax(outside))
         raise InfeasibleBalance(
-            f"calibration moment for instrument {free_names[j]!r} "
+            f"calibration moment for instrument {names[j + 1]!r} "
             f"({g0bar[j]:.6g}) lies outside the training range [{lo[j]:.6g}, {hi[j]:.6g}]",
-            coordinate=free_names[j],
+            coordinate=names[j + 1],
         )
 
     from scipy.linalg import cho_factor, cho_solve
 
-    m = g1.shape[1]
-    lam = np.zeros(m)
+    lam = np.zeros(data.p)
     converged = False
     it = 0
 
@@ -804,15 +769,10 @@ def fit_weights_entropy_balancing(data: PooledDataset, instruments: InstrumentSe
             coordinate=names[j],
         )
 
-    if instruments.includes_constant:
-        tilt = np.concatenate([[np.log(n1) - log_denom], lam])
-    else:
-        tilt = lam.copy()
+    tilt = np.concatenate([[np.log(data.n1) - log_denom], lam])
     return WeightModel(
         backend="eb",
-        evaluator=EntropyBalanceWeightFn(
-            instruments=instruments, lam=lam, log_denom=log_denom, n1=n1
-        ),
+        evaluator=EntropyBalanceWeightFn(lam=lam, log_denom=log_denom, n1=data.n1),
         info={
             "lambda": lam.tolist(),
             "tilt": tilt.tolist(),
@@ -821,87 +781,6 @@ def fit_weights_entropy_balancing(data: PooledDataset, instruments: InstrumentSe
             "max_balance_residual": float(np.max(np.abs(residual_full))),
             "instrument_names": names,
         },
-    )
-
-
-# ---------------------------------------------------------------------------
-# Diagnostics
-# ---------------------------------------------------------------------------
-
-
-def check_balance(
-    weights: WeightModel, data: PooledDataset, instruments: InstrumentSet
-) -> NDArray:
-    """Balancing residuals r_j = sum_train W_i g_j(X_i) - mean_calib g_j(X_i).
-
-    Uses W_i = w(X_i) / n1; for entropy balancing this reproduces the fitted
-    normalized weights.
-    """
-    x1 = data.x[data.s == 1]
-    x0 = data.x[data.s == 0]
-    w = np.asarray(weights(x1), dtype=float) / x1.shape[0]
-    g1 = instruments.evaluate(x1)
-    g0bar = instruments.evaluate(x0).mean(axis=0)
-    return g1.T @ w - g0bar
-
-
-@dataclass(frozen=True, eq=False)
-class PositivityReport:
-    tau: float
-    delta: float
-    n_rows: int
-    n_flagged_propensity: int
-    n_flagged_selection: int
-    worst_propensity: list  # (row index, min arm probability)
-    worst_selection: list  # (row index, min stratum probability)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "tau": self.tau,
-            "delta": self.delta,
-            "n_rows": self.n_rows,
-            "n_flagged_propensity": self.n_flagged_propensity,
-            "n_flagged_selection": self.n_flagged_selection,
-            "worst_propensity": [[int(i), float(v)] for i, v in self.worst_propensity],
-            "worst_selection": [[int(i), float(v)] for i, v in self.worst_selection],
-        }
-
-
-def check_positivity(
-    nuisances: NuisanceSet,
-    data: PooledDataset,
-    tau: float = 0.05,
-    delta: float = 0.05,
-) -> PositivityReport:
-    """Flag rows whose fitted propensities or implied selection probabilities
-    fall below the positivity thresholds. Diagnostic only; never raises.
-
-    Propensities are scored only on rows with observed (a, y), since a
-    Type-2 fit has no calibration-stratum model; reported row indices are
-    positions in ``data``.
-    """
-    obs_rows = np.flatnonzero(data.observed)
-    p1 = nuisances.propensity.prob(1, data.x[obs_rows], data.s[obs_rows])
-    min_arm = np.minimum(p1, 1.0 - p1)
-    flagged_prop = min_arm < tau
-
-    w = np.asarray(nuisances.weight(data.x), dtype=float)
-    rho = nuisances.rho_hat
-    odds0 = w * (1.0 - rho) / rho  # pi_S(0|x) / pi_S(1|x)
-    pi_s1 = 1.0 / (1.0 + odds0)
-    min_stratum = np.minimum(pi_s1, 1.0 - pi_s1)
-    flagged_sel = min_stratum < delta
-
-    order_prop = np.argsort(min_arm)[:_N_WORST]
-    order_sel = np.argsort(min_stratum)[:_N_WORST]
-    return PositivityReport(
-        tau=tau,
-        delta=delta,
-        n_rows=data.n,
-        n_flagged_propensity=int(flagged_prop.sum()),
-        n_flagged_selection=int(flagged_sel.sum()),
-        worst_propensity=[(int(obs_rows[i]), float(min_arm[i])) for i in order_prop],
-        worst_selection=[(int(i), float(min_stratum[i])) for i in order_sel],
     )
 
 

@@ -16,7 +16,6 @@ from shifteval import (
     Estimand,
     EifVariant,
     FunctionPolicy,
-    InstrumentSet,
     KernelSpec,
     LinearPolicy,
     PooledDataset,
@@ -295,7 +294,7 @@ def test_criterion_5_weight_backends():
     worst_balance = 0.0
     for r in range(20):
         data, _ = simulate_gaussian_shift(make_config(n=20_000, seed=300 + r))
-        wm = fit_weights_entropy_balancing(data, InstrumentSet.default(2))
+        wm = fit_weights_entropy_balancing(data)
         worst_balance = max(worst_balance, wm.info["max_balance_residual"])
         tilts.append(wm.info["tilt"])
     tilts = np.array(tilts)

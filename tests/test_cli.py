@@ -1,11 +1,17 @@
+import contextlib
+import copy
+import io
 import json
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shifteval import (
     Estimand,
@@ -486,7 +492,7 @@ class TestErrorsAndExitCodes:
             "dataset": str(sim_out / "dataset.csv"), "policy": POLICY,
             "weights": weights, "propensity": "logistic", "outcome": outcome,
         })
-        monkeypatch.setattr(nuisance, "_MEMORY_CAP", 10**5)
+        monkeypatch.setattr(nuisance, "_memory_cap", lambda: 10**5)
         capsys.readouterr()
         code = main(["estimate", "--config", config, "--out", str(tmp_path / "out")])
         assert code == 1
@@ -598,3 +604,98 @@ class TestErrorsAndExitCodes:
             [sys.executable, "-m", "shifteval.cli", "nope"], capture_output=True, text=True
         )
         assert proc2.returncode == 2
+
+
+# values put in place of a config field; size fields draw from SIZE_VALUES
+# instead, so that no mutated run is large or starts worker processes
+FUZZ_VALUES = [
+    0, 1, -1, 2, 3, 1.5, 1e-300, -1e-300, 1e300, -50, 50, 800, 2**70,
+    float("nan"), float("inf"), "x", True, None, [], {},
+    "eb", "kulsif", "oracle", "kernel_ridge", "linear", "theta1", "type1", "ipw",
+]
+SIZE_VALUES = {
+    "n": [-1, 0, 1, 2, 10, 60, 300, 300.5, True, "x", None],
+    "replications": [-1, 0, 1, 2, 3, 2.5, True, "x", None],
+    "n_jobs": [1, 0, -1, 1.5, True, "x", None],
+    "truth_draws": [-1, 0, 999, 1000, 5000, 20_000, 1.5, True, "x", None],
+    "crossfit_k": [-1, 0, 1, 2, 3, 5, 2.5, True, "x", None],
+}
+SIZE_VALUES["variance_draws"] = SIZE_VALUES["truth_draws"]
+SIZE_VALUES["crossfit"] = SIZE_VALUES["crossfit_k"]
+# key paths mutated in each subcommand's config
+FUZZ_PATHS = {
+    "simulate": [("p",), ("mu",), ("rho_s",), ("n",), ("outcome_coeffs",), ("noise_sd",),
+                 ("propensity",), ("seed",)],
+    "estimate": [("dataset",), ("estimand",), ("kind",), ("policy",), ("policy", "intercept"),
+                 ("policy", "coeffs"), ("weights",), ("propensity",), ("outcome",), ("truth",),
+                 ("crossfit",), ("level",), ("seed",), ("kernel",)],
+    "calibrate": [("dataset",), ("candidates",), ("method",), ("weights",), ("propensity",),
+                  ("outcome",), ("truth",), ("ipw_propensity_stratum",), ("kernel",)],
+    "montecarlo": [("base",), ("base", "p"), ("base", "mu"), ("base", "rho_s"), ("base", "n"),
+                   ("base", "noise_sd"), ("base", "propensity"), ("base", "seed"),
+                   ("replications",), ("policy",), ("policy", "intercept"), ("estimators",),
+                   ("estimators", 0, "weights"), ("estimators", 1, "kind"),
+                   ("estimators", 1, "crossfit"), ("crossfit_k",), ("n_jobs",),
+                   ("truth_draws",), ("variance_draws",), ("level",)],
+}
+
+
+@st.composite
+def mutated_configs(draw):
+    command = draw(st.sampled_from(sorted(FUZZ_PATHS)))
+    paths = draw(st.lists(st.sampled_from(FUZZ_PATHS[command]), min_size=1, max_size=2, unique=True))
+    return command, [(path, draw(st.sampled_from(SIZE_VALUES.get(path[-1], FUZZ_VALUES))))
+                     for path in paths]
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    sim_out = simulate_to(root)
+    return {
+        "simulate": sim_config_dict(n=200, seed=1),
+        "estimate": {
+            "dataset": str(sim_out / "dataset.csv"), "truth": str(sim_out / "truth.json"),
+            "policy": POLICY, "weights": "aipsw", "propensity": "logistic",
+            "outcome": "linear", "crossfit": 0,
+        },
+        "calibrate": {
+            "dataset": str(sim_out / "dataset.csv"), "truth": str(sim_out / "truth.json"),
+            "candidates": str(FIXTURES / "candidates.json"), "method": "ipw",
+            "weights": "aipsw", "propensity": "logistic", "outcome": "linear",
+        },
+        "montecarlo": {
+            "base": sim_config_dict(n=200, seed=13), "replications": 2, "policy": POLICY,
+            "estimators": [
+                {"name": "theta_t2", "estimand": "theta", "kind": "type2"},
+                {"name": "cf", "weights": "aipsw", "propensity": "logistic",
+                 "outcome": "linear", "crossfit": True},
+            ],
+            "crossfit_k": 2, "n_jobs": 1, "truth_draws": 1000, "variance_draws": 1000,
+        },
+    }
+
+
+@given(case=mutated_configs())
+@settings(max_examples=40, deadline=None)
+def test_mutated_config_exits_cleanly(fuzz_inputs, case):
+    """A config with one or two fields replaced exits 0, or 1 with the
+    structured error line; no mutation raises a traceback."""
+    command, mutations = case
+    config = copy.deepcopy(fuzz_inputs[command])
+    for path, value in mutations:
+        # a path through a value the other mutation replaced is skipped
+        with contextlib.suppress(KeyError, IndexError, TypeError):
+            target = config
+            for key in path[:-1]:
+                target = target[key]
+            target[path[-1]] = copy.deepcopy(value)
+    with tempfile.TemporaryDirectory() as tmp:
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([command, "--config", write_json(Path(tmp) / "config.json", config),
+                         "--out", str(Path(tmp) / "out")])
+    assert code in (0, 1)
+    if code == 1:
+        assert set(json.loads(err.getvalue().splitlines()[-1])) == {"error", "message"}
+

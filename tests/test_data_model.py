@@ -16,16 +16,13 @@ from shifteval import (
     read_dataset_csv,
     simulate_gaussian_shift,
     split_cross_fit_folds,
-    true_log_odds_gaussian,
     true_weight_gaussian,
-    validate_dataset,
     write_dataset_csv,
 )
 from shifteval.errors import (
     DimensionMismatch,
     EmptyStratum,
     InvalidConfig,
-    InvalidRho,
     MissingnessMismatch,
     NonFiniteValue,
     StratumTooSmall,
@@ -34,41 +31,37 @@ from shifteval.errors import (
 from conftest import make_config
 
 
-def obs(x, a, y, s):
-    return Observation(x=np.atleast_1d(np.asarray(x, dtype=float)), a=a, y=y, s=s)
+def from_rows(x, a, y, s, kind):
+    """A dataset from per-row values; None marks a missing (a, y)."""
+    a, y = ([np.nan if v is None else v for v in column] for column in (a, y))
+    return PooledDataset.from_arrays(np.reshape(x, (len(s), -1)), a, y, s, kind)
 
 
-class TestValidateDataset:
+class TestFromArrays:
     def test_minimal_type1(self):
-        rows = [obs(0.0, 1, 1.0, 1), obs(1.0, -1, 0.0, 1), obs(2.0, 1, 2.0, 0), obs(3.0, -1, 1.0, 0)]
-        ds = validate_dataset(rows, DatasetKind.TYPE1)
+        ds = from_rows([0.0, 1.0, 2.0, 3.0], [1, -1, 1, -1], [1.0, 0.0, 2.0, 1.0], [1, 1, 0, 0], DatasetKind.TYPE1)
         assert (ds.n1, ds.n0) == (2, 2)
         assert ds.kind is DatasetKind.TYPE1
 
     def test_minimal_type2(self):
-        rows = [obs(0.0, 1, 1.0, 1), obs(1.0, None, None, 0)]
-        ds = validate_dataset(rows, DatasetKind.TYPE2)
+        ds = from_rows([0.0, 1.0], [1, None], [1.0, None], [1, 0], DatasetKind.TYPE2)
         assert (ds.n1, ds.n0) == (1, 1)
 
     def test_empty_stratum(self):
-        rows = [obs(0.0, 1, 1.0, 1), obs(1.0, -1, 0.0, 1)]
         with pytest.raises(EmptyStratum):
-            validate_dataset(rows, DatasetKind.TYPE1)
+            from_rows([0.0, 1.0], [1, -1], [1.0, 0.0], [1, 1], DatasetKind.TYPE1)
 
     def test_type2_with_observed_calibration_rejected(self):
-        rows = [obs(0.0, 1, 1.0, 1), obs(1.0, 1, 1.0, 0)]
         with pytest.raises(MissingnessMismatch):
-            validate_dataset(rows, DatasetKind.TYPE2)
+            from_rows([0.0, 1.0], [1, 1], [1.0, 1.0], [1, 0], DatasetKind.TYPE2)
 
     def test_type1_with_missing_calibration_rejected(self):
-        rows = [obs(0.0, 1, 1.0, 1), obs(1.0, None, None, 0)]
         with pytest.raises(MissingnessMismatch):
-            validate_dataset(rows, DatasetKind.TYPE1)
+            from_rows([0.0, 1.0], [1, None], [1.0, None], [1, 0], DatasetKind.TYPE1)
 
     def test_dimension_mismatch(self):
-        rows = [obs([0.0, 1.0], 1, 1.0, 1), obs(1.0, None, None, 0)]
         with pytest.raises(DimensionMismatch):
-            validate_dataset(rows, DatasetKind.TYPE2)
+            PooledDataset.from_arrays(np.zeros((2, 1)), [1.0], [1.0, np.nan], [1, 0], DatasetKind.TYPE2)
 
     def test_observation_invariants(self):
         with pytest.raises(MissingnessMismatch):
@@ -80,11 +73,15 @@ class TestValidateDataset:
 
     def test_rows_round_trip(self):
         data, _ = simulate_gaussian_shift(make_config(n=30, seed=4))
-        again = validate_dataset(data.rows, data.kind)
-        np.testing.assert_array_equal(again.x, data.x)
-        np.testing.assert_array_equal(again.s, data.s)
-        np.testing.assert_array_equal(again.a, data.a)
-        np.testing.assert_array_equal(again.y, data.y)
+        rows = data.as_type2().rows
+        assert len(rows) == data.n
+        for i, row in enumerate(rows):
+            np.testing.assert_array_equal(row.x, data.x[i])
+            assert row.s == data.s[i]
+            if data.s[i] == 1:
+                assert (row.a, row.y) == (data.a[i], data.y[i])
+            else:
+                assert row.a is None and row.y is None
 
 
 class TestDerivedDatasets:
@@ -135,38 +132,6 @@ class TestTrueWeight:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             true_weight_gaussian(np.zeros(3), np.zeros(2))
-
-
-class TestTrueLogOdds:
-    def test_symmetric(self):
-        x = np.array([[0.3, -2.0], [1.0, 1.0]])
-        np.testing.assert_allclose(true_log_odds_gaussian(x, np.zeros(2), 0.5), 0.0)
-
-    def test_cancelling(self):
-        assert true_log_odds_gaussian(np.array([0.5, 0.0]), np.array([1.0, 0.0]), 0.5) == pytest.approx(0.0, abs=1e-15)
-
-    def test_closed_form(self):
-        v = true_log_odds_gaussian(np.array([0.0, 0.0]), np.array([1.0, 0.0]), 0.75)
-        assert v == pytest.approx(np.log(3.0) - 0.5, abs=1e-12)
-
-    def test_invalid_rho(self):
-        with pytest.raises(InvalidRho):
-            true_log_odds_gaussian(np.zeros(2), np.zeros(2), 1.5)
-
-    @given(
-        st.integers(1, 4),
-        st.floats(0.05, 0.95),
-        st.integers(0, 10_000),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_consistency_with_weight(self, p, rho, seed):
-        rng = np.random.default_rng(seed)
-        x = rng.normal(size=(6, p))
-        mu = rng.normal(scale=0.8, size=p)
-        log_odds = true_log_odds_gaussian(x, mu, rho)
-        w = true_weight_gaussian(x, mu)
-        recon = (rho / (1 - rho)) * np.exp(-log_odds)
-        np.testing.assert_allclose(w, recon, rtol=1e-12, atol=1e-12)
 
 
 class TestSimulate:

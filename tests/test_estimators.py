@@ -147,6 +147,14 @@ class TestEstimateEfficient:
             cross_fit_estimate(data, split_cross_fit_folds(data, 2, seed=0), recipe, policy,
                                Estimand.VALUE)
 
+    def test_overflowing_standard_error_raises_named_error(self, policy):
+        # finite per-row terms near 1e300 whose squares overflow
+        from shifteval.errors import NonFiniteValue
+
+        data, oracle = simulate_gaussian_shift(make_config(n=200, noise_sd=1e300, seed=24))
+        with pytest.raises(NonFiniteValue, match="standard error"):
+            estimate_efficient(data, oracle, policy, Estimand.VALUE)
+
     def test_kernel_fits_reuse_their_fit_row_values(self, policy, monkeypatch):
         from shifteval import nuisance
 

@@ -1,4 +1,3 @@
-import json
 import warnings
 
 import numpy as np
@@ -9,13 +8,8 @@ from hypothesis.extra import numpy as hnp
 
 from shifteval import (
     DatasetKind,
-    FitRecipe,
-    InstrumentSet,
     KernelSpec,
     PooledDataset,
-    assemble_nuisances,
-    check_balance,
-    check_positivity,
     fit_outcome_regression,
     fit_propensity_logistic,
     fit_weights_aipsw,
@@ -31,13 +25,11 @@ from shifteval.errors import (
     NoObservedOutcomes,
     RankDeficient,
     Separation,
+    SolveFailure,
 )
 from shifteval.nuisance import (
     TAU_CLIP,
-    ConstantInstrument,
     ConstantPropensityFn,
-    CoordinateInstrument,
-    FunctionInstrument,
     LogisticPropensityFn,
     PropensityModel,
     _kernel_matrix,
@@ -144,6 +136,11 @@ class TestSolveSpd:
             warnings.simplefilter("error")
             alpha = _solve_spd(lhs, np.ones(m), "toy system")
         np.testing.assert_allclose(lhs @ alpha, np.ones(m), atol=1e-8)
+
+    def test_indefinite_matrix_raises_solve_failure(self):
+        indefinite = np.diag([1.0, -1.0, 2.0])
+        with pytest.raises(SolveFailure, match=r"^toy system: "):
+            _solve_spd(indefinite, np.ones(3), "toy system")
 
 
 class TestOutcome:
@@ -412,8 +409,8 @@ class TestFitRowValues:
 
 
 class TestKernelMemoryGuard:
-    """A dense-kernel fit whose matrices would exceed the physical-memory
-    cap raises KernelTooLarge before it builds any kernel matrix."""
+    """A dense-kernel fit whose matrices would exceed the memory cap raises
+    KernelTooLarge before it builds any kernel matrix."""
 
     @pytest.fixture
     def no_kernels(self, monkeypatch):
@@ -426,14 +423,14 @@ class TestKernelMemoryGuard:
         data, _ = simulate_gaussian_shift(make_config(n=200, seed=3))
         n1, n0 = data.n1, data.n0
         # K(x0, x1), freed before K11 and the system's copy
-        monkeypatch.setattr(nuisance, "_MEMORY_CAP", 8 * max(n0 * n1, 2 * n1**2) - 1)
+        monkeypatch.setattr(nuisance, "_memory_cap", lambda: 8 * max(n0 * n1, 2 * n1**2) - 1)
         with pytest.raises(KernelTooLarge, match="KuLSIF"):
             fit_weights_kulsif(data, KernelSpec())
 
     def test_kernel_ridge_refused_before_any_kernel(self, monkeypatch, no_kernels):
         data, _ = simulate_gaussian_shift(make_config(n=200, seed=3))
         largest = max(np.sum(data.a == -1), np.sum(data.a == 1))
-        monkeypatch.setattr(nuisance, "_MEMORY_CAP", 8 * 2 * int(largest) ** 2 - 1)
+        monkeypatch.setattr(nuisance, "_memory_cap", lambda: 8 * 2 * int(largest) ** 2 - 1)
         with pytest.raises(KernelTooLarge, match="kernel ridge"):
             fit_outcome_regression(data, method="kernel_ridge", spec=KernelSpec())
 
@@ -441,40 +438,114 @@ class TestKernelMemoryGuard:
         data, _ = simulate_gaussian_shift(make_config(n=200, seed=3))
         n1, n0 = data.n1, data.n0
         largest = int(max(np.sum(data.a == -1), np.sum(data.a == 1)))
-        monkeypatch.setattr(nuisance, "_MEMORY_CAP", 8 * max(n0 * n1, 2 * n1**2, 2 * largest**2))
+        monkeypatch.setattr(nuisance, "_memory_cap", lambda: 8 * max(n0 * n1, 2 * n1**2, 2 * largest**2))
         fit_weights_kulsif(data, KernelSpec())
         fit_outcome_regression(data, method="kernel_ridge", spec=KernelSpec())
+
+
+class TestMemoryCap:
+    """The cap is the least limit that can be read: physical memory, the
+    cgroup memory limit and the soft RLIMIT_AS. Readers are replaced or
+    pointed at files written here; nothing is allocated or limited."""
+
+    @pytest.mark.parametrize(
+        "physical, cgroup, address_space, cap",
+        [
+            (8e9, np.inf, np.inf, 8e9),
+            (8e9, 2e9, np.inf, 2e9),
+            (8e9, np.inf, 3e9, 3e9),
+            (8e9, 4e9, 1e9, 1e9),
+            (8e9, 2**63 - 4096, np.inf, 8e9),
+            (np.inf, np.inf, np.inf, np.inf),
+        ],
+    )
+    def test_cap_is_the_least_limit(self, monkeypatch, physical, cgroup, address_space, cap):
+        monkeypatch.setattr(nuisance, "_physical_memory", lambda: physical)
+        monkeypatch.setattr(nuisance, "_cgroup_memory_limit", lambda: cgroup)
+        monkeypatch.setattr(nuisance, "_address_space_limit", lambda: address_space)
+        assert nuisance._memory_cap() == cap
+
+    @staticmethod
+    def cgroup_tree(tmp_path, membership, files):
+        (tmp_path / "cgroup").write_text(membership)
+        for path, value in files.items():
+            target = tmp_path / "fs" / path
+            target.parent.mkdir(parents=True, exist_ok=True)
+            target.write_text(value + "\n")
+        return str(tmp_path / "cgroup"), str(tmp_path / "fs")
+
+    @pytest.mark.parametrize(
+        "membership, files, limit",
+        [
+            # v2: the least limit on the path, "max" sets none
+            ("0::/a/b\n", {"a/b/memory.max": "max", "a/memory.max": "1073741824"}, 2**30),
+            ("0::/a/b\n", {"a/b/memory.max": "4096", "a/memory.max": "8192"}, 4096),
+            # v2 in a cgroup namespace whose own path is not visible: the root file
+            ("0::/not/mounted\n", {"memory.max": "2048"}, 2048),
+            ("0::/\n", {"memory.max": "max"}, np.inf),
+            # v1 memory controller beside others; an unlimited v1 group reads huge
+            (
+                "4:memory:/x\n3:cpu,cpuacct:/\n0::/\n",
+                {"memory/x/memory.limit_in_bytes": "9223372036854771712"},
+                9223372036854771712,
+            ),
+            (
+                "4:memory:/x\n",
+                {"memory/x/memory.limit_in_bytes": "9223372036854771712",
+                 "memory/memory.limit_in_bytes": "5000"},
+                5000,
+            ),
+            ("3:cpu:/\n", {"memory.max": "10"}, np.inf),
+            ("", {}, np.inf),
+        ],
+    )
+    def test_cgroup_reader(self, tmp_path, membership, files, limit):
+        proc, root = self.cgroup_tree(tmp_path, membership, files)
+        assert nuisance._cgroup_memory_limit(proc, root) == limit
+
+    def test_cgroup_reader_without_files(self, tmp_path):
+        missing = str(tmp_path / "absent")
+        assert nuisance._cgroup_memory_limit(missing, missing) == np.inf
+
+    def test_cgroup_limit_refuses_a_kernel(self, tmp_path, monkeypatch):
+        proc, root = self.cgroup_tree(tmp_path, "0::/job\n", {"job/memory.max": "1000000"})
+        real = nuisance._cgroup_memory_limit
+        monkeypatch.setattr(nuisance, "_cgroup_memory_limit", lambda: real(proc, root))
+        data, _ = simulate_gaussian_shift(make_config(n=1000, seed=3))
+        with pytest.raises(KernelTooLarge, match="the 0.0 GiB cap"):
+            fit_weights_kulsif(data, KernelSpec())
 
 
 class TestEntropyBalancing:
     def test_symmetric_two_points(self):
         x = np.array([[-1.0], [1.0], [0.0], [0.0]])
         ds = dataset_from(x, [1, -1, np.nan, np.nan], [0.0, 0.0, np.nan, np.nan], [1, 1, 0, 0], DatasetKind.TYPE2)
-        wm = fit_weights_entropy_balancing(ds, InstrumentSet.default(1))
+        wm = fit_weights_entropy_balancing(ds)
         np.testing.assert_allclose(wm(x[:2]) / ds.n1, [0.5, 0.5], atol=1e-12)
         np.testing.assert_allclose(wm.info["lambda"], [0.0], atol=1e-10)
 
     def test_two_point_interior_moment(self):
         x = np.array([[0.0], [1.0], [0.5], [0.5]])
         ds = dataset_from(x, [1, -1, np.nan, np.nan], [0.0, 0.0, np.nan, np.nan], [1, 1, 0, 0], DatasetKind.TYPE2)
-        wm = fit_weights_entropy_balancing(ds, InstrumentSet.default(1))
+        wm = fit_weights_entropy_balancing(ds)
         np.testing.assert_allclose(wm(x[:2]) / ds.n1, [0.5, 0.5], atol=1e-10)
 
     def test_moment_outside_hull(self):
         x = np.array([[0.0], [1.0], [1.5], [1.5]])
         ds = dataset_from(x, [1, -1, np.nan, np.nan], [0.0, 0.0, np.nan, np.nan], [1, 1, 0, 0], DatasetKind.TYPE2)
         with pytest.raises(InfeasibleBalance) as err:
-            fit_weights_entropy_balancing(ds, InstrumentSet.default(1))
+            fit_weights_entropy_balancing(ds)
         assert err.value.coordinate == "x_1"
 
     def test_weights_positive_normalized_balanced(self):
         data, _ = simulate_gaussian_shift(make_config(n=500, seed=61))
-        instruments = InstrumentSet.default(2)
-        wm = fit_weights_entropy_balancing(data, instruments)
-        w = wm(data.x[data.s == 1]) / data.n1
+        wm = fit_weights_entropy_balancing(data)
+        x1, x0 = data.x[data.s == 1], data.x[data.s == 0]
+        w = wm(x1) / data.n1
         assert (w > 0).all()
         assert np.sum(w) == pytest.approx(1.0, abs=1e-12)
-        assert np.max(np.abs(check_balance(wm, data, instruments))) <= 1e-8
+        assert np.max(np.abs(x1.T @ w - x0.mean(0))) <= 1e-8
+        assert wm.info["instrument_names"] == ["const", "x_1", "x_2"]
 
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -484,39 +555,38 @@ class TestEntropyBalancing:
     @settings(max_examples=30, deadline=None)
     def test_balanced_or_infeasible_property(self, seed, n, mu):
         data, _ = simulate_gaussian_shift(make_config(mu=mu, n=n, seed=seed))
-        instruments = InstrumentSet.default(2)
         x1 = data.x[data.s == 1]
         calib_mean = data.x[data.s == 0].mean(axis=0)
         if np.any((calib_mean < x1.min(axis=0)) | (calib_mean > x1.max(axis=0))):
             with pytest.raises(InfeasibleBalance):
-                fit_weights_entropy_balancing(data, instruments)
+                fit_weights_entropy_balancing(data)
             return
-        wm = fit_weights_entropy_balancing(data, instruments)
-        assert np.sum(wm(x1) / data.n1) == pytest.approx(1.0, abs=1e-12)
+        wm = fit_weights_entropy_balancing(data)
+        w = wm(x1) / data.n1
+        assert np.sum(w) == pytest.approx(1.0, abs=1e-12)
         assert wm.info["max_balance_residual"] <= 1e-8
-        residual = np.max(np.abs(check_balance(wm, data, instruments)))
+        residual = np.max(np.abs([*(x1.T @ w - calib_mean), w.sum() - 1]))
         assert residual == pytest.approx(wm.info["max_balance_residual"], abs=1e-8)
 
     def test_entropy_minimality(self):
         data, _ = simulate_gaussian_shift(make_config(mu=(0.2, 0.2), n=400, seed=0))
-        base_instruments = InstrumentSet.default(2)
-        wm = fit_weights_entropy_balancing(data, base_instruments)
-        w = wm(data.x[data.s == 1]) / data.n1
+        wm = fit_weights_entropy_balancing(data)
+        x1 = data.x[data.s == 1]
+        w = wm(x1) / data.n1
         achieved = np.sum(w * np.log(w))
 
-        # richer constraint set is feasible for the base constraints
-        richer = InstrumentSet(
-            functions=base_instruments.functions
-            + (FunctionInstrument(lambda x: x[:, 0] ** 2, "x1_sq"),),
-            includes_constant=True,
+        # richer constraint set [1, x, x1^2] is feasible for the base constraints
+        augmented = PooledDataset.from_arrays(
+            np.column_stack([data.x, data.x[:, 0] ** 2]), data.a, data.y, data.s, data.kind
         )
-        wr = fit_weights_entropy_balancing(data, richer)(data.x[data.s == 1]) / data.n1
+        wr_model = fit_weights_entropy_balancing(augmented)
+        wr = wr_model(augmented.x[augmented.s == 1]) / data.n1
+        assert wr_model.info["instrument_names"] == ["const", "x_1", "x_2", "x_3"]
         assert achieved <= np.sum(wr * np.log(wr)) + 1e-12
 
         # least-squares projection of the uniform vector onto the constraints
-        x1 = data.x[data.s == 1]
-        g1 = base_instruments.evaluate(x1).T  # (m, n1) incl. constant row
-        target = base_instruments.evaluate(data.x[data.s == 0]).mean(axis=0)
+        g1 = np.column_stack([np.ones(x1.shape[0]), x1]).T  # (m, n1) incl. constant row
+        target = np.array([1.0, *data.x[data.s == 0].mean(axis=0)])
         u = np.full(x1.shape[0], 1.0 / x1.shape[0])
         proj = u + g1.T @ np.linalg.solve(g1 @ g1.T, target - g1 @ u)
         assert (proj > 0).all(), "test construction needs interior projection"
@@ -530,7 +600,7 @@ class TestEntropyBalancing:
         tilts = []
         for r in range(10):
             data, _ = simulate_gaussian_shift(make_config(n=20_000, seed=700 + r))
-            wm = fit_weights_entropy_balancing(data, InstrumentSet.default(2))
+            wm = fit_weights_entropy_balancing(data)
             tilts.append(wm.info["tilt"])
             x1 = data.x[data.s == 1]
             dev = np.abs(wm(x1) - true_weight_gaussian(x1, mu))
@@ -538,61 +608,3 @@ class TestEntropyBalancing:
         tilts = np.array(tilts)
         se = tilts.std(axis=0, ddof=1) / np.sqrt(len(tilts))
         assert np.all(np.abs(tilts.mean(axis=0) - eta) <= 3 * se)
-
-
-class TestDiagnostics:
-    def test_balance_oracle_no_shift(self):
-        data, oracle = simulate_gaussian_shift(make_config(mu=(0.0, 0.0), n=10_000, seed=71))
-        instruments = InstrumentSet.default(2)
-        r = check_balance(oracle.weight, data, instruments)
-        se = np.sqrt(2.0 / min(data.n1, data.n0))
-        assert np.max(np.abs(r)) <= 3 * se
-
-    def test_balance_uniform_weights_show_shift(self):
-        mu = np.array([1.5, -1.0])
-        data, _ = simulate_gaussian_shift(make_config(mu=mu, n=10_000, seed=72))
-        from shifteval.nuisance import WeightModel
-
-        uniform = WeightModel(backend="oracle", evaluator=lambda x: np.ones(x.shape[0]))
-        r = check_balance(uniform, data, InstrumentSet.default(2))
-        # training mean is mu, calibration mean is 0
-        se = np.sqrt(2.0 / min(data.n1, data.n0))
-        assert np.max(np.abs(r[1:] - mu)) <= 4 * se
-
-    def test_positivity_no_flags(self):
-        data, oracle = simulate_gaussian_shift(make_config(n=400, seed=73))
-        rep = check_positivity(oracle, data, tau=0.05, delta=0.001)
-        assert rep.n_flagged_propensity == 0
-
-    def test_positivity_threshold_above_truth_flags_all(self):
-        data, oracle = simulate_gaussian_shift(make_config(n=100, seed=74))
-        rep = check_positivity(oracle, data, tau=0.6, delta=0.001)
-        assert rep.n_flagged_propensity == data.n
-
-    def test_positivity_extreme_shift_reports_without_abort(self):
-        data, oracle = simulate_gaussian_shift(make_config(mu=(3.0, 3.0), n=400, seed=75))
-        rep = check_positivity(oracle, data, tau=0.05, delta=0.2)
-        assert rep.n_flagged_selection > 0
-        assert len(rep.worst_selection) == 5
-        json.dumps(rep.to_json_dict())
-
-    def test_positivity_type2_fitted_propensity_does_not_raise(self):
-        data, _ = simulate_gaussian_shift(make_config(n=400, seed=77))
-        masked = data.as_type2()
-        nus = assemble_nuisances(
-            masked, FitRecipe(weights="aipsw", propensity="logistic", outcome="linear")
-        )
-        rep = check_positivity(nus, masked, tau=0.6, delta=0.05)
-        # only training rows carry (a, y); each is flagged at tau = 0.6
-        assert rep.n_rows == masked.n
-        assert rep.n_flagged_propensity == masked.n1
-        for i, v in rep.worst_propensity:
-            assert masked.s[i] == 1
-            p1 = nus.propensity.prob(1, masked.x[i : i + 1], 1)[0]
-            assert v == pytest.approx(min(p1, 1.0 - p1), rel=1e-12)
-
-    def test_instrument_names(self):
-        ins = InstrumentSet.default(2)
-        assert ins.names == ["const", "x_1", "x_2"]
-        assert isinstance(ins.functions[0], ConstantInstrument)
-        assert isinstance(ins.functions[1], CoordinateInstrument)
