@@ -332,6 +332,10 @@ def main(argv=None) -> int:
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as e:
         print(json.dumps({"error": type(e).__name__, "message": str(e)}), file=sys.stderr)
         return 1
+    except MemoryError as e:  # numpy raises a private subclass
+        print(json.dumps({"error": "MemoryError", "message": str(e) or "out of memory"}),
+              file=sys.stderr)
+        return 1
 
 
 def entrypoint() -> None:

@@ -113,6 +113,8 @@ class McConfig:
             raise InvalidConfig("estimator menu must be non-empty")
         if self.crossfit_k < 2:
             raise InvalidConfig("crossfit_k must be >= 2")
+        if self.n_jobs < 1:
+            raise InvalidConfig("n_jobs must be >= 1")
         for name in ("truth_draws", "variance_draws"):
             if getattr(self, name) < MIN_MC_DRAWS:
                 raise InvalidConfig(f"{name} must be >= {MIN_MC_DRAWS}")

@@ -19,7 +19,10 @@ kernel evaluation, when evaluated at exactly those rows. The logistic
 propensity is one model with a per-stratum fit for every stratum that has
 observed (a, y). Dense kernel systems are solved by Cholesky, and every
 solve warns when the 1-norm condition estimate from the Cholesky factor
-exceeds 1e12, at any size. A dense-kernel fit whose matrices would exceed the
+exceeds 1e12, at any size; a system whose 1-norm or right-hand side is not
+finite raises ``SolveFailure``, and that 1-norm is the only finiteness scan
+of the matrix. The median-distance bandwidth selects its order statistics
+in one partition. A dense-kernel fit whose matrices would exceed the
 least of physical memory, the cgroup memory limit and ``RLIMIT_AS`` raises
 ``KernelTooLarge`` before it allocates any of them.
 The dense-kernel and entropy-balancing solvers load ``scipy.linalg`` and
@@ -156,8 +159,18 @@ class KernelSpec:
     def __post_init__(self):
         if self.family not in ("rbf", "linear"):
             raise InvalidConfig(f"unknown kernel family {self.family!r}")
-        if self.bandwidth is not None and not self.bandwidth > 0:
-            raise InvalidConfig("kernel bandwidth must be > 0")
+        if self.bandwidth is not None:
+            if not self.bandwidth > 0:
+                raise InvalidConfig("kernel bandwidth must be > 0")
+            try:  # the rbf kernel's divisor, as _kernel_matrix computes it
+                in_range = 2.0 * self.bandwidth**2 > 0
+            except OverflowError:  # a Python float's ** raises where numpy's gives inf
+                in_range = False
+            if not in_range:
+                raise InvalidConfig(
+                    f"kernel bandwidth {self.bandwidth!r} is out of range: "
+                    "2 * bandwidth**2 underflows to 0 or overflows"
+                )
         if self.ridge is not None and not self.ridge > 0:
             raise InvalidConfig("ridge penalty must be > 0")
 
@@ -204,18 +217,23 @@ def median_bandwidth(x: NDArray) -> float:
 
     Above 2000 rows the distances are those among 2000 evenly spaced
     rows of the lexicographically sorted matrix, so the bandwidth does not
-    depend on the row order. The chosen rows keep their own order, as the
-    median's selection runs slower on distances between sorted rows.
+    depend on the row order. The median is found by one in-place selection
+    at k = m // 2 of the m distances: ``d[k]`` for odd m, and for even m
+    ``(d[:k].max() + d[k]) / 2.0``, the two order statistics and the sum and
+    divide that ``np.median`` (which selects both) returns, bit for bit.
     """
     x = np.asarray(x, dtype=float)
     if x.shape[0] > _BANDWIDTH_ROWS:
         picks = np.arange(_BANDWIDTH_ROWS) * x.shape[0] // _BANDWIDTH_ROWS
-        x = x[np.sort(np.lexsort(x.T[::-1])[picks])]
+        x = x[np.lexsort(x.T[::-1])[picks]]
     if x.shape[0] < 2:
         return 1.0
     from scipy.spatial.distance import pdist
 
-    med = float(np.median(pdist(x), overwrite_input=True))
+    d = pdist(x)
+    k = d.size // 2
+    d.partition(k)
+    med = float(d[k] if d.size % 2 else (d[:k].max() + d[k]) / 2.0)
     return med if med > 0 else 1.0
 
 
@@ -223,23 +241,31 @@ def _solve_spd(matrix: NDArray, rhs: NDArray, context: str) -> NDArray:
     """Dense Cholesky solve with a condition-number warning above 1e12.
 
     A Fortran-order ``matrix`` is overwritten by its Cholesky factor; any
-    other is copied first. The condition number is LAPACK's O(m^2) 1-norm
-    estimate from the Cholesky factor (?pocon; Hager 1984, Higham 1988),
-    checked at every size.
+    other is copied first. A system whose 1-norm or right-hand side is not
+    finite raises ``SolveFailure``: LAPACK's ?lange propagates NaN and inf
+    into the 1-norm, so that one O(m^2) pass, which the condition estimate
+    needs anyway, stands in for scipy's finiteness scans of the matrix and
+    of its factor. The condition number is LAPACK's O(m^2) 1-norm estimate
+    from the Cholesky factor (?pocon; Hager 1984, Higham 1988), checked at
+    every size.
     """
     from scipy.linalg import cho_factor, cho_solve
     from scipy.linalg.lapack import dlange, dpocon
 
     norm1 = dlange("1", matrix)  # before the factor overwrites it; no n^2 temporary
+    if not np.isfinite(norm1):
+        raise SolveFailure(f"{context}: matrix not finite (1-norm {norm1:.2e})")
+    if not np.isfinite(rhs).all():
+        raise SolveFailure(f"{context}: right-hand side not finite")
     try:
-        factor = cho_factor(matrix, lower=True, overwrite_a=True)
+        factor = cho_factor(matrix, lower=True, overwrite_a=True, check_finite=False)
     except np.linalg.LinAlgError as e:
         raise SolveFailure(f"{context}: {e}") from e
     rcond, _ = dpocon(factor[0], norm1, uplo="L")
     cond = 1.0 / rcond if rcond > 0 else np.inf
     if cond > _COND_WARN:
         warnings.warn(f"{context}: condition number {cond:.2e}", stacklevel=3)
-    return cho_solve(factor, rhs)
+    return cho_solve(factor, rhs, check_finite=False)
 
 
 # ---------------------------------------------------------------------------

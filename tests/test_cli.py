@@ -5,6 +5,7 @@ import json
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import jsonschema
@@ -321,6 +322,7 @@ BAD_VALUES = [
     ("estimate", ("level",), 1.5, "InvalidLevel", ()),
     ("estimate", ("seed",), "s", "InvalidConfig", ()),
     ("estimate", ("kernel",), 3, "InvalidConfig", ()),
+    ("estimate", ("kernel",), {"bandwidth": 1e200}, "InvalidConfig", ()),
     ("estimate", ("dataset",), 0, "InvalidConfig", ()),
     ("estimate", ("truth",), 0, "InvalidConfig", ()),
     ("calibrate", ("candidates", 0, "rule", "intercept"), "x", "InvalidConfig", ()),
@@ -332,6 +334,7 @@ BAD_VALUES = [
     ("montecarlo", ("variance_draws",), 10, "InvalidConfig", ()),
     ("montecarlo", ("truth_draws",), 0, "InvalidConfig", ()),
     ("montecarlo", ("n_jobs",), "two", "InvalidConfig", ()),
+    ("montecarlo", ("n_jobs",), -5, "InvalidConfig", ()),
     ("montecarlo", ("level",), 1.5, "InvalidLevel", ()),
     ("montecarlo", ("estimators", 0), "theta_t2", "InvalidConfig", ()),
     ("montecarlo", ("estimators", 0, "name"), 5, "InvalidConfig", ()),
@@ -500,6 +503,47 @@ class TestErrorsAndExitCodes:
         assert err["error"] == "KernelTooLarge"
         assert "physical memory" in err["message"]
         assert not (tmp_path / "out" / "estimate_report.json").exists()
+
+    @pytest.mark.parametrize("kernel, error", [
+        ({"ridge": 1e308}, "SolveFailure"),  # n * ridge overflows in kernel ridge
+        ({"bandwidth": 1e-170}, "InvalidConfig"),  # 2 * bandwidth**2 underflows to 0
+    ])
+    def test_non_finite_kernel_system_is_structured(self, tmp_path, capsys, kernel, error):
+        sim_out = simulate_to(tmp_path)
+        config = write_json(tmp_path / "est.json", {
+            "dataset": str(sim_out / "dataset.csv"), "policy": POLICY,
+            "weights": "kulsif", "propensity": "logistic", "outcome": "kernel_ridge",
+            "kernel": kernel,
+        })
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["estimate", "--config", config, "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert caught == []
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert set(err) == {"error", "message"}
+        assert err["error"] == error
+
+    @pytest.mark.parametrize("message", ["Unable to allocate 7.45 GiB for an array", ""])
+    def test_memory_error_is_structured(self, tmp_path, capsys, monkeypatch, message):
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError(message)
+
+        sim_out = simulate_to(tmp_path)
+        config = write_json(tmp_path / "cal.json", {
+            "dataset": str(sim_out / "dataset.csv"), "candidates": str(FIXTURES / "candidates.json"),
+            "weights": "aipsw", "propensity": "logistic", "outcome": "linear",
+        })
+        monkeypatch.setattr(cli, "assemble_nuisances", out_of_memory)
+        capsys.readouterr()
+        code = main(["calibrate", "--config", config, "--out", str(tmp_path / "out")])
+        assert code == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {"error": "MemoryError", "message": message or "out of memory"}
 
     def test_out_naming_a_file_is_structured(self, tmp_path, capsys, monkeypatch):
         sim_out = simulate_to(tmp_path)

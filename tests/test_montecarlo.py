@@ -17,7 +17,7 @@ from shifteval import (
     true_policy_values,
 )
 from shifteval import estimators, montecarlo
-from shifteval.errors import ShiftEvalError, VariantMismatch
+from shifteval.errors import InvalidConfig, ShiftEvalError, VariantMismatch
 from shifteval.estimators import fit_and_estimate
 from shifteval.montecarlo import (
     EstimatorSpec,
@@ -134,6 +134,12 @@ class TestRunReplications:
         assert json.dumps(s1.to_json_dict(), sort_keys=True) == json.dumps(
             s2.to_json_dict(), sort_keys=True
         )
+
+    @pytest.mark.parametrize("n_jobs", [0, -1, -5])
+    def test_n_jobs_below_one_refused(self, policy, n_jobs):
+        with pytest.raises(InvalidConfig, match=r"^n_jobs must be >= 1$"):
+            McConfig(base=make_config(n=200, seed=6), replications=3, policy=policy,
+                     estimators=oracle_menu()[:1], n_jobs=n_jobs)
 
     @pytest.mark.parametrize("n_jobs, cpus, expected", [
         (64, 8, 3),  # capped by the replicate count

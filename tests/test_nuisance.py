@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -21,6 +21,7 @@ from shifteval import (
 from shifteval import nuisance
 from shifteval.errors import (
     InfeasibleBalance,
+    InvalidConfig,
     KernelTooLarge,
     NoObservedOutcomes,
     RankDeficient,
@@ -34,6 +35,7 @@ from shifteval.nuisance import (
     PropensityModel,
     _kernel_matrix,
     _solve_spd,
+    median_bandwidth,
 )
 
 from conftest import make_config
@@ -141,6 +143,78 @@ class TestSolveSpd:
         indefinite = np.diag([1.0, -1.0, 2.0])
         with pytest.raises(SolveFailure, match=r"^toy system: "):
             _solve_spd(indefinite, np.ones(3), "toy system")
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [(0, 3), (3, 0), (2, 2), "rhs"],
+                             ids=["upper", "lower", "diagonal", "rhs"])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_non_finite_system_raises_solve_failure(self, value, where, order):
+        # the lower Cholesky factor never reads (0, 3); the 1-norm does
+        matrix, rhs = np.array(np.eye(5) * 2.0, order=order), np.ones(5)
+        if where == "rhs":
+            rhs[3] = value
+        else:
+            matrix[where] = value
+        with pytest.raises(SolveFailure, match=r"^toy system: .*not finite"):
+            _solve_spd(matrix, rhs, "toy system")
+
+
+def reference_median_bandwidth(x):
+    """``median_bandwidth`` by ``np.median``, the reference the one-index
+    selection must equal bit for bit; the subsample's rows keep their own
+    order, which changes the order of the distances but not their median."""
+    from scipy.spatial.distance import pdist
+
+    x = np.asarray(x, dtype=float)
+    if x.shape[0] > 2000:
+        picks = np.arange(2000) * x.shape[0] // 2000
+        x = x[np.sort(np.lexsort(x.T[::-1])[picks])]
+    if x.shape[0] < 2:
+        return 1.0
+    med = float(np.median(pdist(x)))
+    return med if med > 0 else 1.0
+
+
+class TestMedianBandwidth:
+    @given(
+        n=st.integers(2, 2600),
+        p=st.sampled_from([1, 2, 5]),
+        seed=st.integers(0, 2**32 - 1),
+        rows=st.sampled_from(["distinct", "duplicated", "grid", "all_equal"]),
+    )
+    # one and three distances (odd), six (even), and the 2000-row subsample
+    @example(n=2, p=1, seed=0, rows="distinct")
+    @example(n=3, p=2, seed=1, rows="distinct")
+    @example(n=4, p=5, seed=2, rows="distinct")
+    @example(n=2001, p=2, seed=3, rows="duplicated")
+    @example(n=2600, p=1, seed=4, rows="all_equal")
+    @settings(max_examples=25, deadline=None)
+    def test_equals_the_np_median_formula_bit_for_bit(self, n, p, seed, rows):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((n, p))
+        if rows == "duplicated":  # few distinct rows: many zero and tied distances
+            x = x[rng.integers(0, max(2, n // 10), size=n)]
+        elif rows == "grid":  # coarse values: tied nonzero distances
+            x = np.round(x * 2.0) / 2.0
+        elif rows == "all_equal":  # every distance 0: the 1.0 fallback
+            x = np.full((n, p), 0.3)
+        got, want = median_bandwidth(x), reference_median_bandwidth(x)
+        assert type(got) is float
+        assert got.hex() == want.hex()
+        if rows == "all_equal":
+            assert got == 1.0
+
+
+class TestKernelSpec:
+    @pytest.mark.parametrize("bandwidth", [1e-170, 1e200, 10**200],
+                             ids=["1e-170", "1e200", "int-10**200"])
+    def test_bandwidth_whose_divisor_underflows_or_overflows_refused(self, bandwidth):
+        with pytest.raises(InvalidConfig, match=r"2 \* bandwidth\*\*2 underflows to 0 or overflows"):
+            KernelSpec(bandwidth=bandwidth)
+
+    @pytest.mark.parametrize("bandwidth", [1e-150, 1e150])
+    def test_extreme_bandwidth_in_range_accepted(self, bandwidth):
+        assert KernelSpec(bandwidth=bandwidth).bandwidth == bandwidth
 
 
 class TestOutcome:
