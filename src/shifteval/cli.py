@@ -203,8 +203,6 @@ def cmd_estimate(args) -> int:
 def cmd_calibrate(args) -> int:
     out = _out_dir(args.out)
     config = _load_json(args.config)
-    if args.seed is not None:
-        config["seed"] = args.seed
     data = read_dataset_csv(_field(config, "dataset", _of(str)))
     with open(_field(config, "candidates", _of(str))) as fh:
         candidates = candidates_from_json(fh.read())
@@ -307,7 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
     cal = sub.add_parser("calibrate", help="select a candidate rule on calibration data")
     cal.add_argument("--config", required=True)
     cal.add_argument("--out", required=True)
-    cal.add_argument("--seed", type=int, default=None)
     cal.set_defaults(func=cmd_calibrate)
 
     mc = sub.add_parser("montecarlo", help="run a replicated simulation study")

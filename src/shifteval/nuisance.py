@@ -12,21 +12,23 @@ calibration-to-training covariates at arbitrary points:
   balance the moments [1, x] exactly, solved by damped Newton on the dual.
 
 Training-row weights are the weight function evaluated at the training
-rows. With the rbf kernel, the dense-kernel fits (KuLSIF weights, kernel
-ridge outcome) also keep K alpha at their own fit rows, from the kernel
-matrix the fit already built, and use it, bit for bit equal to a fresh
-kernel evaluation, when evaluated at exactly those rows. The logistic
-propensity is one model with a per-stratum fit for every stratum that has
-observed (a, y). Dense kernel systems are solved by Cholesky, and every
-solve warns when the 1-norm condition estimate from the Cholesky factor
-exceeds 1e12, at any size; a system whose 1-norm or right-hand side is not
-finite raises ``SolveFailure``, and that 1-norm is the only finiteness scan
-of the matrix. The median-distance bandwidth selects its order statistics
-in one partition. A dense-kernel fit whose matrices would exceed the
-least of physical memory, the cgroup memory limit and ``RLIMIT_AS`` raises
-``KernelTooLarge`` before it allocates any of them.
-The dense-kernel and entropy-balancing solvers load ``scipy.linalg`` and
-``scipy.spatial`` on first use, so a process that fits neither never does.
+rows. The dense-kernel fits (KuLSIF weights, kernel ridge outcome) share
+one ridge solve, ``_fit_expansion``, and one representer expansion,
+``_KernelExpansion``, which keeps K alpha at its own fit rows from the
+kernel matrix the fit already built; with the rbf kernel it uses it, bit
+for bit equal to a fresh kernel evaluation, when evaluated at exactly
+those rows. The logistic propensity is one model with a per-stratum fit
+for every stratum that has observed (a, y). Dense kernel systems are
+solved by Cholesky, and every solve warns when the 1-norm condition
+estimate from the Cholesky factor exceeds 1e12, at any size; a system
+whose 1-norm or right-hand side is not finite raises ``SolveFailure``, and
+that 1-norm is the only finiteness scan of the matrix. The median-distance
+bandwidth selects its order statistics in one partition. A dense-kernel
+fit whose matrices would exceed the least of physical memory, the cgroup
+memory limit and ``RLIMIT_AS`` raises ``KernelTooLarge`` before it
+allocates any of them. The dense-kernel and entropy-balancing solvers
+load ``scipy.linalg`` and ``scipy.spatial`` on first use, so a process
+that fits neither never does.
 
 Fitted models are immutable and safe to share across threads.
 """
@@ -197,21 +199,6 @@ def _check_kernel_memory(n_floats: int, context: str) -> None:
         )
 
 
-def _ridge_system(kmat: NDArray, divisor: float, diagonal: float) -> NDArray:
-    """``kmat / divisor`` plus ``diagonal`` on its diagonal, as one new array
-    whose Fortran-order view the Cholesky factor overwrites in place.
-
-    Equal, bit for bit, to ``kmat / divisor + diagonal * np.eye(m)``: adding
-    0.0 off the diagonal is exact. ``kmat`` is a K(x, x), symmetric bit for
-    bit (each entry is a symmetric function of its two rows, and numpy
-    computes x @ x.T as a symmetric rank-k update), so its transpose is the
-    same matrix and LAPACK reads the values a Fortran-order copy would hold.
-    """
-    lhs = kmat / divisor
-    lhs.flat[:: lhs.shape[0] + 1] += diagonal
-    return lhs.T
-
-
 def median_bandwidth(x: NDArray) -> float:
     """Median pairwise Euclidean distance, 1.0 if degenerate.
 
@@ -264,7 +251,7 @@ def _solve_spd(matrix: NDArray, rhs: NDArray, context: str) -> NDArray:
     rcond, _ = dpocon(factor[0], norm1, uplo="L")
     cond = 1.0 / rcond if rcond > 0 else np.inf
     if cond > _COND_WARN:
-        warnings.warn(f"{context}: condition number {cond:.2e}", stacklevel=3)
+        warnings.warn(f"{context}: condition number {cond:.2e}", stacklevel=4)
     return cho_solve(factor, rhs, check_finite=False)
 
 
@@ -324,43 +311,66 @@ def _same_rows(x: NDArray, rows: NDArray) -> bool:
     return x.shape == rows.shape and np.array_equal(x, rows)
 
 
-def _keeps_fit_rows(family: str) -> bool:
-    """Whether a fit keeps K(x, x) @ alpha at its own rows x: only where a
-    fresh evaluation at a copy of x equals it bit for bit.
+@dataclass(frozen=True, eq=False)
+class _KernelExpansion:
+    """The representer expansion x -> K(x, anchors) @ alpha of a dense-kernel
+    fit, with ``fitted`` = K(anchors, anchors) @ alpha as the fit computed it.
 
-    That holds for rbf, whose cdist is the same for any copy of x. It does
-    not for linear: numpy computes x @ x.T as a symmetric rank-k update,
-    which rounds otherwise than the general product of a copy with x.T.
+    Evaluated at exactly its anchors with the rbf kernel, it returns
+    ``fitted``, which a fresh evaluation equals bit for bit: rbf's cdist is
+    the same for any copy of x. The linear kernel always builds: numpy
+    computes x @ x.T as a symmetric rank-k update, which rounds otherwise
+    than the general product of a copy with x.T.
     """
-    return family == "rbf"
+
+    family: str
+    bandwidth: float | None
+    anchors: NDArray
+    alpha: NDArray
+    fitted: NDArray
+
+    def __call__(self, x: NDArray) -> NDArray:
+        if self.family == "rbf" and _same_rows(x, self.anchors):
+            return self.fitted
+        return _kernel_matrix(self.family, self.bandwidth, x, self.anchors) @ self.alpha
+
+
+def _fit_expansion(
+    family: str, bandwidth: float | None, x: NDArray, divisor: float, diagonal: float,
+    rhs: NDArray, context: str,
+) -> _KernelExpansion:
+    """Solve (K / divisor + diagonal I) alpha = rhs with K = K(x, x) by
+    ``_solve_spd``; K is freed on return.
+
+    The system is one new array, ``K / divisor`` plus ``diagonal`` on its
+    diagonal, whose Fortran-order view the Cholesky factor overwrites in
+    place. It equals ``K / divisor + diagonal * np.eye(m)`` bit for bit:
+    adding 0.0 off the diagonal is exact. K is symmetric bit for bit (each
+    entry is a symmetric function of its two rows, and numpy computes
+    x @ x.T as a symmetric rank-k update), so its transpose is the same
+    matrix and LAPACK reads the values a Fortran-order copy would hold.
+    """
+    kmat = _kernel_matrix(family, bandwidth, x, x)
+    lhs = kmat / divisor
+    lhs.flat[:: lhs.shape[0] + 1] += diagonal
+    alpha = _solve_spd(lhs.T, rhs, context)
+    return _KernelExpansion(family, bandwidth, x, alpha, kmat @ alpha)
 
 
 @dataclass(frozen=True, eq=False)
 class KernelRidgeQModel:
-    """Per-arm kernel ridge fits; evaluation is the representer expansion.
+    """Per-arm kernel ridge fits, each the representer expansion over its
+    arm's fit rows."""
 
-    An arm evaluated at exactly its own fit rows returns the fitted values
-    the fit computed, K alpha, which a fresh evaluation equals bit for bit
-    (rbf only; see ``_keeps_fit_rows``).
-    """
-
-    anchors: dict  # a -> (x_arm, alpha_arm, K_arm @ alpha_arm or None)
-    family: str
-    bandwidth: float | None
+    arms: dict  # a -> _KernelExpansion
 
     def __call__(self, x: NDArray, a) -> NDArray:
         a_arr = np.broadcast_to(np.asarray(a), (x.shape[0],))
         out = np.empty(x.shape[0])
         for arm in (-1, 1):
             mask = a_arr == arm
-            if not mask.any():
-                continue
-            xa, alpha, fitted = self.anchors[arm]
-            xm = x[mask]
-            if fitted is not None and _same_rows(xm, xa):
-                out[mask] = fitted
-            else:
-                out[mask] = _kernel_matrix(self.family, self.bandwidth, xm, xa) @ alpha
+            if mask.any():
+                out[mask] = self.arms[arm](x[mask])
         return out
 
 
@@ -386,8 +396,8 @@ class WeightModel:
 
     Training-row weights are the function evaluated at the training rows;
     for entropy balancing, ``w(x_train) / n1`` are the fitted balancing
-    weights. With the rbf kernel, the KuLSIF evaluator also holds K11 alpha
-    from its fit and uses it when evaluated at exactly the training rows.
+    weights. With the rbf kernel, the KuLSIF evaluator uses the K11 alpha of
+    its fit when evaluated at exactly the training rows.
     """
 
     backend: str  # "oracle" | "aipsw" | "kulsif" | "eb"
@@ -542,28 +552,23 @@ def fit_outcome_regression(
         bandwidth = spec.bandwidth
         if spec.family == "rbf" and bandwidth is None:
             bandwidth = median_bandwidth(x)
-        anchors = {}
+        arms = {}
         for arm in (-1, 1):
             mask = a == arm
             if not mask.any():
                 raise NoObservedOutcomes(f"no observed outcomes for arm a={arm}")
-            anchors[arm] = _fit_kernel_ridge_arm(spec, bandwidth, x[mask], y[mask], arm)
+            xa = x[mask]
+            n_arm = xa.shape[0]
+            lam = spec.ridge if spec.ridge is not None else 1.0 / n_arm
+            arms[arm] = _fit_expansion(
+                spec.family, bandwidth, xa, 1.0, n_arm * lam, y[mask], f"kernel ridge (arm {arm})"
+            )
         return OutcomeModel(
-            evaluator=KernelRidgeQModel(anchors=anchors, family=spec.family, bandwidth=bandwidth),
+            evaluator=KernelRidgeQModel(arms),
             info={"model": "kernel_ridge", "family": spec.family, "bandwidth": bandwidth},
         )
 
     raise InvalidConfig(f"unknown outcome regression method {method!r}")
-
-
-def _fit_kernel_ridge_arm(spec: KernelSpec, bandwidth, xa: NDArray, ya: NDArray, arm: int):
-    """(xa, alpha, fitted values K alpha or None) of one arm's
-    (K + n lambda I) alpha = y."""
-    n_arm = xa.shape[0]
-    lam = spec.ridge if spec.ridge is not None else 1.0 / n_arm
-    kmat = _kernel_matrix(spec.family, bandwidth, xa, xa)
-    alpha = _solve_spd(_ridge_system(kmat, 1.0, n_arm * lam), ya, f"kernel ridge (arm {arm})")
-    return xa, alpha, kmat @ alpha if _keeps_fit_rows(spec.family) else None
 
 
 # ---------------------------------------------------------------------------
@@ -607,28 +612,17 @@ def fit_weights_aipsw(data: PooledDataset, clip: float = DELTA_CLIP) -> WeightMo
 
 @dataclass(frozen=True, eq=False)
 class KulsifWeightFn:
-    """Representer-form KuLSIF weight; negative predictions truncate to 0.
+    """Representer-form KuLSIF weight, the training-kernel expansion ``train``
+    plus the calibration term K(x, calib_x) 1 / (lambda n0); negative
+    predictions truncate to 0."""
 
-    ``train_k_alpha`` is K(train_x, train_x) @ alpha as the fit computed it
-    (None where ``_keeps_fit_rows`` is false); it stands in for the
-    training-kernel term when ``x`` is exactly ``train_x``, and equals a
-    fresh evaluation of that term bit for bit.
-    """
-
-    train_x: NDArray
+    train: _KernelExpansion
     calib_x: NDArray
-    alpha: NDArray
     lam: float
-    family: str
-    bandwidth: float | None
-    train_k_alpha: NDArray | None
 
     def raw(self, x: NDArray) -> NDArray:
-        if self.train_k_alpha is not None and _same_rows(x, self.train_x):
-            k1_alpha = self.train_k_alpha
-        else:
-            k1_alpha = _kernel_matrix(self.family, self.bandwidth, x, self.train_x) @ self.alpha
-        k0 = _kernel_matrix(self.family, self.bandwidth, x, self.calib_x)
+        k1_alpha = self.train(x)  # before K(x, x0): the two are never held at once
+        k0 = _kernel_matrix(self.train.family, self.train.bandwidth, x, self.calib_x)
         return k1_alpha + k0.sum(axis=1) / (self.lam * self.calib_x.shape[0])
 
     def __call__(self, x: NDArray) -> NDArray:
@@ -645,13 +639,14 @@ def fit_weights_kulsif(data: PooledDataset, spec: KernelSpec) -> WeightModel:
         (K11 / n1 + lambda I) alpha = -K01^T 1 / (lambda n0 n1)
 
     (the stationarity condition of the primal objective); the system is
-    solved by dense Cholesky. With the rbf kernel the fit keeps K11 alpha,
-    the training-kernel term of the representer values at the training
-    rows (see ``_keeps_fit_rows``). It does not keep
+    solved by dense Cholesky. The fit keeps K11 alpha, the training-kernel
+    term of the representer values at the training rows, and evaluation uses
+    it with the rbf kernel (see ``_KernelExpansion``). It does not keep
     their calibration term: summed as an evaluation sums it, along rows of
     K(x1, x0) rather than down the columns of K01, it would cost every fit
     an n1 n0 kernel build that a cross-fit bag, evaluated out of bag, never
-    reads.
+    reads. A ridge so small that lambda n0 n1 is subnormal overflows the
+    right-hand side, which raises ``SolveFailure`` and no numpy warning.
     """
     x1 = data.x[data.s == 1]
     x0 = data.x[data.s == 0]
@@ -663,27 +658,18 @@ def fit_weights_kulsif(data: PooledDataset, spec: KernelSpec) -> WeightModel:
         bandwidth = median_bandwidth(data.x)
     lam = spec.ridge if spec.ridge is not None else 1.0 / min(n1, n0)
 
-    rhs = -_kernel_matrix(spec.family, bandwidth, x0, x1).sum(axis=0) / (lam * n0 * n1)
-    k11 = _kernel_matrix(spec.family, bandwidth, x1, x1)
-    alpha = _solve_spd(_ridge_system(k11, n1, lam), rhs, "KuLSIF dual")
-    k11_alpha = k11 @ alpha
-    residual = float(np.max(np.abs(k11_alpha / n1 + lam * alpha - rhs)))
+    with np.errstate(over="ignore"):  # an inf rhs is refused by _solve_spd
+        rhs = -_kernel_matrix(spec.family, bandwidth, x0, x1).sum(axis=0) / (lam * n0 * n1)
+    train = _fit_expansion(spec.family, bandwidth, x1, n1, lam, rhs, "KuLSIF dual")
+    residual = float(np.max(np.abs(train.fitted / n1 + lam * train.alpha - rhs)))
     if residual > 1e-8:
         raise SolveFailure(f"KuLSIF dual residual {residual:.2e} exceeds 1e-8")
 
     # the representer form at the training rows: K11 alpha + K01^T 1 / (lambda n0)
-    n_truncated = int(np.sum(k11_alpha - n1 * rhs < 0.0))
+    n_truncated = int(np.sum(train.fitted - n1 * rhs < 0.0))
     return WeightModel(
         backend="kulsif",
-        evaluator=KulsifWeightFn(
-            train_x=x1,
-            calib_x=x0,
-            alpha=alpha,
-            lam=lam,
-            family=spec.family,
-            bandwidth=bandwidth,
-            train_k_alpha=k11_alpha if _keeps_fit_rows(spec.family) else None,
-        ),
+        evaluator=KulsifWeightFn(train, x0, lam),
         info={
             "lambda": lam,
             "family": spec.family,

@@ -264,9 +264,9 @@ def test_criterion_5_weight_backends():
     wm1 = fit_weights_kulsif(toy, KernelSpec(family="rbf", bandwidth=1.0, ridge=1.0))
     wm2 = fit_weights_kulsif(toy, KernelSpec(family="rbf", bandwidth=1.0, ridge=2.0))
     hand_ok = (
-        abs(wm1.evaluator.alpha[0] + 0.5) <= 1e-12
+        abs(wm1.evaluator.train.alpha[0] + 0.5) <= 1e-12
         and abs(wm1(toy.x[:1])[0] - 0.5) <= 1e-12
-        and abs(wm2.evaluator.alpha[0] + 1.0 / 6.0) <= 1e-12
+        and abs(wm2.evaluator.train.alpha[0] + 1.0 / 6.0) <= 1e-12
         and abs(wm2(toy.x[:1])[0] - 1.0 / 3.0) <= 1e-12
     )
     worst_residual = 0.0

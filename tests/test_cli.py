@@ -507,6 +507,7 @@ class TestErrorsAndExitCodes:
     @pytest.mark.parametrize("kernel, error", [
         ({"ridge": 1e308}, "SolveFailure"),  # n * ridge overflows in kernel ridge
         ({"bandwidth": 1e-170}, "InvalidConfig"),  # 2 * bandwidth**2 underflows to 0
+        ({"ridge": 5e-324}, "SolveFailure"),  # lambda n0 n1 is subnormal: the KuLSIF rhs overflows
     ])
     def test_non_finite_kernel_system_is_structured(self, tmp_path, capsys, kernel, error):
         sim_out = simulate_to(tmp_path)
@@ -598,6 +599,10 @@ class TestErrorsAndExitCodes:
 
     def test_missing_required_flag_exit_2(self):
         assert main(["simulate"]) == 2
+
+    def test_calibrate_has_no_seed_flag(self, tmp_path):
+        assert main(["calibrate", "--config", str(tmp_path / "cal.json"),
+                     "--out", str(tmp_path / "out"), "--seed", "1"]) == 2
 
     def test_missing_file_exit_1(self, tmp_path, capsys):
         code = main(["simulate", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)])

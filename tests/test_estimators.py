@@ -155,6 +155,35 @@ class TestEstimateEfficient:
         with pytest.raises(NonFiniteValue, match="standard error"):
             estimate_efficient(data, oracle, policy, Estimand.VALUE)
 
+    @pytest.mark.parametrize("kind", [DatasetKind.TYPE2, DatasetKind.TYPE1])
+    def test_kernel_fits_build_each_kernel_once(self, kind, monkeypatch):
+        from shifteval import nuisance
+
+        data, _ = simulate_gaussian_shift(make_config(n=400, seed=31))
+        if kind is DatasetKind.TYPE2:
+            data = data.as_type2()
+        built = []
+        kernel_matrix = nuisance._kernel_matrix
+
+        def spy(family, bandwidth, xa, xb):
+            built.append((xa, xb))
+            return kernel_matrix(family, bandwidth, xa, xb)
+
+        monkeypatch.setattr(nuisance, "_kernel_matrix", spy)
+        assemble_nuisances(data, FitRecipe(weights="kulsif", propensity="logistic",
+                                           outcome="kernel_ridge"))
+        # the KuLSIF right-hand side K(x0, x1) and system K(x1, x1), then one
+        # K(xa, xa) per arm over the rows with observed outcomes; the fit-row
+        # values K alpha come from those matrices, not from another build
+        x1, x0 = data.x[data.s == 1], data.x[data.s == 0]
+        obs = data.observed
+        expected = [(x0, x1), (x1, x1)] + [
+            (data.x[obs][data.a[obs] == arm],) * 2 for arm in (-1, 1)
+        ]
+        assert len(built) == len(expected)
+        for (xa, xb), (ea, eb) in zip(built, expected):
+            assert np.array_equal(xa, ea) and np.array_equal(xb, eb)
+
     def test_kernel_fits_reuse_their_fit_row_values(self, policy, monkeypatch):
         from shifteval import nuisance
 

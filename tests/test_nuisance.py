@@ -324,10 +324,10 @@ class TestKulsif:
             np.array([[1.0], [1.0]]), [1, np.nan], [0.5, np.nan], [1, 0], DatasetKind.TYPE2
         )
         wm1 = fit_weights_kulsif(ds, KernelSpec(family="rbf", bandwidth=1.0, ridge=1.0))
-        assert wm1.evaluator.alpha[0] == pytest.approx(-0.5, abs=1e-12)
+        assert wm1.evaluator.train.alpha[0] == pytest.approx(-0.5, abs=1e-12)
         assert wm1(ds.x[:1])[0] == pytest.approx(0.5, abs=1e-12)
         wm2 = fit_weights_kulsif(ds, KernelSpec(family="rbf", bandwidth=1.0, ridge=2.0))
-        assert wm2.evaluator.alpha[0] == pytest.approx(-1.0 / 6.0, abs=1e-12)
+        assert wm2.evaluator.train.alpha[0] == pytest.approx(-1.0 / 6.0, abs=1e-12)
         assert wm2(ds.x[:1])[0] == pytest.approx(1.0 / 3.0, abs=1e-12)
 
     def test_no_shift_mean_weight_near_one(self):
@@ -369,18 +369,18 @@ class TestKulsif:
         assert wm.info["dual_residual"] <= 1e-8
         # perturbing any coordinate strictly increases the dual objective
         ev = wm.evaluator
-        k11 = _kernel_matrix(ev.family, ev.bandwidth, ev.train_x, ev.train_x)
-        k01 = _kernel_matrix(ev.family, ev.bandwidth, ev.calib_x, ev.train_x)
+        k11 = _kernel_matrix(ev.train.family, ev.train.bandwidth, ev.train.anchors, ev.train.anchors)
+        k01 = _kernel_matrix(ev.train.family, ev.train.bandwidth, ev.calib_x, ev.train.anchors)
         lhs = k11 / n1 + ev.lam * np.eye(n1)
         lin = k01.sum(axis=0) / (ev.lam * n0 * n1)
 
         def dual_objective(alpha):
             return 0.5 * alpha @ lhs @ alpha + lin @ alpha
 
-        base = dual_objective(ev.alpha)
+        base = dual_objective(ev.train.alpha)
         for i in (0, 7, n1 - 1):
             for eps in (1e-3, -1e-3):
-                perturbed = ev.alpha.copy()
+                perturbed = ev.train.alpha.copy()
                 perturbed[i] += eps
                 assert dual_objective(perturbed) > base
 
@@ -394,19 +394,19 @@ class TestKulsif:
         )
         wm = fit_weights_kulsif(ds, KernelSpec())
         ev = wm.evaluator
-        k11 = _kernel_matrix(ev.family, ev.bandwidth, ev.train_x, ev.train_x)
-        k01 = _kernel_matrix(ev.family, ev.bandwidth, ev.calib_x, ev.train_x)
-        expected = k11 @ ev.alpha + k01.sum(axis=0) / (ev.lam * n0)
+        k11 = _kernel_matrix(ev.train.family, ev.train.bandwidth, ev.train.anchors, ev.train.anchors)
+        k01 = _kernel_matrix(ev.train.family, ev.train.bandwidth, ev.calib_x, ev.train.anchors)
+        expected = k11 @ ev.train.alpha + k01.sum(axis=0) / (ev.lam * n0)
         np.testing.assert_allclose(ev.raw(x[:n1]), expected, atol=1e-10)
         # the same identity through the kernel path, on rows that are not the
         # training matrix: its rows reversed, and one row moved by 1e-3
         np.testing.assert_allclose(ev.raw(x[:n1][::-1]), expected[::-1], atol=1e-10)
         moved = x[:n1].copy()
         moved[0, 0] += 1e-3
-        k1 = _kernel_matrix(ev.family, ev.bandwidth, moved, ev.train_x)
-        k0 = _kernel_matrix(ev.family, ev.bandwidth, moved, ev.calib_x)
+        k1 = _kernel_matrix(ev.train.family, ev.train.bandwidth, moved, ev.train.anchors)
+        k0 = _kernel_matrix(ev.train.family, ev.train.bandwidth, moved, ev.calib_x)
         np.testing.assert_allclose(
-            ev.raw(moved), k1 @ ev.alpha + k0.sum(axis=1) / (ev.lam * n0), atol=1e-10
+            ev.raw(moved), k1 @ ev.train.alpha + k0.sum(axis=1) / (ev.lam * n0), atol=1e-10
         )
 
     def test_negative_truncation_flagged(self):
@@ -427,6 +427,13 @@ class TestKulsif:
         assert (wm(shuffled) >= 0.0).all()
         assert int(np.sum(wm.evaluator.raw(shuffled) < 0)) == wm.info["train_negative_truncated"]
 
+    def test_subnormal_ridge_raises_solve_failure(self):
+        # lambda n0 n1 is subnormal, so the right-hand side overflows to inf:
+        # refused by the solve, with no numpy overflow warning
+        data, _ = simulate_gaussian_shift(make_config(n=200, seed=3))
+        with pytest.raises(SolveFailure, match="right-hand side not finite"):
+            fit_weights_kulsif(data, KernelSpec(ridge=5e-324))
+
 
 def _fresh_kernel(family, bandwidth, x, rows):
     """K(x, rows) at a copy of x: the general product an evaluation at a
@@ -435,9 +442,9 @@ def _fresh_kernel(family, bandwidth, x, rows):
 
 
 class TestFitRowValues:
-    """With the rbf kernel, the dense-kernel fits keep K alpha at their own
-    rows, from the fit's kernel matrix; it must equal a fresh kernel
-    evaluation bit for bit. The linear kernel keeps nothing."""
+    """The dense-kernel fits keep K alpha at their own rows, from the fit's
+    kernel matrix; with the rbf kernel, which uses it, it must equal a fresh
+    kernel evaluation bit for bit."""
 
     @given(
         n=st.integers(50, 600),
@@ -456,15 +463,13 @@ class TestFitRowValues:
         x1 = data.x[data.s == 1]
         # the ridge systems factor the transpose of K(x, x), so it must be
         # symmetric bit for bit
-        k11 = _kernel_matrix(family, ev.bandwidth, ev.train_x, ev.train_x)
+        k11 = _kernel_matrix(family, ev.train.bandwidth, ev.train.anchors, ev.train.anchors)
         assert np.array_equal(k11, k11.T)
-        k1_alpha = _fresh_kernel(family, ev.bandwidth, x1, ev.train_x) @ ev.alpha
-        k0 = _fresh_kernel(family, ev.bandwidth, x1, ev.calib_x)
+        k1_alpha = _fresh_kernel(family, ev.train.bandwidth, x1, ev.train.anchors) @ ev.train.alpha
+        k0 = _fresh_kernel(family, ev.train.bandwidth, x1, ev.calib_x)
         fresh = k1_alpha + k0.sum(axis=1) / (ev.lam * ev.calib_x.shape[0])
         if family == "rbf":
-            assert np.array_equal(ev.train_k_alpha, k1_alpha)
-        else:
-            assert ev.train_k_alpha is None
+            assert np.array_equal(ev.train.fitted, k1_alpha)
         assert np.array_equal(ev.raw(x1), fresh)
 
         q = fit_outcome_regression(data, method="kernel_ridge", spec=spec).evaluator
@@ -472,14 +477,54 @@ class TestFitRowValues:
         x, a = data.x[obs], data.a[obs]
         expected = np.empty(x.shape[0])
         for arm in (-1, 1):
-            xa, alpha, fitted = q.anchors[arm]
-            at_rows = _fresh_kernel(family, q.bandwidth, xa, xa) @ alpha
+            expansion = q.arms[arm]
+            xa, alpha, fitted = expansion.anchors, expansion.alpha, expansion.fitted
+            at_rows = _fresh_kernel(family, expansion.bandwidth, xa, xa) @ alpha
             if family == "rbf":
                 assert np.array_equal(fitted, at_rows)
-            else:
-                assert fitted is None
             expected[a == arm] = at_rows
         assert np.array_equal(q(x, a), expected)
+
+
+class TestKernelExpansion:
+    """Evaluated at exactly its anchors, an rbf expansion returns the fit's
+    K alpha without a kernel build; anything else is a fresh evaluation."""
+
+    @staticmethod
+    def fit(family, monkeypatch):
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((40, 3))
+        expansion = nuisance._fit_expansion(
+            family, 1.3, x, 1.0, 0.5, rng.standard_normal(40), "toy system"
+        )
+        built = []
+        kernel_matrix = nuisance._kernel_matrix
+
+        def spy(*args):
+            built.append(args)
+            return kernel_matrix(*args)
+
+        monkeypatch.setattr(nuisance, "_kernel_matrix", spy)
+        return expansion, built
+
+    @pytest.mark.parametrize("family", ["rbf", "linear"])
+    def test_copy_of_the_anchors(self, monkeypatch, family):
+        expansion, built = self.fit(family, monkeypatch)
+        values = expansion(expansion.anchors.copy())
+        if family == "rbf":
+            assert values is expansion.fitted
+            assert built == []
+        else:
+            assert len(built) == 1
+            np.testing.assert_allclose(values, expansion.fitted, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("family", ["rbf", "linear"])
+    def test_permuted_anchors_build_a_fresh_kernel(self, monkeypatch, family):
+        expansion, built = self.fit(family, monkeypatch)
+        perm = np.random.default_rng(6).permutation(expansion.anchors.shape[0])
+        values = expansion(expansion.anchors[perm])
+        assert len(built) == 1
+        np.testing.assert_allclose(values, expansion.fitted[perm], rtol=0, atol=1e-12)
 
 
 class TestKernelMemoryGuard:
