@@ -24,7 +24,7 @@ from pathlib import Path
 
 from . import __version__
 from .calibration import candidates_from_json, check_method, check_propensity_stratum, select_policy
-from .data_model import _cast, _field, _float, _int, _of  # the one JSON config reader
+from .data_model import _cast, _field, _fields, _float, _int, _of  # the one JSON config reader
 from .data_model import (
     DatasetKind,
     LinearPolicy,
@@ -108,11 +108,7 @@ def _kernel_from_config(config: dict) -> KernelSpec | None:
     k = _field(config, "kernel", _of(dict), None)
     if k is None:
         return None
-    return KernelSpec(
-        family=_field(k, "family", _of(str), "rbf"),
-        bandwidth=_field(k, "bandwidth", _float, None),
-        ridge=_field(k, "ridge", _float, None),
-    )
+    return KernelSpec(**_fields(k, family=_of(str), bandwidth=_float, ridge=_float))
 
 
 def _recipe_from_config(config: dict, data, default_weights: str) -> FitRecipe:
@@ -234,10 +230,7 @@ def _estimator_spec(e: dict) -> EstimatorSpec:
         name=_field(e, "name", _of(str)),
         estimand=_field(e, "estimand", Estimand, Estimand.VALUE),
         kind=_field(e, "kind", DatasetKind, DatasetKind.TYPE2),
-        weights=_field(e, "weights", _of(str), "oracle"),
-        propensity=_field(e, "propensity", _of(str), "oracle"),
-        outcome=_field(e, "outcome", _of(str), "oracle"),
-        crossfit=_field(e, "crossfit", _of(bool), False),
+        **_fields(e, weights=_of(str), propensity=_of(str), outcome=_of(str), crossfit=_of(bool)),
     )
 
 
@@ -253,11 +246,8 @@ def cmd_montecarlo(args) -> int:
         replications=_field(config, "replications", _int),
         policy=policy,
         estimators=tuple(map(_estimator_spec, _field(config, "estimators", _of(list)))),
-        crossfit_k=_field(config, "crossfit_k", _int, 5),
-        level=_field(config, "level", _float, DEFAULT_LEVEL),
-        n_jobs=_field(config, "n_jobs", _int, 1),
-        truth_draws=_field(config, "truth_draws", _int, 1_000_000),
-        variance_draws=_field(config, "variance_draws", _int, 1_000_000),
+        **_fields(config, crossfit_k=_int, level=_float, n_jobs=_int, truth_draws=_int,
+                  variance_draws=_int),
     )
     tic = time.perf_counter()
     summary = run_replications(mc)

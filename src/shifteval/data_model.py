@@ -222,6 +222,14 @@ def _field(d: dict, key: str, cast, default=...):
     return default
 
 
+def _fields(d: dict, **casts) -> dict:
+    """``{key: cast(d[key])}`` for each ``key=cast`` whose key ``d`` holds, as
+    keyword arguments for a class whose own defaults stand for the others."""
+    _cast(d, _of(dict), f"object holding {', '.join(map(repr, casts))}")
+    return {key: _cast(d[key], cast, f"config field {key!r}")
+            for key, cast in casts.items() if key in d}
+
+
 def _float(value) -> float:
     """A JSON number as a float; ``float`` would take a bool or a string."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):

@@ -45,6 +45,7 @@ from .data_model import (
 )
 from .errors import InvalidConfig, ShiftEvalError, VariantMismatch
 from .estimators import (
+    DEFAULT_LEVEL,
     MIN_MC_DRAWS,
     Estimand,
     EifVariant,
@@ -101,7 +102,7 @@ class McConfig:
     policy: Policy
     estimators: tuple
     crossfit_k: int = 5
-    level: float = 0.95
+    level: float = DEFAULT_LEVEL
     n_jobs: int = 1
     truth_draws: int = 1_000_000
     variance_draws: int = 1_000_000

@@ -17,18 +17,20 @@ one ridge solve, ``_fit_expansion``, and one representer expansion,
 ``_KernelExpansion``, which keeps K alpha at its own fit rows from the
 kernel matrix the fit already built; with the rbf kernel it uses it, bit
 for bit equal to a fresh kernel evaluation, when evaluated at exactly
-those rows. The logistic propensity is one model with a per-stratum fit
-for every stratum that has observed (a, y). Dense kernel systems are
-solved by Cholesky, and every solve warns when the 1-norm condition
-estimate from the Cholesky factor exceeds 1e12, at any size; a system
-whose 1-norm or right-hand side is not finite raises ``SolveFailure``, and
-that 1-norm is the only finiteness scan of the matrix. The median-distance
-bandwidth selects its order statistics in one partition. A dense-kernel
-fit whose matrices would exceed the least of physical memory, the cgroup
-memory limit and ``RLIMIT_AS`` raises ``KernelTooLarge`` before it
-allocates any of them. The dense-kernel and entropy-balancing solvers
-load ``scipy.linalg`` and ``scipy.spatial`` on first use, so a process
-that fits neither never does.
+those rows. The aipsw selection model and the treatment propensity
+(fitted in every stratum with observed (a, y)) are one logistic model on
+[1, x]: one Newton fit, ``_fit_logistic``, and one evaluator,
+``_logistic``. Dense kernel systems are solved by Cholesky, and every
+solve warns when the 1-norm condition estimate from the Cholesky factor
+exceeds 1e12, at any size; a system whose 1-norm or right-hand side is
+not finite raises ``SolveFailure``, and that 1-norm is the only
+finiteness scan of the matrix. The median-distance bandwidth selects its
+order statistics in one partition. A dense-kernel fit whose matrices
+would exceed the least of physical memory, the cgroup memory limit less
+its usage and ``RLIMIT_AS`` less the mapped address space raises
+``KernelTooLarge`` before it allocates any of them. The dense-kernel and
+entropy-balancing solvers load ``scipy.linalg`` and ``scipy.spatial`` on
+first use, so a process that fits neither never does.
 
 Fitted models are immutable and safe to share across threads.
 """
@@ -80,8 +82,8 @@ __all__ = [
     "gaussian_oracle_nuisances",
 ]
 
-TAU_CLIP = 1e-3  # default clip for treatment propensities
-DELTA_CLIP = 1e-3  # default clip for selection probabilities
+TAU_CLIP = 1e-3  # clip for fitted treatment propensities
+DELTA_CLIP = 1e-3  # clip for the aipsw selection probabilities
 
 _COND_WARN = 1e12
 _BANDWIDTH_ROWS = 2000  # rows the median-distance bandwidth is taken over
@@ -98,10 +100,22 @@ def _physical_memory() -> float:
         return float("inf")
 
 
-def _cgroup_memory_limit(proc: str = "/proc/self/cgroup", root: str = "/sys/fs/cgroup") -> float:
-    """The least v2 ``memory.max`` or v1 ``memory.limit_in_bytes`` set on this
-    process's cgroup or an ancestor; ``max`` or an unreadable file sets none."""
-    limits = [float("inf")]
+def _read_int(path: str) -> int | None:
+    """The first field of a file as an integer; None when the file is
+    unreadable or empty or the field is not an integer (a cgroup's ``max``)."""
+    try:
+        with open(path) as f:
+            return int(f.read().split()[0])
+    except (OSError, ValueError, IndexError):
+        return None
+
+
+def _cgroup_headroom(proc: str = "/proc/self/cgroup", root: str = "/sys/fs/cgroup") -> float:
+    """The least limit less usage over this process's cgroup and its ancestors:
+    v2 ``memory.max`` less ``memory.current``, v1 ``memory.limit_in_bytes``
+    less ``memory.usage_in_bytes``. A limit of ``max`` or an unreadable limit
+    sets none; an unreadable usage counts as 0."""
+    headroom = [float("inf")]
     try:
         with open(proc) as f:
             lines = f.read().splitlines()
@@ -110,35 +124,39 @@ def _cgroup_memory_limit(proc: str = "/proc/self/cgroup", root: str = "/sys/fs/c
     for line in lines:
         controllers, _, path = line.partition(":")[2].partition(":")
         if controllers == "":
-            base, name = root, "memory.max"
+            base, limit_name, usage_name = root, "memory.max", "memory.current"
         elif "memory" in controllers.split(","):
-            base, name = os.path.join(root, "memory"), "memory.limit_in_bytes"
+            base = os.path.join(root, "memory")
+            limit_name, usage_name = "memory.limit_in_bytes", "memory.usage_in_bytes"
         else:
             continue
         parts = [part for part in path.split("/") if part]
         for depth in range(len(parts) + 1):
-            try:
-                with open(os.path.join(base, *parts[:depth], name)) as f:
-                    limits.append(int(f.read()))
-            except (OSError, ValueError):  # unreadable, or "max"
-                pass
-    return min(limits)
+            level = os.path.join(base, *parts[:depth])
+            limit = _read_int(os.path.join(level, limit_name))
+            if limit is not None:
+                headroom.append(limit - (_read_int(os.path.join(level, usage_name)) or 0))
+    return min(headroom)
 
 
-def _address_space_limit() -> float:
-    """The soft ``RLIMIT_AS``, inf when unlimited or not available."""
+def _address_space_headroom(statm: str = "/proc/self/statm") -> float:
+    """The soft ``RLIMIT_AS`` less the address space already mapped (the first
+    field of ``statm``, in pages), inf when unlimited or not available; an
+    unreadable size counts as 0."""
     try:
         import resource
     except ImportError:
         return float("inf")
     soft = resource.getrlimit(resource.RLIMIT_AS)[0]
-    return float("inf") if soft == resource.RLIM_INFINITY else soft
+    if soft == resource.RLIM_INFINITY:
+        return float("inf")
+    return soft - (_read_int(statm) or 0) * resource.getpagesize()
 
 
 def _memory_cap() -> float:
-    """Bytes the dense kernel matrices may take: the least of physical memory,
-    the cgroup memory limit and RLIMIT_AS, read (never set) at each call."""
-    return min(_physical_memory(), _cgroup_memory_limit(), _address_space_limit())
+    """Bytes the dense kernel matrices may take: the least of physical memory
+    and the cgroup and RLIMIT_AS headroom, read (never set) at each call."""
+    return min(_physical_memory(), _cgroup_headroom(), _address_space_headroom())
 
 
 # ---------------------------------------------------------------------------
@@ -194,8 +212,8 @@ def _check_kernel_memory(n_floats: int, context: str) -> None:
     need, cap = 8 * n_floats, _memory_cap()
     if need > cap:
         raise KernelTooLarge(
-            f"{context} needs {need / 2**30:.1f} GiB of dense kernel matrices, more than the "
-            f"{cap / 2**30:.1f} GiB cap (least of physical memory, cgroup limit, RLIMIT_AS)"
+            f"{context} needs {need / 2**20:.1f} MiB of dense kernel matrices, more than the "
+            f"{cap / 2**20:.1f} MiB headroom (least of physical memory, cgroup and RLIMIT_AS)"
         )
 
 
@@ -264,7 +282,7 @@ def _solve_spd(matrix: NDArray, rhs: NDArray, context: str) -> NDArray:
 class ConstantPropensityFn:
     p1: float
 
-    def prob1(self, x: NDArray, s) -> NDArray:
+    def prob1(self, x: NDArray, s: int) -> NDArray:
         return np.full(x.shape[0], self.p1)
 
 
@@ -274,22 +292,15 @@ class LogisticPropensityFn:
 
     coef: dict
 
-    def prob1(self, x: NDArray, s) -> NDArray:
-        s_arr = np.broadcast_to(np.asarray(s), (x.shape[0],))
-        out = np.empty(x.shape[0])
-        for stratum in np.unique(s_arr):
-            key = int(stratum)
-            if key not in self.coef:
-                raise MissingStratum(f"no propensity model fitted for stratum s={key}")
-            beta = self.coef[key]
-            mask = s_arr == stratum
-            out[mask] = expit(beta[0] + x[mask] @ beta[1:])
-        return out
+    def prob1(self, x: NDArray, s: int) -> NDArray:
+        if s not in self.coef:
+            raise MissingStratum(f"no propensity model fitted for stratum s={s}")
+        return _logistic(self.coef[s], x)
 
 
 @dataclass(frozen=True, eq=False)
 class PropensityModel:
-    """Treatment-assignment model pi_A(a | x, s) with probabilities in (0, 1).
+    """Treatment-assignment model pi_A(a | x, s) of one stratum s, in (0, 1).
 
     ``prob(1, x, s) + prob(-1, x, s) = 1`` holds exactly for every query.
     """
@@ -298,7 +309,7 @@ class PropensityModel:
     clip: float = TAU_CLIP
     info: dict = field(default_factory=dict)
 
-    def prob(self, a, x: NDArray, s) -> NDArray:
+    def prob(self, a, x: NDArray, s: int) -> NDArray:
         x = _as_matrix(x)
         p1 = np.asarray(self.evaluator.prob1(x, s), dtype=float)
         if self.clip > 0:
@@ -437,27 +448,34 @@ class NuisanceSet:
 # ---------------------------------------------------------------------------
 
 
-def _log_likelihood(design: NDArray, b: NDArray, beta: NDArray) -> float:
+def _logistic(coef: NDArray, x: NDArray) -> NDArray:
+    """expit([1, x] @ coef), the one evaluator of a fitted logistic model."""
+    return expit(coef[0] + x @ coef[1:])
+
+
+def _log_likelihood(design: NDArray, b: NDArray, beta: NDArray) -> tuple:
+    """The Bernoulli log-likelihood at ``beta`` and the linear predictor it read."""
     eta = design @ beta
-    return float(np.sum(b * eta - np.logaddexp(0.0, eta)))
+    return float(np.sum(b * eta - np.logaddexp(0.0, eta))), eta
 
 
-def _newton_logistic(design: NDArray, b: NDArray):
-    """Maximize the Bernoulli log-likelihood; returns (beta, info).
+def _fit_logistic(x: NDArray, b: NDArray):
+    """Maximize the Bernoulli log-likelihood of ``b`` on [1, x] by Newton with
+    a halving line search; returns (coef, info).
 
-    Raises ``Separation`` when the data are (quasi-)separated and the
-    likelihood has no finite maximizer, ``RankDeficient`` when the design
-    matrix does not have full column rank.
+    Raises ``RankDeficient`` when [1, x] does not have full column rank, and
+    ``Separation`` when the data are (quasi-)separated and the likelihood has
+    no finite maximizer.
     """
+    design = np.column_stack([np.ones(x.shape[0]), x])
     n, q = design.shape
     if np.linalg.matrix_rank(design) < q:
         raise RankDeficient("design matrix is rank deficient")
     beta = np.zeros(q)
-    ll = _log_likelihood(design, b, beta)
+    ll, eta = _log_likelihood(design, b, beta)
     converged = False
     it = 0
     for it in range(1, _NEWTON_MAX_ITER + 1):
-        eta = design @ beta
         pr = expit(eta)
         grad = design.T @ (b - pr)
         if np.max(np.abs(grad)) / n <= _NEWTON_TOL:
@@ -475,41 +493,35 @@ def _newton_logistic(design: NDArray, b: NDArray):
         t = 1.0
         for _ in range(40):
             cand = beta + t * step
-            ll_new = _log_likelihood(design, b, cand)
+            ll_new, eta_new = _log_likelihood(design, b, cand)
             if ll_new >= ll - 1e-12:
-                beta, ll = cand, ll_new
+                beta, ll, eta = cand, ll_new, eta_new
                 break
             t *= 0.5
         else:
             beta = beta + t * step
-            ll = _log_likelihood(design, b, beta)
-    if not converged:
-        eta = design @ beta
-        if np.all((2.0 * b - 1.0) * eta >= 0.0) and np.linalg.norm(beta) > 1e2:
-            raise Separation("Newton iterations diverged (separated data)")
+            ll, eta = _log_likelihood(design, b, beta)
+    if not converged and np.all((2.0 * b - 1.0) * eta >= 0.0) and np.linalg.norm(beta) > 1e2:
+        raise Separation("Newton iterations diverged (separated data)")
     return beta, {"iterations": it, "converged": converged}
 
 
-def fit_propensity_logistic(data: PooledDataset, clip: float = TAU_CLIP) -> PropensityModel:
+def fit_propensity_logistic(data: PooledDataset) -> PropensityModel:
     """Logistic regression of 1[A = 1] on (1, x), fitted separately in every
     stratum with observed (a, y): s = 1, then s = 0 on Type-1 data.
 
-    Predictions are clipped to [clip, 1 - clip]. ``info["strata"]`` holds
-    each stratum's Newton iterations and convergence.
+    Predictions are clipped to [TAU_CLIP, 1 - TAU_CLIP]. ``info["strata"]``
+    holds each stratum's Newton iterations and convergence.
     """
     coef, strata = {}, {}
     for stratum in (1, 0):
         mask = (data.s == stratum) & data.observed
-        if not mask.any():
-            continue
-        x = data.x[mask]
-        design = np.column_stack([np.ones(x.shape[0]), x])
-        coef[stratum], strata[str(stratum)] = _newton_logistic(
-            design, (data.a[mask] == 1).astype(float)
-        )
+        if mask.any():
+            coef[stratum], strata[str(stratum)] = _fit_logistic(
+                data.x[mask], (data.a[mask] == 1).astype(float)
+            )
     return PropensityModel(
         evaluator=LogisticPropensityFn(coef),
-        clip=clip,
         info={"model": "logistic", "strata": strata},
     )
 
@@ -591,22 +603,19 @@ class AipswWeightFn:
     coef: NDArray
     n1: int
     n0: int
-    clip: float
 
     def __call__(self, x: NDArray) -> NDArray:
-        p1 = expit(self.coef[0] + x @ self.coef[1:])
-        p1 = np.clip(p1, self.clip, 1.0 - self.clip)
+        p1 = np.clip(_logistic(self.coef, x), DELTA_CLIP, 1.0 - DELTA_CLIP)
         return self.n1 * (1.0 - p1) / (self.n0 * p1)
 
 
-def fit_weights_aipsw(data: PooledDataset, clip: float = DELTA_CLIP) -> WeightModel:
+def fit_weights_aipsw(data: PooledDataset) -> WeightModel:
     """Covariate weights from logistic regression of S on (1, x) over all rows."""
-    design = np.column_stack([np.ones(data.n), data.x])
-    beta, fit_info = _newton_logistic(design, data.s.astype(float))
+    beta, fit_info = _fit_logistic(data.x, data.s.astype(float))
     return WeightModel(
         backend="aipsw",
-        evaluator=AipswWeightFn(coef=beta, n1=data.n1, n0=data.n0, clip=clip),
-        info={"coef": beta.tolist(), "clip": clip, **fit_info},
+        evaluator=AipswWeightFn(coef=beta, n1=data.n1, n0=data.n0),
+        info={"coef": beta.tolist(), "clip": DELTA_CLIP, **fit_info},
     )
 
 

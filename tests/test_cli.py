@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import dataclasses
 import io
 import json
 import subprocess
@@ -23,7 +24,7 @@ from shifteval import (
 )
 from shifteval import cli, estimators, montecarlo
 from shifteval.cli import main
-from shifteval.errors import NonFiniteValue
+from shifteval.errors import InvalidConfig, NonFiniteValue
 from shifteval.data_model import true_weight_gaussian
 
 from conftest import make_config
@@ -292,6 +293,25 @@ class TestMonteCarloCommand:
         s3 = json.loads((out3 / "mc_summary.json").read_text())
         for key in ("truth", "replications", "n", "estimators"):
             assert s1[key] == s3[key]
+
+    def test_minimal_config_takes_the_class_defaults(self, tmp_path, monkeypatch):
+        built = []
+
+        def capture(mc):
+            built.append(mc)
+            raise InvalidConfig("stopped before the study")
+
+        monkeypatch.setattr(cli, "run_replications", capture)
+        config = write_json(tmp_path / "mc.json", {
+            "base": sim_config_dict(n=300, seed=13), "replications": 2, "policy": POLICY,
+            "estimators": [{"name": "theta_t2"}],
+        })
+        assert main(["montecarlo", "--config", config, "--out", str(tmp_path / "out")]) == 1
+        (mc,) = built
+        for obj in (mc, mc.estimators[0]):
+            for f in dataclasses.fields(obj):
+                if f.default is not dataclasses.MISSING:
+                    assert getattr(obj, f.name) == f.default, f.name
 
     @pytest.mark.parametrize("example", sorted(EXAMPLE_ESTIMATORS))
     def test_example_configs_run(self, tmp_path, example):

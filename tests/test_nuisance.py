@@ -80,7 +80,7 @@ class TestPropensity:
             np.r_[x, 0.2][:, None], np.r_[a, np.nan], [0.0] * 3 + [np.nan], [1, 1, 1, 0],
             DatasetKind.TYPE2,
         )
-        model = fit_propensity_logistic(ds, clip=0.0)
+        model = fit_propensity_logistic(ds)
         beta = model.evaluator.coef[1]
         b0, b1, _ = grid_max_loglik(x, (a == 1).astype(float))
         assert abs(beta[0] - b0) < 1e-3
@@ -102,19 +102,19 @@ class TestPropensity:
     @given(
         coef=hnp.arrays(float, (2, 3), elements=st.floats(-1e3, 1e3)),
         x=hnp.arrays(float, (10, 2), elements=st.floats(-10.0, 10.0)),
-        s=hnp.arrays(np.int64, 10, elements=st.integers(0, 1)),
         clip=st.sampled_from([0.0, TAU_CLIP, 0.25]),
         p1=st.floats(0.0, 1.0),
     )
     @settings(max_examples=50, deadline=None)
-    def test_arm_probabilities_sum_to_one_exactly(self, coef, x, s, clip, p1):
+    def test_arm_probabilities_sum_to_one_exactly(self, coef, x, clip, p1):
         # coefficients up to 1e3 on covariates up to 10 push expit to the clip
         # and, unclipped, to exactly 0 or 1
         for evaluator in (LogisticPropensityFn({1: coef[0], 0: coef[1]}),
                           ConstantPropensityFn(p1)):
             model = PropensityModel(evaluator, clip=clip)
-            total = model.prob(1, x, s) + model.prob(-1, x, s)
-            assert np.all(total == 1.0)
+            for s in (0, 1):
+                total = model.prob(1, x, s) + model.prob(-1, x, s)
+                assert np.all(total == 1.0)
 
     @pytest.mark.parametrize("p1, seed", [(0.75, 627), (0.6875, 208)])
     def test_separated_small_sample_raises(self, p1, seed):
@@ -302,7 +302,7 @@ class TestAipsw:
             s,
             DatasetKind.TYPE2,
         )
-        wm = fit_weights_aipsw(ds, clip=0.0)
+        wm = fit_weights_aipsw(ds)
         b0, b1, _ = grid_max_loglik(x, s.astype(float))
         from scipy.special import expit
 
@@ -316,6 +316,21 @@ class TestAipsw:
         coef = np.asarray(fit_weights_aipsw(data).info["coef"])
         target = np.array([np.log(1.0) - 0.25, 0.5, 0.5])
         assert np.max(np.abs(coef - target)) < 0.08
+
+
+@pytest.mark.parametrize("cap", [1, None])
+def test_newton_cap_is_reported_not_raised(monkeypatch, cap):
+    """A logistic fit stopped by the iteration cap reports it in its info;
+    uncapped, the same fits converge."""
+    if cap is not None:
+        monkeypatch.setattr(nuisance, "_NEWTON_MAX_ITER", cap)
+    data, _ = simulate_gaussian_shift(make_config(n=400, seed=7))
+    infos = [fit_weights_aipsw(data).info, *fit_propensity_logistic(data).info["strata"].values()]
+    assert len(infos) == 3  # aipsw, then the propensity in s = 1 and s = 0
+    for info in infos:
+        assert info["converged"] is (cap is None)
+        if cap is not None:
+            assert info["iterations"] == cap
 
 
 class TestKulsif:
@@ -563,9 +578,10 @@ class TestKernelMemoryGuard:
 
 
 class TestMemoryCap:
-    """The cap is the least limit that can be read: physical memory, the
-    cgroup memory limit and the soft RLIMIT_AS. Readers are replaced or
-    pointed at files written here; nothing is allocated or limited."""
+    """The cap is the least headroom that can be read: physical memory, the
+    cgroup memory limit less its usage and the soft RLIMIT_AS less the mapped
+    address space. Readers are replaced or pointed at files written here;
+    nothing is allocated or limited."""
 
     @pytest.mark.parametrize(
         "physical, cgroup, address_space, cap",
@@ -580,8 +596,8 @@ class TestMemoryCap:
     )
     def test_cap_is_the_least_limit(self, monkeypatch, physical, cgroup, address_space, cap):
         monkeypatch.setattr(nuisance, "_physical_memory", lambda: physical)
-        monkeypatch.setattr(nuisance, "_cgroup_memory_limit", lambda: cgroup)
-        monkeypatch.setattr(nuisance, "_address_space_limit", lambda: address_space)
+        monkeypatch.setattr(nuisance, "_cgroup_headroom", lambda: cgroup)
+        monkeypatch.setattr(nuisance, "_address_space_headroom", lambda: address_space)
         assert nuisance._memory_cap() == cap
 
     @staticmethod
@@ -616,22 +632,48 @@ class TestMemoryCap:
             ),
             ("3:cpu:/\n", {"memory.max": "10"}, np.inf),
             ("", {}, np.inf),
+            # usage is taken from each level's limit; an unreadable usage is 0
+            ("0::/a/b\n", {"a/b/memory.max": "4096", "a/b/memory.current": "1000",
+                           "a/memory.max": "8192", "a/memory.current": "7000"}, 1192),
+            ("0::/a\n", {"a/memory.max": "4096", "a/memory.current": "x",
+                         "memory.current": "4000"}, 4096),
+            ("4:memory:/x\n", {"memory/x/memory.limit_in_bytes": "5000",
+                               "memory/x/memory.usage_in_bytes": "3000"}, 2000),
         ],
     )
     def test_cgroup_reader(self, tmp_path, membership, files, limit):
         proc, root = self.cgroup_tree(tmp_path, membership, files)
-        assert nuisance._cgroup_memory_limit(proc, root) == limit
+        assert nuisance._cgroup_headroom(proc, root) == limit
 
     def test_cgroup_reader_without_files(self, tmp_path):
         missing = str(tmp_path / "absent")
-        assert nuisance._cgroup_memory_limit(missing, missing) == np.inf
+        assert nuisance._cgroup_headroom(missing, missing) == np.inf
+
+    @pytest.mark.parametrize(
+        "soft, statm, headroom",
+        [
+            (10**9, "1000 200 30 4 0 50 0\n", 10**9 - 1000 * 4096),
+            (10**9, "", 10**9),  # an unreadable size counts as 0
+            (None, "1000 200 30 4 0 50 0\n", np.inf),  # unlimited
+        ],
+    )
+    def test_address_space_reader(self, tmp_path, monkeypatch, soft, statm, headroom):
+        import resource
+
+        soft = resource.RLIM_INFINITY if soft is None else soft
+        monkeypatch.setattr(resource, "getrlimit", lambda which: (soft, resource.RLIM_INFINITY))
+        monkeypatch.setattr(resource, "getpagesize", lambda: 4096)
+        (tmp_path / "statm").write_text(statm)
+        assert nuisance._address_space_headroom(str(tmp_path / "statm")) == headroom
 
     def test_cgroup_limit_refuses_a_kernel(self, tmp_path, monkeypatch):
-        proc, root = self.cgroup_tree(tmp_path, "0::/job\n", {"job/memory.max": "1000000"})
-        real = nuisance._cgroup_memory_limit
-        monkeypatch.setattr(nuisance, "_cgroup_memory_limit", lambda: real(proc, root))
+        proc, root = self.cgroup_tree(
+            tmp_path, "0::/job\n", {"job/memory.max": "3000000", "job/memory.current": "2000000"}
+        )
+        real = nuisance._cgroup_headroom
+        monkeypatch.setattr(nuisance, "_cgroup_headroom", lambda: real(proc, root))
         data, _ = simulate_gaussian_shift(make_config(n=1000, seed=3))
-        with pytest.raises(KernelTooLarge, match="the 0.0 GiB cap"):
+        with pytest.raises(KernelTooLarge, match=r"MiB of dense kernel matrices, more than the 1\.0 MiB headroom"):
             fit_weights_kulsif(data, KernelSpec())
 
 
