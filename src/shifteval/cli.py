@@ -313,10 +313,7 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     try:
         return args.func(args)
-    except ShiftEvalError as e:
-        print(json.dumps({"error": e.name, "message": str(e)}), file=sys.stderr)
-        return 1
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as e:
+    except (ShiftEvalError, OSError, UnicodeDecodeError, json.JSONDecodeError) as e:
         print(json.dumps({"error": type(e).__name__, "message": str(e)}), file=sys.stderr)
         return 1
     except MemoryError as e:  # numpy raises a private subclass

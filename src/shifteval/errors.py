@@ -1,16 +1,12 @@
 """Exception types raised by shifteval operations.
 
-Every error carries a short machine-readable name (the class name) that the
-CLI maps into structured error output.
+The CLI reports an error by its class name and message, in one structured
+JSON line on stderr.
 """
 
 
 class ShiftEvalError(Exception):
     """Base class for all shifteval errors."""
-
-    @property
-    def name(self) -> str:
-        return type(self).__name__
 
 
 # dataset construction / validation

@@ -27,7 +27,7 @@ not finite raises ``SolveFailure``, and that 1-norm is the only
 finiteness scan of the matrix. The median-distance bandwidth selects its
 order statistics in one partition. A dense-kernel fit whose matrices
 would exceed the least of physical memory, the cgroup memory limit less
-its usage and ``RLIMIT_AS`` less the mapped address space raises
+its working set and ``RLIMIT_AS`` less the mapped address space raises
 ``KernelTooLarge`` before it allocates any of them. The dense-kernel and
 entropy-balancing solvers load ``scipy.linalg`` and ``scipy.spatial`` on
 first use, so a process that fits neither never does.
@@ -56,6 +56,7 @@ from .data_model import (
     true_weight_gaussian,
 )
 from .errors import (
+    DimensionMismatch,
     InfeasibleBalance,
     InvalidConfig,
     KernelTooLarge,
@@ -100,21 +101,25 @@ def _physical_memory() -> float:
         return float("inf")
 
 
-def _read_int(path: str) -> int | None:
-    """The first field of a file as an integer; None when the file is
-    unreadable or empty or the field is not an integer (a cgroup's ``max``)."""
+def _read_int(path: str, key: str | None = None) -> int | None:
+    """The first field of a file, or the field after ``key`` (a cgroup
+    ``memory.stat`` line), as an integer; None when the file is unreadable,
+    the key is absent or the field is not an integer (a cgroup's ``max``)."""
     try:
         with open(path) as f:
-            return int(f.read().split()[0])
+            fields = f.read().split()
+        return int(fields[fields.index(key) + 1] if key else fields[0])
     except (OSError, ValueError, IndexError):
         return None
 
 
 def _cgroup_headroom(proc: str = "/proc/self/cgroup", root: str = "/sys/fs/cgroup") -> float:
-    """The least limit less usage over this process's cgroup and its ancestors:
-    v2 ``memory.max`` less ``memory.current``, v1 ``memory.limit_in_bytes``
-    less ``memory.usage_in_bytes``. A limit of ``max`` or an unreadable limit
-    sets none; an unreadable usage counts as 0."""
+    """The least limit less working set over this process's cgroup and its
+    ancestors. The limit is v2 ``memory.max`` or v1 ``memory.limit_in_bytes``
+    (``max`` or unreadable: none). The working set, as the kubelet counts it,
+    is the usage (``memory.current``, ``memory.usage_in_bytes``) less the file
+    cache the kernel reclaims under pressure (``memory.stat`` ``inactive_file``,
+    v1 ``total_inactive_file``), and 0 when either is unreadable."""
     headroom = [float("inf")]
     try:
         with open(proc) as f:
@@ -124,18 +129,22 @@ def _cgroup_headroom(proc: str = "/proc/self/cgroup", root: str = "/sys/fs/cgrou
     for line in lines:
         controllers, _, path = line.partition(":")[2].partition(":")
         if controllers == "":
-            base, limit_name, usage_name = root, "memory.max", "memory.current"
+            base, names = root, ("memory.max", "memory.current", "inactive_file")
         elif "memory" in controllers.split(","):
             base = os.path.join(root, "memory")
-            limit_name, usage_name = "memory.limit_in_bytes", "memory.usage_in_bytes"
+            names = ("memory.limit_in_bytes", "memory.usage_in_bytes", "total_inactive_file")
         else:
             continue
+        limit_name, usage_name, cache_key = names
         parts = [part for part in path.split("/") if part]
         for depth in range(len(parts) + 1):
             level = os.path.join(base, *parts[:depth])
             limit = _read_int(os.path.join(level, limit_name))
+            usage = _read_int(os.path.join(level, usage_name))
+            cache = _read_int(os.path.join(level, "memory.stat"), cache_key)
             if limit is not None:
-                headroom.append(limit - (_read_int(os.path.join(level, usage_name)) or 0))
+                working_set = 0 if usage is None or cache is None else max(usage - cache, 0)
+                headroom.append(limit - working_set)
     return min(headroom)
 
 
@@ -310,16 +319,14 @@ class PropensityModel:
     info: dict = field(default_factory=dict)
 
     def prob(self, a, x: NDArray, s: int) -> NDArray:
+        if np.ndim(s) != 0:
+            raise DimensionMismatch(f"prob takes one stratum, not strata of shape {np.shape(s)}")
         x = _as_matrix(x)
         p1 = np.asarray(self.evaluator.prob1(x, s), dtype=float)
         if self.clip > 0:
             p1 = np.clip(p1, self.clip, 1.0 - self.clip)
         a = np.asarray(a)
         return np.where(a == 1, p1, 1.0 - p1)
-
-
-def _same_rows(x: NDArray, rows: NDArray) -> bool:
-    return x.shape == rows.shape and np.array_equal(x, rows)
 
 
 @dataclass(frozen=True, eq=False)
@@ -341,7 +348,7 @@ class _KernelExpansion:
     fitted: NDArray
 
     def __call__(self, x: NDArray) -> NDArray:
-        if self.family == "rbf" and _same_rows(x, self.anchors):
+        if self.family == "rbf" and np.array_equal(x, self.anchors):
             return self.fitted
         return _kernel_matrix(self.family, self.bandwidth, x, self.anchors) @ self.alpha
 

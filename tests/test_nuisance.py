@@ -20,6 +20,7 @@ from shifteval import (
 )
 from shifteval import nuisance
 from shifteval.errors import (
+    DimensionMismatch,
     InfeasibleBalance,
     InvalidConfig,
     KernelTooLarge,
@@ -115,6 +116,14 @@ class TestPropensity:
             for s in (0, 1):
                 total = model.prob(1, x, s) + model.prob(-1, x, s)
                 assert np.all(total == 1.0)
+
+    @pytest.mark.parametrize("s", [np.array([0, 1]), [1], np.array([[1]])])
+    def test_per_row_strata_are_refused_alike(self, s):
+        x = np.zeros((2, 2))
+        for evaluator in (LogisticPropensityFn({1: np.zeros(3), 0: np.zeros(3)}),
+                          ConstantPropensityFn(0.5)):
+            with pytest.raises(DimensionMismatch, match="one stratum"):
+                PropensityModel(evaluator).prob(1, x, s)
 
     @pytest.mark.parametrize("p1, seed", [(0.75, 627), (0.6875, 208)])
     def test_separated_small_sample_raises(self, p1, seed):
@@ -632,13 +641,26 @@ class TestMemoryCap:
             ),
             ("3:cpu:/\n", {"memory.max": "10"}, np.inf),
             ("", {}, np.inf),
-            # usage is taken from each level's limit; an unreadable usage is 0
+            # each level's working set (usage less inactive file cache) is
+            # taken from its limit; it is 0 when either value is unreadable
             ("0::/a/b\n", {"a/b/memory.max": "4096", "a/b/memory.current": "1000",
-                           "a/memory.max": "8192", "a/memory.current": "7000"}, 1192),
+                           "a/b/memory.stat": "anon 900\ninactive_file 0\n",
+                           "a/memory.max": "8192", "a/memory.current": "7000",
+                           "a/memory.stat": "active_file 5000\ninactive_file 1000\n"}, 2192),
             ("0::/a\n", {"a/memory.max": "4096", "a/memory.current": "x",
-                         "memory.current": "4000"}, 4096),
+                         "a/memory.stat": "inactive_file 0",
+                         "memory.current": "4000", "memory.stat": "inactive_file 0"}, 4096),
+            ("0::/a\n", {"a/memory.max": "4096", "a/memory.current": "4000"}, 4096),
+            ("0::/a\n", {"a/memory.max": "4096", "a/memory.current": "4000",
+                         "a/memory.stat": "inactive_file x\n"}, 4096),
+            # cache above usage leaves the whole limit, never more
+            ("0::/a\n", {"a/memory.max": "4096", "a/memory.current": "100",
+                         "a/memory.stat": "inactive_file 300\n"}, 4096),
+            # v1 reads the hierarchical total_inactive_file, not inactive_file
             ("4:memory:/x\n", {"memory/x/memory.limit_in_bytes": "5000",
-                               "memory/x/memory.usage_in_bytes": "3000"}, 2000),
+                               "memory/x/memory.usage_in_bytes": "3000",
+                               "memory/x/memory.stat": "inactive_file 2500\n"
+                                                       "total_inactive_file 500\n"}, 2500),
         ],
     )
     def test_cgroup_reader(self, tmp_path, membership, files, limit):
@@ -668,13 +690,31 @@ class TestMemoryCap:
 
     def test_cgroup_limit_refuses_a_kernel(self, tmp_path, monkeypatch):
         proc, root = self.cgroup_tree(
-            tmp_path, "0::/job\n", {"job/memory.max": "3000000", "job/memory.current": "2000000"}
+            tmp_path,
+            "0::/job\n",
+            {"job/memory.max": "3000000", "job/memory.current": "2000000",
+             "job/memory.stat": "anon 1900000\ninactive_file 0\n"},
         )
         real = nuisance._cgroup_headroom
         monkeypatch.setattr(nuisance, "_cgroup_headroom", lambda: real(proc, root))
         data, _ = simulate_gaussian_shift(make_config(n=1000, seed=3))
         with pytest.raises(KernelTooLarge, match=r"MiB of dense kernel matrices, more than the 1\.0 MiB headroom"):
             fit_weights_kulsif(data, KernelSpec())
+
+    def test_cgroup_file_cache_leaves_room_for_a_kernel(self, tmp_path, monkeypatch):
+        # usage at the limit, nearly all of it inactive file cache the kernel
+        # reclaims under pressure: a small kernel fit still runs
+        proc, root = self.cgroup_tree(
+            tmp_path,
+            "0::/job\n",
+            {"job/memory.max": "1073741824", "job/memory.current": "1073741824",
+             "job/memory.stat": "anon 52428800\nactive_file 1048576\ninactive_file 1020264448\n"},
+        )
+        real = nuisance._cgroup_headroom
+        monkeypatch.setattr(nuisance, "_cgroup_headroom", lambda: real(proc, root))
+        assert nuisance._cgroup_headroom() == 1020264448
+        data, _ = simulate_gaussian_shift(make_config(n=400, seed=3))
+        fit_weights_kulsif(data, KernelSpec())
 
 
 class TestEntropyBalancing:
