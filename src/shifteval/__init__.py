@@ -51,7 +51,6 @@ from .montecarlo import (
     EstimatorSpec,
     McConfig,
     McSummary,
-    compare_to_bound,
     run_replications,
     true_policy_values,
 )
@@ -106,7 +105,6 @@ __all__ = [
     "EstimatorSpec",
     "McConfig",
     "McSummary",
-    "compare_to_bound",
     "run_replications",
     "true_policy_values",
     "KernelSpec",

@@ -2,9 +2,11 @@
 
 Given a set of externally trained candidate rules indexed by a robustness
 constant c, the calibration data pick the final rule by maximizing one of
-two value estimates: a covariates-only contrast average, or an
-inverse-propensity-weighted outcome average when calibration rows carry
-observed treatments and outcomes.
+two value estimates: a covariates-only contrast average, which reads the
+outcome model's contrast C(x), or an inverse-propensity-weighted outcome
+average, which reads the treatment propensity pi_A and needs observed
+treatments and outcomes on the calibration rows. Each reads that one
+nuisance and no other.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .errors import (
     NonFiniteValue,
 )
 from .estimators import Estimand, _policy_target
-from .nuisance import NuisanceSet, OutcomeModel, PropensityModel
+from .nuisance import OutcomeModel, PropensityModel
 
 __all__ = [
     "CandidateSet",
@@ -134,22 +136,24 @@ def select_policy(
     candidates: CandidateSet,
     data: PooledDataset,
     method: str,
-    nuisances: NuisanceSet,
+    model: OutcomeModel | PropensityModel,
     ipw_propensity_stratum: int = 1,
 ) -> SelectionResult:
     """Evaluate every candidate with the chosen calibration estimator and
-    return the maximizer; ties break toward the smallest robustness constant."""
+    return the maximizer; ties break toward the smallest robustness constant.
+
+    ``model`` is the one nuisance the method reads: the outcome model for
+    ``covariates_only``, the treatment propensity for ``ipw``.
+    """
     check_method(method)
     ordered = sorted(candidates.candidates, key=lambda pair: pair[0])
     table = []
     best = None
     for c, policy in ordered:
         if method == "covariates_only":
-            value = calib_value_covariates_only(data, nuisances.outcome, policy)
+            value = calib_value_covariates_only(data, model, policy)
         else:
-            value = calib_value_ipw(
-                data, nuisances.propensity, policy, propensity_stratum=ipw_propensity_stratum
-            )
+            value = calib_value_ipw(data, model, policy, propensity_stratum=ipw_propensity_stratum)
         table.append({"c": c, "label": policy.label, "value": value})
         if best is None or value > best[2]:
             best = (c, policy, value)

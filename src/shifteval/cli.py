@@ -39,7 +39,7 @@ from .estimators import (
     DEFAULT_LEVEL,
     Estimand,
     FitRecipe,
-    assemble_nuisances,
+    _fit_nuisance,
     check_level,
     fit_and_estimate,
 )
@@ -111,25 +111,19 @@ def _kernel_from_config(config: dict) -> KernelSpec | None:
     return KernelSpec(**_fields(k, family=_of(str), bandwidth=_float, ridge=_float))
 
 
-def _recipe_from_config(config: dict, data, default_weights: str) -> FitRecipe:
-    """Nuisance backends named in ``config``; oracle components come from the
-    simulation recorded in the ``truth`` file, with rho_hat = n1/n of ``data``."""
-    weights = _field(config, "weights", _of(str), default_weights)
-    propensity = _field(config, "propensity", _of(str), "oracle")
-    outcome = _field(config, "outcome", _of(str), "oracle")
+def _recipe_from_config(config: dict, data, components) -> FitRecipe:
+    """Nuisance backends that ``config`` names for ``components``, each
+    ``oracle`` by default; oracle components come from the simulation
+    recorded in the ``truth`` file, with rho_hat = n1/n of ``data``. Other
+    components keep the FitRecipe defaults, which the caller does not fit."""
+    backends = {c: _field(config, c, _of(str), "oracle") for c in components}
     oracle = None
-    if "oracle" in (weights, propensity, outcome):
+    if "oracle" in backends.values():
         if "truth" not in config:
             raise InvalidConfig("oracle nuisances requested but no 'truth' path configured")
         sim = SimulationConfig.from_json_dict(_load_json(_field(config, "truth", _of(str))))
         oracle = gaussian_oracle_nuisances(sim, rho_hat=data.n1 / data.n)
-    return FitRecipe(
-        weights=weights,
-        propensity=propensity,
-        outcome=outcome,
-        oracle=oracle,
-        kernel=_kernel_from_config(config),
-    )
+    return FitRecipe(**backends, oracle=oracle, kernel=_kernel_from_config(config))
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +175,7 @@ def cmd_estimate(args) -> int:
     if crossfit < 0:
         raise InvalidConfig(f"config field 'crossfit' must be >= 0, got {crossfit}")
     seed = _field(config, "seed", _int, 0)
-    recipe = _recipe_from_config(config, data, default_weights="oracle")
+    recipe = _recipe_from_config(config, data, ("weights", "propensity", "outcome"))
 
     report = fit_and_estimate(
         data, recipe, policy, estimand, kind, crossfit_k=crossfit, seed=seed, level=level
@@ -209,11 +203,10 @@ def cmd_calibrate(args) -> int:
     stratum = _field(config, "ipw_propensity_stratum", _int, 1)
     check_propensity_stratum(stratum)
 
-    recipe = _recipe_from_config(config, data, default_weights="aipsw")
-    nuisances = assemble_nuisances(data, recipe)
-    result = select_policy(
-        candidates, data, method, nuisances, ipw_propensity_stratum=stratum
-    )
+    # each method reads one nuisance: C(x) of the outcome model, or pi_A
+    component = "outcome" if method == "covariates_only" else "propensity"
+    model = _fit_nuisance(data, _recipe_from_config(config, data, (component,)), component)
+    result = select_policy(candidates, data, method, model, ipw_propensity_stratum=stratum)
 
     path = _emit(out, "selection.json", result.to_json_dict(), config)
     print(f"chose c={result.chosen_c:g} ({result.chosen_policy.label}) -> {path}")

@@ -74,10 +74,6 @@ class InvalidLevel(ShiftEvalError):
     pass
 
 
-class VariantMismatch(ShiftEvalError):
-    pass
-
-
 class NonFiniteValue(ShiftEvalError):
     """A nuisance value or report field is NaN or infinite."""
 

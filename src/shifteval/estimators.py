@@ -570,34 +570,34 @@ class FitRecipe:
         }
 
 
-def assemble_nuisances(data: PooledDataset, recipe: FitRecipe) -> NuisanceSet:
-    """Fit (or take from the oracle) all three nuisance functions on ``data``.
+def _fit_nuisance(data: PooledDataset, recipe: FitRecipe, component: str):
+    """The ``component`` (``weights``, ``propensity`` or ``outcome``) of
+    ``recipe``: the oracle's, or fitted on ``data`` by the named backend.
 
     A missing ``recipe.kernel`` resolves to ``KernelSpec()`` for both kernel
     backends.
     """
-    kernel = recipe.kernel or KernelSpec()
-    if recipe.weights == "oracle":
-        weight = recipe.oracle.weight
-    elif recipe.weights == "aipsw":
-        weight = fit_weights_aipsw(data)
-    elif recipe.weights == "kulsif":
-        weight = fit_weights_kulsif(data, kernel)
-    else:
-        weight = fit_weights_entropy_balancing(data)
+    backend = getattr(recipe, component)
+    if backend == "oracle":
+        return getattr(recipe.oracle, "weight" if component == "weights" else component)
+    if backend == "aipsw":
+        return fit_weights_aipsw(data)
+    if backend == "kulsif":
+        return fit_weights_kulsif(data, recipe.kernel or KernelSpec())
+    if backend == "eb":
+        return fit_weights_entropy_balancing(data)
+    if backend == "logistic":
+        return fit_propensity_logistic(data)
+    return fit_outcome_regression(data, method=backend, spec=recipe.kernel or KernelSpec())
 
-    if recipe.propensity == "oracle":
-        propensity = recipe.oracle.propensity
-    else:
-        propensity = fit_propensity_logistic(data)
 
-    if recipe.outcome == "oracle":
-        outcome = recipe.oracle.outcome
-    else:
-        outcome = fit_outcome_regression(data, method=recipe.outcome, spec=kernel)
-
+def assemble_nuisances(data: PooledDataset, recipe: FitRecipe) -> NuisanceSet:
+    """Fit (or take from the oracle) all three nuisance functions on ``data``."""
     return NuisanceSet(
-        weight=weight, propensity=propensity, outcome=outcome, rho_hat=data.n1 / data.n
+        weight=_fit_nuisance(data, recipe, "weights"),
+        propensity=_fit_nuisance(data, recipe, "propensity"),
+        outcome=_fit_nuisance(data, recipe, "outcome"),
+        rho_hat=data.n1 / data.n,
     )
 
 

@@ -4,7 +4,8 @@ Each replicate simulates a fresh pooled dataset (seed = base seed +
 replicate index), runs a menu of estimators, and compares them against the
 true policy values computed by large-sample integration over the testing
 covariate law. Summaries report the empirical variance on both the
-sqrt(n) and sqrt(n0) scales next to the closed-form asymptotic targets.
+sqrt(n) and sqrt(n0) scales next to the closed-form asymptotic targets, so
+a bound check is the ratio of the two on one scale.
 The true values and the variance targets are integrals over the one design
 that the base :class:`SimulationConfig` describes.
 
@@ -43,14 +44,13 @@ from .data_model import (
     simulate_gaussian_shift,
     split_cross_fit_folds,
 )
-from .errors import InvalidConfig, ShiftEvalError, VariantMismatch
+from .errors import InvalidConfig, ShiftEvalError
 from .estimators import (
     DEFAULT_LEVEL,
     MIN_MC_DRAWS,
     Estimand,
     EifVariant,
     FitRecipe,
-    TheoreticalVariance,
     _decisions,
     _fit,
     _frame,
@@ -69,7 +69,6 @@ __all__ = [
     "McSummary",
     "true_policy_values",
     "run_replications",
-    "compare_to_bound",
 ]
 
 _TRUTH_STREAM = 1000003  # fixed sub-stream tag for the truth integration
@@ -302,47 +301,3 @@ def run_replications(config: McConfig) -> McSummary:
         estimators=summaries,
         estimates=est,
     )
-
-
-def compare_to_bound(
-    summary: McSummary,
-    target: TheoreticalVariance,
-    design: tuple,
-    scaling: str = "sqrt_n",
-    tolerance: float = 0.10,
-) -> list:
-    """Empirical-to-theoretical variance ratios for the matching variant.
-
-    ``design`` is the (n1, n0) pair fixing the sampling rate rho = n1/n;
-    ``scaling`` selects the sqrt(n) target nu/rho + zeta/(1 - rho) or the
-    small-calibration sqrt(n0) target zeta. Returns one pass/fail row per
-    matching estimator.
-    """
-    if scaling not in ("sqrt_n", "sqrt_n0"):
-        raise InvalidConfig(f"unknown scaling {scaling!r}")
-    n1, n0 = design
-    if scaling == "sqrt_n":
-        bound = target.sqrt_n_target(n1 / (n1 + n0))
-    else:
-        bound = target.zeta_eff
-    rows = []
-    for e in summary.estimators:
-        if e.estimand != target.variant.estimand.value or e.kind != target.variant.kind.value:
-            continue
-        empirical = e.var_sqrt_n if scaling == "sqrt_n" else e.var_sqrt_n0
-        ratio = empirical / bound
-        rows.append(
-            {
-                "name": e.name,
-                "empirical": empirical,
-                "target": bound,
-                "ratio": ratio,
-                "passed": bool(abs(ratio - 1.0) <= tolerance),
-            }
-        )
-    if not rows:
-        raise VariantMismatch(
-            f"no estimator in the summary matches variant "
-            f"({target.variant.estimand.value}, {target.variant.kind.value})"
-        )
-    return rows

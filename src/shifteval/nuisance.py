@@ -297,14 +297,15 @@ class ConstantPropensityFn:
 
 @dataclass(frozen=True, eq=False)
 class LogisticPropensityFn:
-    """Per-stratum logistic models: P(A=1 | x, s) = expit([1, x] @ coef[s])."""
+    """Per-stratum logistic models: P(A=1 | x, s) = expit([1, x] @ coef[s]),
+    clipped to [TAU_CLIP, 1 - TAU_CLIP]."""
 
     coef: dict
 
     def prob1(self, x: NDArray, s: int) -> NDArray:
         if s not in self.coef:
             raise MissingStratum(f"no propensity model fitted for stratum s={s}")
-        return _logistic(self.coef[s], x)
+        return np.clip(_logistic(self.coef[s], x), TAU_CLIP, 1.0 - TAU_CLIP)
 
 
 @dataclass(frozen=True, eq=False)
@@ -315,7 +316,6 @@ class PropensityModel:
     """
 
     evaluator: object
-    clip: float = TAU_CLIP
     info: dict = field(default_factory=dict)
 
     def prob(self, a, x: NDArray, s: int) -> NDArray:
@@ -323,8 +323,6 @@ class PropensityModel:
             raise DimensionMismatch(f"prob takes one stratum, not strata of shape {np.shape(s)}")
         x = _as_matrix(x)
         p1 = np.asarray(self.evaluator.prob1(x, s), dtype=float)
-        if self.clip > 0:
-            p1 = np.clip(p1, self.clip, 1.0 - self.clip)
         a = np.asarray(a)
         return np.where(a == 1, p1, 1.0 - p1)
 
@@ -827,7 +825,6 @@ def gaussian_oracle_nuisances(config: SimulationConfig, rho_hat: float) -> Nuisa
     )
     propensity = PropensityModel(
         evaluator=ConstantPropensityFn(p1=config.propensity),
-        clip=0.0,
         info={"model": "oracle", "p1": config.propensity},
     )
     outcome = OutcomeModel(

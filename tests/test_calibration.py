@@ -151,19 +151,19 @@ class TestSelectPolicy:
     def test_single_candidate_returned(self):
         data, nus = self.oracle()
         single = CandidateSet(candidates=((2.0, constant_policy(-1, 2)),))
-        res = select_policy(single, data, "covariates_only", nus)
+        res = select_policy(single, data, "covariates_only", nus.outcome)
         assert res.chosen_c == 2.0
 
     def test_constant_cte_prefers_plus_one(self):
         data, nus = self.oracle()  # C = 1 everywhere
-        res = select_policy(self.make_candidates(), data, "covariates_only", nus)
+        res = select_policy(self.make_candidates(), data, "covariates_only", nus.outcome)
         assert res.chosen_c == 0.5
         assert res.table[0]["value"] == pytest.approx(1.0)
         assert res.table[1]["value"] == pytest.approx(-1.0)
 
     def test_tie_breaks_toward_smaller_c(self):
         data, nus = self.oracle(coeffs=(1, 1, 1, 0, 0, 0))  # C = 0: every value 0
-        res = select_policy(self.make_candidates(), data, "covariates_only", nus)
+        res = select_policy(self.make_candidates(), data, "covariates_only", nus.outcome)
         assert res.chosen_c == 0.5
 
     def test_argmax_invariant_to_positive_rescaling(self):
@@ -175,16 +175,11 @@ class TestSelectPolicy:
                 (0.3, constant_policy(-1, 2)),
             )
         )
-        res = select_policy(cands, data, "covariates_only", nus)
+        res = select_policy(cands, data, "covariates_only", nus.outcome)
         scaled_outcome = OutcomeModel(
             evaluator=LinearQModel(beta=3.0 * np.asarray([0, 0, 0, 0.25, 0.5, -0.5]), p=2)
         )
-        from shifteval.nuisance import NuisanceSet
-
-        scaled = NuisanceSet(
-            weight=nus.weight, propensity=nus.propensity, outcome=scaled_outcome, rho_hat=nus.rho_hat
-        )
-        res_scaled = select_policy(cands, data, "covariates_only", scaled)
+        res_scaled = select_policy(cands, data, "covariates_only", scaled_outcome)
         assert res_scaled.chosen_c == res.chosen_c
 
     def test_oracle_chooses_true_best_without_noise(self):
@@ -197,7 +192,7 @@ class TestSelectPolicy:
                 (0.3, constant_policy(-1, 2)),
             )
         )
-        res = select_policy(cands, data, "covariates_only", nus)
+        res = select_policy(cands, data, "covariates_only", nus.outcome)
         truths = {c: true_policy_values(cfg, pol, draws=200_000)["theta1"] for c, pol in cands.candidates}
         best_c = max(sorted(truths), key=lambda c: truths[c])
         assert res.chosen_c == best_c
@@ -214,7 +209,7 @@ class TestSelectPolicy:
 
     def test_selection_json(self):
         data, nus = self.oracle()
-        res = select_policy(self.make_candidates(), data, "covariates_only", nus)
+        res = select_policy(self.make_candidates(), data, "covariates_only", nus.outcome)
         payload = res.to_json_dict()
         json.dumps(payload)
         assert payload["chosen_c"] == 0.5

@@ -249,6 +249,59 @@ class TestCalibrate:
         out = tmp_path / "cal"
         assert main(["calibrate", "--config", cal_cfg, "--out", str(out)]) == 0
 
+    @pytest.mark.parametrize("method, keys", [
+        ("covariates_only", ("truth",)),
+        ("ipw", ("truth", "propensity")),
+        ("ipw", ("propensity",)),
+    ])
+    def test_unread_nuisances_are_not_fitted(self, tmp_path, method, keys):
+        # training covariates near (8, 8) separate the strata: an aipsw weight
+        # fit, which neither method reads, raises Separation
+        sim_cfg = write_json(tmp_path / "sim.json", sim_config_dict(mu=(8.0, 8.0), n=400, seed=7))
+        sim_out = tmp_path / "sim"
+        assert main(["simulate", "--config", sim_cfg, "--out", str(sim_out)]) == 0
+        optional = {"truth": str(sim_out / "truth.json"), "propensity": "logistic"}
+        cal_cfg = write_json(tmp_path / "cal.json", {
+            "dataset": str(sim_out / "dataset.csv"),
+            "candidates": str(FIXTURES / "candidates.json"),
+            "method": method,
+        } | {k: optional[k] for k in keys})
+        out = tmp_path / "cal"
+        assert main(["calibrate", "--config", cal_cfg, "--out", str(out)]) == 0
+        assert json.loads((out / "selection.json").read_text())["chosen_c"] == 0.1
+
+    def test_ipw_runs_no_outcome_kernel_fit(self, tmp_path, monkeypatch):
+        from shifteval import nuisance
+
+        sim_out = simulate_to(tmp_path)
+        cal_cfg = write_json(tmp_path / "cal.json", {
+            "dataset": str(sim_out / "dataset.csv"), "candidates": str(FIXTURES / "candidates.json"),
+            "method": "ipw", "propensity": "logistic", "outcome": "kernel_ridge",
+        })
+        monkeypatch.setattr(nuisance, "_memory_cap", lambda: 10**5)
+        assert main(["calibrate", "--config", cal_cfg, "--out", str(tmp_path / "cal")]) == 0
+
+    @pytest.mark.parametrize("method, fitter", [
+        ("covariates_only", "fit_outcome_regression"),
+        ("ipw", "fit_propensity_logistic"),
+    ])
+    def test_each_method_calls_one_fitter(self, tmp_path, monkeypatch, method, fitter):
+        calls = []
+        for name in ("fit_weights_aipsw", "fit_weights_kulsif", "fit_weights_entropy_balancing",
+                     "fit_propensity_logistic", "fit_outcome_regression"):
+            def spy(*args, _name=name, _fit=getattr(estimators, name), **kwargs):
+                calls.append(_name)
+                return _fit(*args, **kwargs)
+
+            monkeypatch.setattr(estimators, name, spy)
+        sim_out = simulate_to(tmp_path)
+        cal_cfg = write_json(tmp_path / "cal.json", {
+            "dataset": str(sim_out / "dataset.csv"), "candidates": str(FIXTURES / "candidates.json"),
+            "method": method, "weights": "aipsw", "propensity": "logistic", "outcome": "linear",
+        })
+        assert main(["calibrate", "--config", cal_cfg, "--out", str(tmp_path / "cal")]) == 0
+        assert calls == [fitter]
+
 
 class TestMonteCarloCommand:
     def mc_config(self, tmp_path, n_jobs=1, seed=13):
@@ -492,7 +545,7 @@ class TestErrorsAndExitCodes:
         work = {
             "simulate": (cli, "simulate_gaussian_shift"),
             "estimate": (estimators, "assemble_nuisances"),
-            "calibrate": (cli, "assemble_nuisances"),
+            "calibrate": (cli, "_fit_nuisance"),
             "montecarlo": (montecarlo, "true_policy_values"),
         }
         monkeypatch.setattr(*work[command], no_work)
@@ -558,7 +611,7 @@ class TestErrorsAndExitCodes:
             "dataset": str(sim_out / "dataset.csv"), "candidates": str(FIXTURES / "candidates.json"),
             "weights": "aipsw", "propensity": "logistic", "outcome": "linear",
         })
-        monkeypatch.setattr(cli, "assemble_nuisances", out_of_memory)
+        monkeypatch.setattr(cli, "_fit_nuisance", out_of_memory)
         capsys.readouterr()
         code = main(["calibrate", "--config", config, "--out", str(tmp_path / "out")])
         assert code == 1
@@ -597,7 +650,7 @@ class TestErrorsAndExitCodes:
         }
         work = {
             "simulate": (cli, "simulate_gaussian_shift"),
-            "calibrate": (cli, "assemble_nuisances"),
+            "calibrate": (cli, "_fit_nuisance"),
             "montecarlo": (montecarlo, "true_policy_values"),
         }
         monkeypatch.setattr(*work[command], no_work_before_out)

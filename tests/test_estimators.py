@@ -116,14 +116,12 @@ class TestEstimateEfficient:
 
     def test_degenerate_denominator(self):
         from shifteval.errors import DegenerateDenominator
-        from shifteval.nuisance import LogisticPropensityFn, NuisanceSet, PropensityModel
+        from shifteval.nuisance import ConstantPropensityFn, NuisanceSet, PropensityModel
 
         data = toy_type2_dataset()
         base = toy_oracle()
-        # unclipped saturated logistic drives pi_A to exactly 0 on one arm
-        degenerate = PropensityModel(
-            evaluator=LogisticPropensityFn({1: np.array([-2000.0, 0.0])}), clip=0.0
-        )
+        # an unclipped p1 = 1 gives pi_A = 0 at the training row with a = -1
+        degenerate = PropensityModel(evaluator=ConstantPropensityFn(p1=1.0))
         nus = NuisanceSet(
             weight=base.weight, propensity=degenerate, outcome=base.outcome, rho_hat=0.5
         )

@@ -11,21 +11,14 @@ from shifteval import (
     EifVariant,
     FitRecipe,
     TheoreticalVariance,
-    compare_to_bound,
     constant_policy,
     simulate_gaussian_shift,
     true_policy_values,
 )
 from shifteval import estimators, montecarlo
-from shifteval.errors import InvalidConfig, ShiftEvalError, VariantMismatch
+from shifteval.errors import InvalidConfig, ShiftEvalError
 from shifteval.estimators import fit_and_estimate
-from shifteval.montecarlo import (
-    EstimatorSpec,
-    EstimatorSummary,
-    McConfig,
-    McSummary,
-    run_replications,
-)
+from shifteval.montecarlo import EstimatorSpec, McConfig, run_replications
 
 from conftest import make_config
 
@@ -249,53 +242,9 @@ class TestRunReplications:
         assert len(path.read_text().splitlines()) == 3
 
 
-def summary_with(name, estimand, kind, var_sqrt_n, var_sqrt_n0=1.0):
-    return McSummary(
-        truth={"theta": 0.0, "theta1": 0.0},
-        replications=10,
-        n=100,
-        estimators=[
-            EstimatorSummary(
-                name=name, estimand=estimand, kind=kind, weights="oracle",
-                propensity="oracle", outcome="oracle", crossfit=False,
-                mean_estimate=0.0, bias=0.0, var_sqrt_n=var_sqrt_n,
-                var_sqrt_n0=var_sqrt_n0, coverage=0.95, nu_eff=1.0, zeta_eff=1.0,
-                target_sqrt_n=4.0, target_sqrt_n0=1.0, mean_runtime_s=0.0,
-            )
-        ],
+def test_equal_strata_sqrt_n_target():
+    # n1 = n0 -> gamma1^2 = gamma0^2 = 2 -> target = 2 (nu + zeta)
+    target = TheoreticalVariance(
+        nu_eff=1.5, zeta_eff=0.5, variant=EifVariant(Estimand.VALUE, DatasetKind.TYPE2)
     )
-
-
-class TestCompareToBound:
-    def variant(self):
-        return EifVariant(Estimand.VALUE, DatasetKind.TYPE2)
-
-    def test_exact_match_passes(self):
-        target = TheoreticalVariance(nu_eff=1.0, zeta_eff=1.0, variant=self.variant())
-        s = summary_with("e", "theta", "type2", var_sqrt_n=4.0)
-        rows = compare_to_bound(s, target, design=(50, 50), tolerance=0.10)
-        assert rows[0]["ratio"] == pytest.approx(1.0)
-        assert rows[0]["passed"]
-
-    def test_equal_strata_target_arithmetic(self):
-        # n1 = n0 -> gamma1^2 = gamma0^2 = 2 -> target = 2 (nu + zeta)
-        target = TheoreticalVariance(nu_eff=1.5, zeta_eff=0.5, variant=self.variant())
-        s = summary_with("e", "theta", "type2", var_sqrt_n=4.0)
-        rows = compare_to_bound(s, target, design=(50, 50))
-        assert rows[0]["target"] == pytest.approx(2 * (1.5 + 0.5))
-
-    def test_small_calibration_scaling(self):
-        target = TheoreticalVariance(nu_eff=9.0, zeta_eff=1.1, variant=self.variant())
-        s = summary_with("e", "theta", "type2", var_sqrt_n=99.0, var_sqrt_n0=1.0)
-        rows = compare_to_bound(s, target, design=(5000, 50), scaling="sqrt_n0", tolerance=0.15)
-        assert rows[0]["target"] == pytest.approx(1.1)
-        assert rows[0]["ratio"] == pytest.approx(1.0 / 1.1)
-        assert rows[0]["passed"]
-
-    def test_variant_mismatch(self):
-        target = TheoreticalVariance(
-            nu_eff=1.0, zeta_eff=1.0, variant=EifVariant(Estimand.CONTRAST, DatasetKind.TYPE1)
-        )
-        s = summary_with("e", "theta", "type2", var_sqrt_n=4.0)
-        with pytest.raises(VariantMismatch):
-            compare_to_bound(s, target, design=(50, 50))
+    assert target.sqrt_n_target(0.5) == pytest.approx(2 * (1.5 + 0.5))

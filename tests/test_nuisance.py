@@ -103,19 +103,25 @@ class TestPropensity:
     @given(
         coef=hnp.arrays(float, (2, 3), elements=st.floats(-1e3, 1e3)),
         x=hnp.arrays(float, (10, 2), elements=st.floats(-10.0, 10.0)),
-        clip=st.sampled_from([0.0, TAU_CLIP, 0.25]),
         p1=st.floats(0.0, 1.0),
     )
     @settings(max_examples=50, deadline=None)
-    def test_arm_probabilities_sum_to_one_exactly(self, coef, x, clip, p1):
-        # coefficients up to 1e3 on covariates up to 10 push expit to the clip
-        # and, unclipped, to exactly 0 or 1
+    def test_arm_probabilities_sum_to_one_exactly(self, coef, x, p1):
+        # coefficients up to 1e3 on covariates up to 10 push expit to the
+        # logistic clip, and p1 may be exactly 0 or 1
         for evaluator in (LogisticPropensityFn({1: coef[0], 0: coef[1]}),
                           ConstantPropensityFn(p1)):
-            model = PropensityModel(evaluator, clip=clip)
+            model = PropensityModel(evaluator)
             for s in (0, 1):
                 total = model.prob(1, x, s) + model.prob(-1, x, s)
                 assert np.all(total == 1.0)
+
+    def test_only_the_logistic_evaluator_clips(self):
+        x = np.array([[0.0]])
+        saturated = LogisticPropensityFn({1: np.array([-2000.0, 0.0]), 0: np.array([2000.0, 0.0])})
+        assert saturated.prob1(x, 1)[0] == TAU_CLIP
+        assert saturated.prob1(x, 0)[0] == 1.0 - TAU_CLIP
+        assert ConstantPropensityFn(1.0).prob1(x, 1)[0] == 1.0
 
     @pytest.mark.parametrize("s", [np.array([0, 1]), [1], np.array([[1]])])
     def test_per_row_strata_are_refused_alike(self, s):
