@@ -23,7 +23,7 @@ from .errors import (
     MissingTreatmentsOutcomes,
     NonFiniteValue,
 )
-from .estimators import Estimand, _policy_target
+from .estimators import Estimand, _coupler, _decisions, _policy_target
 from .nuisance import OutcomeModel, PropensityModel
 
 __all__ = [
@@ -35,7 +35,8 @@ __all__ = [
     "candidates_from_json",
 ]
 
-METHODS = ("covariates_only", "ipw")
+# each method -> the one nuisance component it reads
+METHODS = {"covariates_only": "outcome", "ipw": "propensity"}
 
 
 def check_method(method: str) -> None:
@@ -84,8 +85,7 @@ def calib_value_covariates_only(
     if not calib.any():
         raise EmptyCalibration("no calibration rows (s = 0)")
     x0 = data.x[calib]
-    d0 = np.asarray(policy(x0), dtype=float)
-    return float(np.mean(_policy_target(outcome, x0, d0, Estimand.CONTRAST)))
+    return float(np.mean(_policy_target(outcome, x0, _decisions(policy, x0), Estimand.CONTRAST)))
 
 
 def calib_value_ipw(
@@ -111,9 +111,8 @@ def calib_value_ipw(
     x0 = data.x[calib]
     a0 = data.a[calib]
     y0 = data.y[calib]
-    d0 = np.asarray(policy(x0), dtype=float)
     pi = np.asarray(propensity.prob(a0, x0, propensity_stratum), dtype=float)
-    return float(np.mean((d0 == a0).astype(float) / pi * y0))
+    return float(np.mean(_coupler(Estimand.VALUE, _decisions(policy, x0), a0) / pi * y0))
 
 
 @dataclass(frozen=True, eq=False)

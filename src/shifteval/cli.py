@@ -23,7 +23,8 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .calibration import candidates_from_json, check_method, check_propensity_stratum, select_policy
+from .calibration import METHODS, candidates_from_json, check_method, check_propensity_stratum
+from .calibration import select_policy
 from .data_model import _cast, _field, _fields, _float, _int, _of  # the one JSON config reader
 from .data_model import (
     DatasetKind,
@@ -172,8 +173,6 @@ def cmd_estimate(args) -> int:
     level = _field(config, "level", _float, DEFAULT_LEVEL)
     check_level(level)
     crossfit = _field(config, "crossfit", _int, 0)
-    if crossfit < 0:
-        raise InvalidConfig(f"config field 'crossfit' must be >= 0, got {crossfit}")
     seed = _field(config, "seed", _int, 0)
     recipe = _recipe_from_config(config, data, ("weights", "propensity", "outcome"))
 
@@ -203,8 +202,7 @@ def cmd_calibrate(args) -> int:
     stratum = _field(config, "ipw_propensity_stratum", _int, 1)
     check_propensity_stratum(stratum)
 
-    # each method reads one nuisance: C(x) of the outcome model, or pi_A
-    component = "outcome" if method == "covariates_only" else "propensity"
+    component = METHODS[method]
     model = _fit_nuisance(data, _recipe_from_config(config, data, (component,)), component)
     result = select_policy(candidates, data, method, model, ipw_propensity_stratum=stratum)
 

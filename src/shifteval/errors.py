@@ -9,6 +9,13 @@ class ShiftEvalError(Exception):
     """Base class for all shifteval errors."""
 
 
+def prefix_message(e: ShiftEvalError, prefix: str) -> None:
+    """Lead the message of ``e`` itself with ``prefix``, so the error keeps
+    its class and attributes (an ``InfeasibleBalance.coordinate``) when
+    re-raised."""
+    e.args = (f"{prefix}: {e}",)
+
+
 # dataset construction / validation
 class EmptyStratum(ShiftEvalError):
     pass

@@ -14,6 +14,9 @@ standard errors; with the self-consistent point estimate their sample mean
 is zero by construction. The plain and cross-fitted efficient estimators
 share one fit-and-evaluate path: a plain fit is the one-bag case of
 cross-fitting, its nuisances fitted on all rows and evaluated at all rows.
+The fit alone produces and checks the estimand-free per-row values, the
+weights, propensities and residuals; each estimand's report builds and
+checks only its calibration targets.
 
 The closed-form asymptotic variances are integrals over the Gaussian-shift
 design that a :class:`SimulationConfig` describes; the integrands use the
@@ -47,6 +50,7 @@ from .errors import (
     MissingStratum,
     NonFiniteValue,
     ShiftEvalError,
+    prefix_message,
 )
 from .nuisance import (
     KernelSpec,
@@ -196,45 +200,31 @@ class _Stratum:
 class _Frame:
     """One dataset under one policy: the decisions and both strata, gathered
     once and shared by every estimate on the dataset whatever its kind,
-    nuisances or estimand, and the dataset as each kind fits it."""
+    nuisances or estimand."""
 
     data: PooledDataset
     train: NDArray  # (n,) s == 1
     tr: _Stratum
     cal: _Stratum
-    _type2: PooledDataset | None = None
-
-    def view(self, kind: DatasetKind) -> PooledDataset:
-        """The dataset as ``kind`` evaluation fits it: Type-2 evaluation of
-        Type-1 data masks the calibration (a, y), once per frame, so no
-        nuisance is fitted on them."""
-        if kind is DatasetKind.TYPE1 or self.data.kind is DatasetKind.TYPE2:
-            return self.data
-        if self._type2 is None:
-            self._type2 = self.data.as_type2()
-        return self._type2
 
 
 @dataclass(eq=False)
 class _PerRowParts:
-    """Nuisance values at one frame's rows for one kind of evaluation. Each
-    fit (nuisances, training positions, calibration positions) is evaluated
-    at its positions: a plain fit at every row, a cross-fit bag's fit at the
-    bag's rows. The calibration propensities and residuals are None under
-    Type-2 evaluation, which never reads calibration (a, y); ``target_cal``
-    is written by :func:`_report` for each estimand in turn."""
+    """Estimand-free nuisance values at one frame's rows for one kind of
+    evaluation, all finite and the propensities positive. Each fit
+    (nuisances, training positions, calibration positions) is evaluated at
+    its positions: a plain fit, the only one, at every row, a bag's fit at
+    the bag's rows. The calibration propensities and residuals are None
+    under Type-2 evaluation, which never reads calibration (a, y)."""
 
     frame: _Frame
     kind: DatasetKind
-    recipe: FitRecipe | NuisanceSet
-    folds: FoldAssignment | None
     fits: list
     w_tr: NDArray  # (n1,) weights at the training rows
     pi_tr: NDArray  # (n1,) pi_A(A_i | X_i, 1)
     resid_tr: NDArray  # (n1,) Y_i - Q(X_i, A_i)
     pi_cal: NDArray | None  # (n0,) pi_A(A_i | X_i, 0)
     resid_cal: NDArray | None  # (n0,)
-    target_cal: NDArray  # (n0,) Q(X_i, d) or C(X_i) d(X_i) at the calibration rows
 
 
 def _coupler(estimand: Estimand, d: NDArray, a: NDArray) -> NDArray:
@@ -278,45 +268,50 @@ def _fit(
     recipe: FitRecipe | NuisanceSet,
     folds: FoldAssignment | None = None,
 ) -> _PerRowParts:
-    """Fit ``recipe`` on ``frame``'s data as ``kind`` evaluation sees it and
-    evaluate the estimand-free values (weights, propensities, residuals).
+    """Fit ``recipe`` on ``frame``'s data as ``kind`` evaluation sees it, then
+    evaluate and check the estimand-free values: weights, propensities and
+    residuals.
 
     A plain fit is the one-bag case of cross-fitting: the recipe is fitted
     once on all rows and evaluated at all rows, or, given ``folds``, fitted
     once per bag on the rows outside it and evaluated at the bag's rows. A
-    ``NuisanceSet`` is a recipe already fitted, evaluated as it is.
+    ``NuisanceSet`` is a recipe already fitted, evaluated as it is. Type-2
+    evaluation of Type-1 data fits with the calibration (a, y) masked, so no
+    nuisance is fitted on them.
     """
-    if kind is DatasetKind.TYPE1 and not frame.data.observed[~frame.train].all():
+    data, train = frame.data, frame.train
+    if kind is DatasetKind.TYPE1 and not data.observed[~train].all():
         raise MissingField("Type-1 evaluation requires observed (a, y) on calibration rows")
     every = slice(None)
     if isinstance(recipe, NuisanceSet):
         fits = [(recipe, every, every)]
-    elif folds is None:
-        fits = [(assemble_nuisances(frame.view(kind), recipe), every, every)]
     else:
-        data, train, fits = frame.view(kind), frame.train, []
-        for k in range(1, folds.k + 1):
-            in_bag = folds.bag_of == k
-            try:
-                nus = assemble_nuisances(data.subset(~in_bag), recipe)
-            except ShiftEvalError as e:
-                raise type(e)(f"bag {k}: {e}") from e
-            fits.append((nus, np.flatnonzero(in_bag[train]), np.flatnonzero(in_bag[~train])))
+        if kind is DatasetKind.TYPE2 and data.kind is DatasetKind.TYPE1:
+            data = data.as_type2()
+        if folds is None:
+            fits = [(assemble_nuisances(data, recipe), every, every)]
+        else:
+            fits = []
+            for k in range(1, folds.k + 1):
+                in_bag = folds.bag_of == k
+                try:
+                    nus = assemble_nuisances(data.subset(~in_bag), recipe)
+                except ShiftEvalError as e:
+                    prefix_message(e, f"bag {k}")
+                    raise
+                fits.append((nus, np.flatnonzero(in_bag[train]), np.flatnonzero(in_bag[~train])))
 
     n1, n0 = frame.data.n1, frame.data.n0
     type1 = kind is DatasetKind.TYPE1
     parts = _PerRowParts(
         frame=frame,
         kind=kind,
-        recipe=recipe,
-        folds=folds,
         fits=fits,
         w_tr=np.empty(n1),
         pi_tr=np.empty(n1),
         resid_tr=np.empty(n1),
         pi_cal=np.empty(n0) if type1 else None,
         resid_cal=np.empty(n0) if type1 else None,
-        target_cal=np.empty(n0),
     )
     for nus, tr, cal in fits:
         parts.w_tr[tr] = nus.weight(frame.tr.x[tr])
@@ -328,43 +323,42 @@ def _fit(
                 x, a = st.x[idx], st.a[idx]
                 pi[idx] = nus.propensity.prob(a, x, st.s)
                 resid[idx] = st.y[idx] - nus.outcome.q(x, a)
-    return parts
 
-
-def _combine(parts: _PerRowParts, estimand: Estimand):
-    """Point estimate and per-row influence contributions at the estimate."""
-    frame = parts.frame
-    tr, cal = frame.tr, frame.cal
     for name, arr in (
         ("training weights", parts.w_tr),
         ("training propensities", parts.pi_tr),
         ("training outcome residuals", parts.resid_tr),
-        ("calibration targets", parts.target_cal),
         ("calibration propensities", parts.pi_cal),
         ("calibration outcome residuals", parts.resid_cal),
     ):
         if arr is not None and not np.isfinite(arr).all():
             raise NonFiniteValue(f"{name} contain NaN or infinite values")
     _check_positive("training propensities", parts.pi_tr)
-    if parts.pi_cal is not None:
+    if type1:
         _check_positive("calibration propensities", parts.pi_cal)
+    return parts
 
+
+def _combine(parts: _PerRowParts, estimand: Estimand, target_cal: NDArray):
+    """Point estimate and per-row influence contributions at the estimate,
+    given the calibration targets ``target_cal`` of ``estimand``."""
+    frame = parts.frame
+    tr, cal, train = frame.tr, frame.cal, frame.train
     n, n1, n0 = frame.data.n, frame.data.n1, frame.data.n0
-    train = frame.train
     term_tr = parts.w_tr * _coupler(estimand, tr.d, tr.a) / parts.pi_tr * parts.resid_tr
     eif = np.empty(n)
     if parts.kind is DatasetKind.TYPE2:
         phi = float(np.mean(term_tr))
-        estimate = phi + float(np.mean(parts.target_cal))
+        estimate = phi + float(np.mean(target_cal))
         eif[train] = (n / n1) * term_tr
-        eif[~train] = (n / n0) * (parts.target_cal - estimate)
+        eif[~train] = (n / n0) * (target_cal - estimate)
     else:
         term_cal = _coupler(estimand, cal.d, cal.a) / parts.pi_cal * parts.resid_cal
         estimate = (n1 / n) * float(np.mean(term_tr)) + float(
-            np.mean((n0 / n) * term_cal + parts.target_cal)
+            np.mean((n0 / n) * term_cal + target_cal)
         )
         eif[train] = term_tr
-        eif[~train] = term_cal + (n / n0) * (parts.target_cal - estimate)
+        eif[~train] = term_cal + (n / n0) * (target_cal - estimate)
     return estimate, eif
 
 
@@ -394,17 +388,20 @@ def _finish_report(
 
 def _report(parts: _PerRowParts, estimand: Estimand, level: float) -> EstimateReport:
     """Efficient estimate of ``estimand`` from ``parts``; only the calibration
-    targets are evaluated here, each at its own fit's rows, so one ``parts``
-    serves every estimand in turn."""
+    targets are evaluated and checked here, each at its own fit's rows, so
+    one ``parts`` serves every estimand in turn."""
     cal = parts.frame.cal
+    target_cal = np.empty(parts.frame.data.n0)
     for nus, _, rows in parts.fits:
-        parts.target_cal[rows] = _policy_target(nus.outcome, cal.x[rows], cal.d[rows], estimand)
-    estimate, eif = _combine(parts, estimand)
-    if parts.folds is None:
-        method, nuisance = "efficient", parts.fits[0][0].provenance()
-    else:
-        method, nuisance = "crossfit", parts.recipe.describe()
-        nuisance["crossfit_k"] = parts.folds.k
+        target_cal[rows] = _policy_target(nus.outcome, cal.x[rows], cal.d[rows], estimand)
+    if not np.isfinite(target_cal).all():
+        raise NonFiniteValue("calibration targets contain NaN or infinite values")
+    estimate, eif = _combine(parts, estimand, target_cal)
+    nuisance = parts.fits[0][0].provenance()
+    method = "efficient" if len(parts.fits) == 1 else "crossfit"
+    if method == "crossfit":
+        del nuisance["rho_hat"]  # leaves the backend names, the same in every bag
+        nuisance["crossfit_k"] = len(parts.fits)
         nuisance["per_bag"] = []
         for k, (nus, _, _) in enumerate(parts.fits, start=1):
             diag = {"bag": k, "nuisance": nus.provenance()}
@@ -562,13 +559,6 @@ class FitRecipe:
         if "oracle" in (self.weights, self.propensity, self.outcome) and self.oracle is None:
             raise InvalidConfig("recipe uses oracle components but no oracle set supplied")
 
-    def describe(self) -> dict:
-        return {
-            "weights": self.weights,
-            "propensity": self.propensity,
-            "outcome": self.outcome,
-        }
-
 
 def _fit_nuisance(data: PooledDataset, recipe: FitRecipe, component: str):
     """The ``component`` (``weights``, ``propensity`` or ``outcome``) of
@@ -638,11 +628,12 @@ def fit_and_estimate(
     """Fit ``recipe`` on ``data`` and return the efficient estimate.
 
     Type-2 evaluation of Type-1 data masks the calibration (a, y) first, so
-    no nuisance is fitted on them. With ``crossfit_k >= 2`` the estimate is
-    cross-fitted over stratified bags drawn with ``seed``; otherwise the
-    nuisances are fitted once on all rows.
+    no nuisance is fitted on them. With ``crossfit_k = 0`` the nuisances are
+    fitted once on all rows; any other value cross-fits over that many
+    stratified bags drawn with ``seed``, and one below 2 is refused before
+    any fit.
     """
-    folds = split_cross_fit_folds(data, crossfit_k, seed=seed) if crossfit_k >= 2 else None
+    folds = split_cross_fit_folds(data, crossfit_k, seed=seed) if crossfit_k else None
     return _report(_fit(_frame(data, policy), kind, recipe, folds), estimand, level)
 
 

@@ -44,7 +44,7 @@ from .data_model import (
     simulate_gaussian_shift,
     split_cross_fit_folds,
 )
-from .errors import InvalidConfig, ShiftEvalError
+from .errors import InvalidConfig, ShiftEvalError, prefix_message
 from .estimators import (
     DEFAULT_LEVEL,
     MIN_MC_DRAWS,
@@ -202,11 +202,12 @@ def _run_replicate(r: int, config: McConfig, truth: dict):
     """One replicate: simulate, run every estimator, record coverage flags.
 
     One evaluation frame holds what no estimator changes: the policy
-    decisions, both strata's rows and the Type-2 view of the data. Each
-    (kind, weights, propensity, outcome, crossfit) recipe is fitted and
-    evaluated once, plain or over the replicate's bags; each estimator of
-    that recipe then evaluates only its estimand's targets, and the first of
-    them in menu order is timed with the shared fit.
+    decisions and both strata's rows. Each (kind, weights, propensity,
+    outcome, crossfit) recipe is fitted, evaluated and checked once, plain
+    or over the replicate's bags; each estimator of that recipe then
+    evaluates only its estimand's targets, and the first of them in menu
+    order is timed with the shared fit. An error keeps its class and
+    attributes, its message led by the replicate index.
     """
     rep_seed = config.base.seed + r
     sim_config = dataclasses.replace(config.base, seed=rep_seed)
@@ -236,7 +237,8 @@ def _run_replicate(r: int, config: McConfig, truth: dict):
             target = truth[spec.estimand.value]
             covered[j] = float(report.ci[0] <= target <= report.ci[1])
     except ShiftEvalError as e:
-        raise type(e)(f"replicate {r}: {e}") from e
+        prefix_message(e, f"replicate {r}")
+        raise
     return estimates, covered, float(data.n0), runtimes
 
 

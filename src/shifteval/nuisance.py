@@ -376,15 +376,17 @@ def _fit_expansion(
 @dataclass(frozen=True, eq=False)
 class KernelRidgeQModel:
     """Per-arm kernel ridge fits, each the representer expansion over its
-    arm's fit rows."""
+    arm's fit rows; a treatment other than -1 or +1 is refused."""
 
     arms: dict  # a -> _KernelExpansion
 
     def __call__(self, x: NDArray, a) -> NDArray:
         a_arr = np.broadcast_to(np.asarray(a), (x.shape[0],))
+        masks = {arm: a_arr == arm for arm in (-1, 1)}
+        if not (masks[-1] | masks[1]).all():
+            raise InvalidConfig("kernel ridge Q(x, a) needs treatments a of +1 or -1")
         out = np.empty(x.shape[0])
-        for arm in (-1, 1):
-            mask = a_arr == arm
+        for arm, mask in masks.items():
             if mask.any():
                 out[mask] = self.arms[arm](x[mask])
         return out

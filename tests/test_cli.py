@@ -391,6 +391,9 @@ BAD_VALUES = [
     ("estimate", ("crossfit",), "abc", "InvalidConfig", ()),
     ("estimate", ("crossfit",), 2.7, "InvalidConfig", ()),
     ("estimate", ("crossfit",), -3, "InvalidConfig", ()),
+    # one bag is no cross-fit: refused, not run as the plain fit
+    ("estimate", ("crossfit",), 1, "InvalidConfig", ()),
+    ("estimate", ("crossfit",), -1, "InvalidConfig", ()),
     ("estimate", ("level",), "x", "InvalidConfig", ()),
     ("estimate", ("level",), 1.5, "InvalidLevel", ()),
     ("estimate", ("seed",), "s", "InvalidConfig", ()),

@@ -31,6 +31,7 @@ from shifteval import (
 from shifteval import estimators
 from shifteval.estimators import fit_and_estimate
 from shifteval.errors import (
+    InfeasibleBalance,
     InvalidConfig,
     InvalidLevel,
     MissingField,
@@ -58,8 +59,8 @@ def core_influence(data, nuisances, policy, estimand, kind):
     """Point estimate and per-row influence vector from the aggregation core."""
     parts = estimators._fit(estimators._frame(data, policy), kind, nuisances)
     cal = parts.frame.cal
-    parts.target_cal[:] = estimators._policy_target(nuisances.outcome, cal.x, cal.d, estimand)
-    return estimators._combine(parts, estimand)
+    target = estimators._policy_target(nuisances.outcome, cal.x, cal.d, estimand)
+    return estimators._combine(parts, estimand, target)
 
 
 def toy_oracle(q_plus=0.0):
@@ -144,6 +145,21 @@ class TestEstimateEfficient:
         with pytest.raises(NonFiniteValue, match="training weights"):
             cross_fit_estimate(data, split_cross_fit_folds(data, 2, seed=0), recipe, policy,
                                Estimand.VALUE)
+
+    def test_fit_checks_the_shared_values(self, policy):
+        # w, pi and the residuals are checked once per fit, before any
+        # estimand's report reads them
+        from shifteval.errors import NonFiniteValue
+        from shifteval.nuisance import NuisanceSet, OutcomeModel
+
+        data, oracle = simulate_gaussian_shift(make_config(n=200, seed=24))
+        nan_outcome = NuisanceSet(
+            weight=oracle.weight, propensity=oracle.propensity,
+            outcome=OutcomeModel(evaluator=lambda x, a: np.full(x.shape[0], np.nan)),
+            rho_hat=oracle.rho_hat,
+        )
+        with pytest.raises(NonFiniteValue, match="training outcome residuals"):
+            estimators._fit(estimators._frame(data, policy), DatasetKind.TYPE2, nan_outcome)
 
     def test_overflowing_standard_error_raises_named_error(self, policy):
         # finite per-row terms near 1e300 whose squares overflow
@@ -356,6 +372,47 @@ class TestCrossFit:
         recipe = FitRecipe(weights="aipsw", propensity="logistic", outcome="linear")
         with pytest.raises(Exception, match="bag 1"):
             cross_fit_estimate(bad, folds, recipe, policy, Estimand.VALUE, kind=DatasetKind.TYPE2)
+
+        # the bag prefix keeps the error object: calibration x = 5 lies outside
+        # the training range (0, 1), so entropy balancing on x_1 is infeasible
+        # on all rows and in every bag
+        rng = np.random.default_rng(0)
+        x = np.concatenate([rng.uniform(0, 1, 40), np.full(40, 5.0)])[:, None]
+        a = np.concatenate([np.where(rng.random(40) < 0.5, 1.0, -1.0), np.full(40, np.nan)])
+        y = np.concatenate([rng.normal(size=40), np.full(40, np.nan)])
+        data = PooledDataset.from_arrays(x, a, y, [1] * 40 + [0] * 40, DatasetKind.TYPE2)
+        recipe = FitRecipe(weights="eb", propensity="logistic", outcome="linear")
+        for crossfit_k, prefix in ((0, "calibration moment"), (2, "bag 1: calibration moment")):
+            with pytest.raises(InfeasibleBalance) as err:
+                fit_and_estimate(data, recipe, constant_policy(1, 1), Estimand.VALUE,
+                                 DatasetKind.TYPE2, crossfit_k=crossfit_k)
+            assert err.value.coordinate == "x_1"
+            assert str(err.value).startswith(prefix)
+
+    @pytest.mark.parametrize("crossfit_k", [1, -1])
+    def test_crossfit_below_two_refused_before_any_fit(self, policy, monkeypatch, crossfit_k):
+        data, _ = simulate_gaussian_shift(make_config(n=200, seed=17))
+        monkeypatch.setattr(estimators, "assemble_nuisances", None)
+        recipe = FitRecipe(weights="aipsw", propensity="logistic", outcome="linear")
+        with pytest.raises(InvalidConfig, match="number of bags"):
+            fit_and_estimate(data, recipe, policy, Estimand.VALUE, DatasetKind.TYPE1,
+                             crossfit_k=crossfit_k)
+
+    @pytest.mark.parametrize("backends", [("oracle", "oracle", "oracle"),
+                                          ("aipsw", "logistic", "linear")])
+    def test_cross_fit_report_names_the_recipe_backends(self, policy, backends):
+        data, oracle = simulate_gaussian_shift(make_config(n=400, seed=14))
+        recipe = FitRecipe(*backends, oracle=oracle)
+        report = cross_fit_estimate(data, split_cross_fit_folds(data, 3, seed=0), recipe, policy,
+                                    Estimand.VALUE)
+        nuisance = report.nuisance
+        assert report.method == "crossfit"
+        assert set(nuisance) == {"weights", "propensity", "outcome", "crossfit_k", "per_bag"}
+        assert (nuisance["weights"], nuisance["propensity"], nuisance["outcome"]) == backends
+        assert nuisance["crossfit_k"] == 3
+        for bag in nuisance["per_bag"]:
+            named = bag["nuisance"]
+            assert (named["weights"], named["propensity"], named["outcome"]) == backends
 
     @pytest.mark.parametrize("crossfit_k", [0, 2, 3, 5])
     @pytest.mark.parametrize("seed", [1, 2, 3])

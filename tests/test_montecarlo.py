@@ -16,7 +16,7 @@ from shifteval import (
     true_policy_values,
 )
 from shifteval import estimators, montecarlo
-from shifteval.errors import InvalidConfig, ShiftEvalError
+from shifteval.errors import InfeasibleBalance, InvalidConfig, ShiftEvalError
 from shifteval.estimators import fit_and_estimate
 from shifteval.montecarlo import EstimatorSpec, McConfig, run_replications
 
@@ -219,6 +219,20 @@ class TestRunReplications:
                       crossfit_k=5, truth_draws=10_000, variance_draws=10_000)
         with pytest.raises(ShiftEvalError, match="replicate"):
             run_replications(mc)
+
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    def test_replicate_failure_keeps_the_error_object(self, policy, n_jobs):
+        # training x ~ N(8, 1) never reaches the calibration mean near 0, so
+        # entropy balancing on x_1 is infeasible; a worker's error is pickled
+        cfg = make_config(p=1, mu=(8.0,), n=40, seed=6)
+        spec = EstimatorSpec(name="eb", estimand=Estimand.VALUE, kind=DatasetKind.TYPE2,
+                             weights="eb")
+        mc = McConfig(base=cfg, replications=2, policy=constant_policy(1, 1),
+                      estimators=(spec,), n_jobs=n_jobs, truth_draws=10_000,
+                      variance_draws=10_000)
+        with pytest.raises(InfeasibleBalance, match="^replicate 0: ") as err:
+            run_replications(mc)
+        assert err.value.coordinate == "x_1"
 
     def test_runtime_not_serialized(self, policy):
         cfg = make_config(n=300, seed=7)

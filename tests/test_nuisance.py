@@ -288,6 +288,21 @@ class TestOutcome:
         )
         np.testing.assert_allclose(model.q(x, 1), 3.0, atol=0.02)
 
+    def test_kernel_ridge_refuses_other_treatments(self):
+        # only the -1 and +1 arms have a fit; any other treatment is refused
+        data, _ = simulate_gaussian_shift(make_config(n=400, seed=7))
+        model = fit_outcome_regression(data, method="kernel_ridge", spec=KernelSpec())
+        x = data.x[:5]
+        for a in (0, 0.5, np.nan, np.array([1, -1, 0, 1, -1])):
+            with pytest.raises(InvalidConfig, match="treatments"):
+                model.q(x, a)
+        mixed = np.array([1, -1, 1, 1, -1])
+        np.testing.assert_allclose(model.q(x, mixed), np.where(mixed == 1, model.q(x, 1),
+                                                               model.q(x, -1)))
+        # the linear model's a = 0 is its main effect, halfway between the arms
+        linear = fit_outcome_regression(data, method="linear")
+        np.testing.assert_allclose(linear.q(x, 0), 0.5 * (linear.q(x, 1) + linear.q(x, -1)))
+
     def test_kernel_ridge_missing_arm(self):
         # s=1 rows always carry (a, y), so the reachable failure is a
         # treatment arm with no observations
