@@ -158,6 +158,14 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _crossfit(value) -> int:
+    """0 (the plain fit) or a bag count of at least 2."""
+    k = _int(value)
+    if k != 0 and k < 2:
+        raise ValueError(f"expected 0 or an integer >= 2, got {value!r}")
+    return k
+
+
 def cmd_estimate(args) -> int:
     out = _out_dir(args.out)
     config = _load_json(args.config)
@@ -172,7 +180,7 @@ def cmd_estimate(args) -> int:
     policy = _policy_from_dict(_field(config, "policy", _of(dict)), data.p)
     level = _field(config, "level", _float, DEFAULT_LEVEL)
     check_level(level)
-    crossfit = _field(config, "crossfit", _int, 0)
+    crossfit = _field(config, "crossfit", _crossfit, 0)
     seed = _field(config, "seed", _int, 0)
     recipe = _recipe_from_config(config, data, ("weights", "propensity", "outcome"))
 

@@ -493,7 +493,7 @@ class FoldAssignment:
     def __post_init__(self):
         object.__setattr__(self, "bag_of", np.asarray(self.bag_of, dtype=np.int64).ravel())
         if self.k < 2:
-            raise InvalidConfig("number of bags must be >= 2")
+            raise InvalidConfig(f"number of bags must be >= 2, got {self.k}")
         if not np.isin(self.bag_of, np.arange(1, self.k + 1)).all():
             raise InvalidConfig("bag indices must lie in 1..k")
 
@@ -505,7 +505,7 @@ def split_cross_fit_folds(data: PooledDataset, k: int, seed: int) -> FoldAssignm
     given ``seed``.
     """
     if k < 2:
-        raise InvalidConfig("number of bags must be >= 2")
+        raise InvalidConfig(f"number of bags must be >= 2, got {k}")
     if min(data.n1, data.n0) < k:
         raise StratumTooSmall(
             f"each stratum needs at least k={k} rows, got n1={data.n1}, n0={data.n0}"

@@ -24,7 +24,13 @@ those rows. The aipsw selection model and the treatment propensity
 solve warns when the 1-norm condition estimate from the Cholesky factor
 exceeds 1e12, at any size; a system whose 1-norm or right-hand side is
 not finite raises ``SolveFailure``, and that 1-norm is the only
-finiteness scan of the matrix. The median-distance bandwidth selects its
+finiteness scan of the matrix. The dense-kernel linear algebra runs on
+scipy's BLAS: numpy and scipy each bundle an OpenBLAS whose idle workers
+spin, so K alpha products on numpy's between scipy's Cholesky solves
+would leave the two pools fighting over the cores. ``_kernel_matvec``
+keeps them on scipy's, bit for bit equal to numpy's product; only the
+linear kernel's Gram matrix, which scipy's products round otherwise,
+stays on numpy's. The median-distance bandwidth selects its
 order statistics in one partition. A dense-kernel fit whose matrices
 would exceed the least of physical memory, the cgroup memory limit less
 its working set and ``RLIMIT_AS`` less the mapped address space raises
@@ -215,6 +221,21 @@ def _kernel_matrix(family: str, bandwidth: float | None, xa: NDArray, xb: NDArra
     return np.exp(k, out=k)
 
 
+def _kernel_matvec(k: NDArray, v: NDArray) -> NDArray:
+    """``k @ v`` for a C-order kernel matrix ``k``, on scipy's BLAS, which
+    factors and solves the dense-kernel systems (see the module docstring).
+
+    From 2 rows on, ?gemv on the Fortran-order view ``k.T`` equals numpy's
+    ``k @ v`` bit for bit; numpy computes a 1-row product as a dot product,
+    which rounds otherwise, so fewer rows keep numpy's.
+    """
+    if k.shape[0] < 2:
+        return k @ v
+    from scipy.linalg.blas import dgemv
+
+    return dgemv(1.0, k.T, v, trans=1)
+
+
 def _check_kernel_memory(n_floats: int, context: str) -> None:
     """Raise KernelTooLarge when ``n_floats`` float64 values, the most a
     dense-kernel fit holds at once, exceed ``_memory_cap()``."""
@@ -348,7 +369,8 @@ class _KernelExpansion:
     def __call__(self, x: NDArray) -> NDArray:
         if self.family == "rbf" and np.array_equal(x, self.anchors):
             return self.fitted
-        return _kernel_matrix(self.family, self.bandwidth, x, self.anchors) @ self.alpha
+        kmat = _kernel_matrix(self.family, self.bandwidth, x, self.anchors)
+        return _kernel_matvec(kmat, self.alpha)
 
 
 def _fit_expansion(
@@ -370,7 +392,7 @@ def _fit_expansion(
     lhs = kmat / divisor
     lhs.flat[:: lhs.shape[0] + 1] += diagonal
     alpha = _solve_spd(lhs.T, rhs, context)
-    return _KernelExpansion(family, bandwidth, x, alpha, kmat @ alpha)
+    return _KernelExpansion(family, bandwidth, x, alpha, _kernel_matvec(kmat, alpha))
 
 
 @dataclass(frozen=True, eq=False)

@@ -380,8 +380,8 @@ class TestMonteCarloCommand:
         assert [e["name"] for e in summary["estimators"]] == EXAMPLE_ESTIMATORS[example]
 
 
-# (subcommand, key path into its config, ill-typed or out-of-range value, error,
-#  extra command-line flags)
+# (subcommand, key path into its config, ill-typed or out-of-range value, error
+#  class or "class: whole message", extra command-line flags)
 BAD_VALUES = [
     ("simulate", ("p",), "two", "InvalidConfig", ()),
     ("simulate", ("mu",), [0.5, "a"], "InvalidConfig", ()),
@@ -391,9 +391,12 @@ BAD_VALUES = [
     ("estimate", ("crossfit",), "abc", "InvalidConfig", ()),
     ("estimate", ("crossfit",), 2.7, "InvalidConfig", ()),
     ("estimate", ("crossfit",), -3, "InvalidConfig", ()),
-    # one bag is no cross-fit: refused, not run as the plain fit
-    ("estimate", ("crossfit",), 1, "InvalidConfig", ()),
-    ("estimate", ("crossfit",), -1, "InvalidConfig", ()),
+    # one bag is no cross-fit: refused, not run as the plain fit, with the
+    # field and the value named
+    ("estimate", ("crossfit",), 1,
+     "InvalidConfig: config field 'crossfit': expected 0 or an integer >= 2, got 1", ()),
+    ("estimate", ("crossfit",), -1,
+     "InvalidConfig: config field 'crossfit': expected 0 or an integer >= 2, got -1", ()),
     ("estimate", ("level",), "x", "InvalidConfig", ()),
     ("estimate", ("level",), 1.5, "InvalidLevel", ()),
     ("estimate", ("seed",), "s", "InvalidConfig", ()),
@@ -557,8 +560,9 @@ class TestErrorsAndExitCodes:
                      "--out", str(tmp_path / "out")])
         assert code == 1
         err = json.loads(capsys.readouterr().err)
-        assert err["error"] == error
-        assert err["message"]
+        name, _, message = error.partition(": ")
+        assert err["error"] == name
+        assert (err["message"] == message) if message else err["message"]
 
     @pytest.mark.parametrize("weights, outcome", [("kulsif", "linear"), ("aipsw", "kernel_ridge")])
     def test_kernel_beyond_memory_is_structured(

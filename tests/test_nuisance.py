@@ -571,6 +571,25 @@ class TestKernelExpansion:
         assert len(built) == 1
         np.testing.assert_allclose(values, expansion.fitted[perm], rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("family", ["rbf", "linear"])
+    def test_products_equal_numpy_bit_for_bit(self, family):
+        """K alpha runs on scipy's BLAS and equals numpy's k @ v bit for bit,
+        1-row products (a dot product in numpy) included."""
+        rng = np.random.default_rng(7)
+        for rows in (1, 2, 3, 7, 256, 2000):
+            for cols in (1, 5, 973, 2022):
+                k = _kernel_matrix(family, 1.3, rng.standard_normal((rows, 3)),
+                                   rng.standard_normal((cols, 3)))
+                v = rng.standard_normal(cols)
+                assert np.array_equal(nuisance._kernel_matvec(k, v), k @ v), (rows, cols)
+        for m in (1, 2, 40, 973):
+            x = rng.standard_normal((m, 3))
+            expansion = nuisance._fit_expansion(
+                family, 1.3, x, 1.0, 0.5, rng.standard_normal(m), "toy system"
+            )
+            kmat = _kernel_matrix(family, 1.3, x, x)
+            assert np.array_equal(expansion.fitted, kmat @ expansion.alpha), m
+
 
 class TestKernelMemoryGuard:
     """A dense-kernel fit whose matrices would exceed the memory cap raises
