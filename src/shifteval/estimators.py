@@ -31,7 +31,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.special import ndtri
 
 from .data_model import (
     DatasetKind,
@@ -176,6 +175,8 @@ def wald_ci(estimate: float, se: float, level: float = DEFAULT_LEVEL) -> tuple:
     if se < 0:
         raise InvalidLevel("standard error must be >= 0")
     # scipy.stats.norm.ppf is ndtri, bit for bit; scipy.stats alone costs ~1 s to import
+    from scipy.special import ndtri
+
     z = ndtri(0.5 * (1.0 + level))
     return (float(estimate - z * se), float(estimate + z * se))
 

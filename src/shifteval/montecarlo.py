@@ -31,7 +31,6 @@ import csv
 import dataclasses
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
@@ -108,13 +107,13 @@ class McConfig:
 
     def __post_init__(self):
         if self.replications < 2:
-            raise InvalidConfig("replications must be >= 2")
+            raise InvalidConfig(f"replications must be >= 2, got {self.replications}")
         if len(self.estimators) == 0:
             raise InvalidConfig("estimator menu must be non-empty")
         if self.crossfit_k < 2:
-            raise InvalidConfig("crossfit_k must be >= 2")
+            raise InvalidConfig(f"crossfit_k must be >= 2, got {self.crossfit_k}")
         if self.n_jobs < 1:
-            raise InvalidConfig("n_jobs must be >= 1")
+            raise InvalidConfig(f"n_jobs must be >= 1, got {self.n_jobs}")
         for name in ("truth_draws", "variance_draws"):
             if getattr(self, name) < MIN_MC_DRAWS:
                 raise InvalidConfig(f"{name} must be >= {MIN_MC_DRAWS}")
@@ -252,6 +251,12 @@ def run_replications(config: McConfig) -> McSummary:
     cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
     workers = min(config.n_jobs, config.replications, cpus)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        # loaded before the fork, so the workers inherit it instead of each
+        # loading it on its first fit or interval
+        import scipy.special  # noqa: F401
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(worker, reps, chunksize=max(1, len(reps) // (4 * workers))))
     else:

@@ -34,9 +34,11 @@ stays on numpy's. The median-distance bandwidth selects its
 order statistics in one partition. A dense-kernel fit whose matrices
 would exceed the least of physical memory, the cgroup memory limit less
 its working set and ``RLIMIT_AS`` less the mapped address space raises
-``KernelTooLarge`` before it allocates any of them. The dense-kernel and
-entropy-balancing solvers load ``scipy.linalg`` and ``scipy.spatial`` on
-first use, so a process that fits neither never does.
+``KernelTooLarge`` before it allocates any of them. scipy is loaded on
+first use only: ``scipy.special`` by the logistic fit and evaluator and by
+entropy balancing, ``scipy.linalg`` and ``scipy.spatial`` by the
+dense-kernel and entropy-balancing solvers, so a process that fits none of
+them loads no scipy here.
 
 Fitted models are immutable and safe to share across threads.
 """
@@ -50,9 +52,6 @@ from typing import Callable
 
 import numpy as np
 from numpy.typing import NDArray
-# scipy.special only: scipy.linalg and scipy.spatial are imported inside the
-# kernel and entropy-balancing solvers, as loading them slows every start
-from scipy.special import expit, logsumexp
 
 from .data_model import (
     LinearQModel,
@@ -479,6 +478,8 @@ class NuisanceSet:
 
 def _logistic(coef: NDArray, x: NDArray) -> NDArray:
     """expit([1, x] @ coef), the one evaluator of a fitted logistic model."""
+    from scipy.special import expit
+
     return expit(coef[0] + x @ coef[1:])
 
 
@@ -496,6 +497,8 @@ def _fit_logistic(x: NDArray, b: NDArray):
     ``Separation`` when the data are (quasi-)separated and the likelihood has
     no finite maximizer.
     """
+    from scipy.special import expit
+
     design = np.column_stack([np.ones(x.shape[0]), x])
     n, q = design.shape
     if np.linalg.matrix_rank(design) < q:
@@ -762,6 +765,7 @@ def fit_weights_entropy_balancing(data: PooledDataset) -> WeightModel:
         )
 
     from scipy.linalg import cho_factor, cho_solve
+    from scipy.special import logsumexp
 
     lam = np.zeros(data.p)
     converged = False

@@ -698,26 +698,70 @@ class TestErrorsAndExitCodes:
         assert err["error"] == "InvalidConfig"
 
     def test_import_loads_only_the_scipy_it_runs(self):
-        # a fresh interpreter: the CLI import leaves out scipy.stats and the
-        # kernel-only scipy.linalg and scipy.spatial, which a KuLSIF fit loads
+        # a fresh interpreter: the CLI import loads no scipy and no process
+        # pool; a logistic fit loads scipy.special, a KuLSIF fit scipy.linalg
+        # and scipy.spatial
         script = (
             "import json, sys\n"
             "import shifteval.cli\n"
-            "heavy = ('scipy.stats', 'scipy.linalg', 'scipy.spatial')\n"
-            "at_import = [m for m in heavy if m in sys.modules]\n"
-            "from shifteval import KernelSpec, SimulationConfig, fit_weights_kulsif\n"
-            "from shifteval import simulate_gaussian_shift\n"
+            "at_import = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
+            "                   or m == 'concurrent.futures.process')\n"
+            "watched = ('scipy.special', 'scipy.stats', 'scipy.linalg', 'scipy.spatial')\n"
+            "from shifteval import KernelSpec, SimulationConfig, fit_propensity_logistic\n"
+            "from shifteval import fit_weights_kulsif, simulate_gaussian_shift\n"
             "sim = SimulationConfig(p=2, mu=[0.5, 0.5], rho_s=0.5, n=200,\n"
             "                       outcome_coeffs=[1, 1, 0.5, 0.25, 0.5, -0.5],\n"
             "                       noise_sd=1.0, propensity=0.5, seed=1)\n"
-            "fit_weights_kulsif(simulate_gaussian_shift(sim)[0], KernelSpec())\n"
-            "print(json.dumps([at_import, [m for m in heavy if m in sys.modules]]))\n"
+            "data = simulate_gaussian_shift(sim)[0]\n"
+            "fit_propensity_logistic(data)\n"
+            "after_logistic = [m for m in watched if m in sys.modules]\n"
+            "fit_weights_kulsif(data, KernelSpec())\n"
+            "print(json.dumps([at_import, after_logistic,\n"
+            "                  [m for m in watched if m in sys.modules]]))\n"
         )
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        at_import, after_fit = json.loads(proc.stdout)
+        at_import, after_logistic, after_kulsif = json.loads(proc.stdout)
         assert at_import == []
-        assert after_fit == ["scipy.linalg", "scipy.spatial"]
+        assert after_logistic == ["scipy.special"]
+        assert after_kulsif == ["scipy.special", "scipy.linalg", "scipy.spatial"]
+
+    def test_commands_load_only_the_scipy_they_run(self, tmp_path):
+        # each command in a fresh interpreter: simulate and a covariates-only
+        # calibrate call no scipy function, an aipsw estimate only
+        # scipy.special's (the logistic fit and the Wald interval)
+        script = (
+            "import json, sys\n"
+            "from shifteval.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "packages = [m for m in loaded if m.count('.') == 1\n"
+            "            and not m.split('.')[1].startswith('_')\n"
+            "            and hasattr(sys.modules[m], '__path__')]\n"
+            "print(json.dumps([code, loaded, packages]))\n"
+        )
+
+        def run(*args):
+            proc = subprocess.run([sys.executable, "-c", script, *args],
+                                  capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+            return json.loads(proc.stdout.splitlines()[-1])
+
+        sim_cfg = write_json(tmp_path / "sim.json", sim_config_dict(n=300, seed=14))
+        sim_out = tmp_path / "sim"
+        est_cfg = write_json(tmp_path / "est.json", {
+            "dataset": str(sim_out / "dataset.csv"), "estimand": "theta", "policy": POLICY,
+            "weights": "aipsw", "propensity": "logistic", "outcome": "linear",
+        })
+        cal_cfg = write_json(tmp_path / "cal.json", {
+            "dataset": str(sim_out / "dataset.csv"),
+            "candidates": str(FIXTURES / "candidates.json"), "method": "covariates_only",
+            "truth": str(sim_out / "truth.json"),
+        })
+        assert run("simulate", "--config", sim_cfg, "--out", str(sim_out)) == [0, [], []]
+        assert run("calibrate", "--config", cal_cfg, "--out", str(tmp_path / "cal")) == [0, [], []]
+        code, _, packages = run("estimate", "--config", est_cfg, "--out", str(tmp_path / "est"))
+        assert (code, packages) == (0, ["scipy.special"])
 
     def test_console_script_subprocess(self, tmp_path):
         config = tmp_path / "sim.json"

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 from dataclasses import replace
 
@@ -130,9 +131,17 @@ class TestRunReplications:
 
     @pytest.mark.parametrize("n_jobs", [0, -1, -5])
     def test_n_jobs_below_one_refused(self, policy, n_jobs):
-        with pytest.raises(InvalidConfig, match=r"^n_jobs must be >= 1$"):
+        with pytest.raises(InvalidConfig, match=rf"^n_jobs must be >= 1, got {n_jobs}$"):
             McConfig(base=make_config(n=200, seed=6), replications=3, policy=policy,
                      estimators=oracle_menu()[:1], n_jobs=n_jobs)
+
+    @pytest.mark.parametrize("field, value", [
+        ("replications", 1), ("replications", -3), ("crossfit_k", 1), ("crossfit_k", 0),
+    ])
+    def test_size_below_minimum_names_the_value(self, policy, field, value):
+        with pytest.raises(InvalidConfig, match=rf"^{field} must be >= 2, got {value}$"):
+            McConfig(**{"base": make_config(n=200, seed=6), "replications": 3, "policy": policy,
+                        "estimators": oracle_menu()[:1], field: value})
 
     @pytest.mark.parametrize("n_jobs, cpus, expected", [
         (64, 8, 3),  # capped by the replicate count
@@ -160,7 +169,8 @@ class TestRunReplications:
                 assert chunksize == max(1, 3 // (4 * self.max_workers))
                 return map(fn, iterable)
 
-        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", SerialPool)
+        # run_replications imports the pool class from here when it starts one
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: set(range(cpus)))
         mc = McConfig(base=make_config(n=200, seed=6), replications=3, policy=policy,
                       estimators=oracle_menu()[:1], truth_draws=10_000, variance_draws=10_000)
