@@ -6,9 +6,11 @@ file written, sorted by artifact.
 The set is: ``simulate`` (Type-1 and Type-2 data); ``estimate`` with the aipsw,
 eb and kulsif + kernel_ridge (rbf and linear kernel) recipes, for theta and
 theta1, on both datasets, plain and 3-bag cross-fitted; ``calibrate`` (both
-methods); and ``montecarlo`` on each ``examples/*.json``. Commands run with the
-temporary directory as the working directory and relative paths, so the config
-hashes the reports embed do not depend on where it is.
+methods with the aipsw recipe, and ``covariates_only`` with the kernel_rbf
+recipe's kernel ridge outcome); and ``montecarlo`` on each ``examples/*.json``.
+Commands run with the temporary directory as the working directory and
+relative paths, so the config hashes the reports embed do not depend on where
+it is.
 
 Two source trees that print the same lines emit byte-identical artifacts.
 Digests depend on the BLAS build, so compare runs made on one machine only:
@@ -106,6 +108,11 @@ def produce(tiny: bool):
             "method": method, **RECIPES["aipsw"],
         })
         run("calibrate", "--config", config, "--out", f"calibrate/{method}")
+    config = write_config("calibrate_covariates_only_kernel_rbf.json", {
+        "dataset": "simulate/type1/dataset.csv", "candidates": candidates,
+        "method": "covariates_only", **RECIPES["kernel_rbf"],
+    })
+    run("calibrate", "--config", config, "--out", "calibrate/covariates_only_kernel_rbf")
 
     for example in sorted(EXAMPLES.glob("*.json")):
         study = json.loads(example.read_text())

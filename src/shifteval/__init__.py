@@ -12,8 +12,6 @@ __version__ = "0.1.0"
 from .calibration import (
     CandidateSet,
     SelectionResult,
-    calib_value_covariates_only,
-    calib_value_ipw,
     candidates_from_json,
     select_policy,
 )
@@ -72,8 +70,6 @@ __all__ = [
     "__version__",
     "CandidateSet",
     "SelectionResult",
-    "calib_value_covariates_only",
-    "calib_value_ipw",
     "candidates_from_json",
     "select_policy",
     "DatasetKind",

@@ -17,20 +17,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data_model import LinearPolicy, Policy, PooledDataset, _cast, _field, _float, _of
-from .errors import (
-    EmptyCalibration,
-    InvalidConfig,
-    MissingTreatmentsOutcomes,
-    NonFiniteValue,
-)
-from .estimators import Estimand, _coupler, _decisions, _policy_target
+from .errors import EmptyCalibration, InvalidConfig, MissingTreatmentsOutcomes, NonFiniteValue
+from .estimators import Estimand, _coupler, _decisions
 from .nuisance import OutcomeModel, PropensityModel
 
 __all__ = [
     "CandidateSet",
     "SelectionResult",
-    "calib_value_covariates_only",
-    "calib_value_ipw",
     "select_policy",
     "candidates_from_json",
 ]
@@ -77,44 +70,6 @@ def candidates_from_json(text: str) -> CandidateSet:
     return CandidateSet(candidates=tuple(entries))
 
 
-def calib_value_covariates_only(
-    data: PooledDataset, outcome: OutcomeModel, policy: Policy
-) -> float:
-    """Average fitted contrast on calibration rows: mean of C(X_i) d(X_i)."""
-    calib = data.s == 0
-    if not calib.any():
-        raise EmptyCalibration("no calibration rows (s = 0)")
-    x0 = data.x[calib]
-    return float(np.mean(_policy_target(outcome, x0, _decisions(policy, x0), Estimand.CONTRAST)))
-
-
-def calib_value_ipw(
-    data: PooledDataset,
-    propensity: PropensityModel,
-    policy: Policy,
-    propensity_stratum: int = 1,
-) -> float:
-    """Inverse-propensity-weighted calibration value.
-
-    Averages 1[d(X_i) = A_i] / pi_A(A_i | X_i, s*) * Y_i over calibration
-    rows. By default the propensity is evaluated at the training stratum
-    (s* = 1); ``propensity_stratum=0`` switches to the calibration stratum.
-    """
-    check_propensity_stratum(propensity_stratum)
-    calib = data.s == 0
-    if not calib.any():
-        raise EmptyCalibration("no calibration rows (s = 0)")
-    if not data.observed[calib].all():
-        raise MissingTreatmentsOutcomes(
-            "IPW calibration requires observed (a, y) on calibration rows"
-        )
-    x0 = data.x[calib]
-    a0 = data.a[calib]
-    y0 = data.y[calib]
-    pi = np.asarray(propensity.prob(a0, x0, propensity_stratum), dtype=float)
-    return float(np.mean(_coupler(Estimand.VALUE, _decisions(policy, x0), a0) / pi * y0))
-
-
 @dataclass(frozen=True, eq=False)
 class SelectionResult:
     chosen_c: float
@@ -141,21 +96,42 @@ def select_policy(
     """Evaluate every candidate with the chosen calibration estimator and
     return the maximizer; ties break toward the smallest robustness constant.
 
-    ``model`` is the one nuisance the method reads: the outcome model for
-    ``covariates_only``, the treatment propensity for ``ipw``.
+    ``model`` is the one nuisance the method reads, evaluated once on the
+    calibration rows: the outcome model's contrast C(x) for ``covariates_only``
+    (value: mean of C(X_i) d(X_i)), the treatment propensity at stratum
+    s* = ``ipw_propensity_stratum`` (1, training, by default) for ``ipw``
+    (value: mean of 1[d(X_i) = A_i] / pi_A(A_i | X_i, s*) * Y_i). Each
+    candidate then costs its decisions and one mean.
     """
     check_method(method)
-    ordered = sorted(candidates.candidates, key=lambda pair: pair[0])
+    calib = data.s == 0
+    if not calib.any():
+        raise EmptyCalibration("no calibration rows (s = 0)")
+    x0 = data.x[calib]
+    if method == "covariates_only":
+        cte = model.cte(x0)
+
+        def value(d):
+            return float(np.mean(cte * d))
+    else:
+        check_propensity_stratum(ipw_propensity_stratum)
+        if not data.observed[calib].all():
+            raise MissingTreatmentsOutcomes(
+                "IPW calibration requires observed (a, y) on calibration rows"
+            )
+        a0 = data.a[calib]
+        y0 = data.y[calib]
+        pi = np.asarray(model.prob(a0, x0, ipw_propensity_stratum), dtype=float)
+
+        def value(d):
+            return float(np.mean(_coupler(Estimand.VALUE, d, a0) / pi * y0))
     table = []
     best = None
-    for c, policy in ordered:
-        if method == "covariates_only":
-            value = calib_value_covariates_only(data, model, policy)
-        else:
-            value = calib_value_ipw(data, model, policy, propensity_stratum=ipw_propensity_stratum)
-        table.append({"c": c, "label": policy.label, "value": value})
-        if best is None or value > best[2]:
-            best = (c, policy, value)
+    for c, policy in sorted(candidates.candidates, key=lambda pair: pair[0]):
+        v = value(_decisions(policy, x0))
+        table.append({"c": c, "label": policy.label, "value": v})
+        if best is None or v > best[2]:
+            best = (c, policy, v)
     return SelectionResult(
         chosen_c=best[0], chosen_policy=best[1], method=method, table=table
     )

@@ -66,6 +66,7 @@ from .errors import (
     InvalidConfig,
     KernelTooLarge,
     MissingStratum,
+    NonFiniteValue,
     NoObservedOutcomes,
     RankDeficient,
     Separation,
@@ -194,19 +195,31 @@ class KernelSpec:
         if self.family not in ("rbf", "linear"):
             raise InvalidConfig(f"unknown kernel family {self.family!r}")
         if self.bandwidth is not None:
-            if not self.bandwidth > 0:
-                raise InvalidConfig("kernel bandwidth must be > 0")
-            try:  # the rbf kernel's divisor, as _kernel_matrix computes it
-                in_range = 2.0 * self.bandwidth**2 > 0
-            except OverflowError:  # a Python float's ** raises where numpy's gives inf
-                in_range = False
-            if not in_range:
-                raise InvalidConfig(
-                    f"kernel bandwidth {self.bandwidth!r} is out of range: "
-                    "2 * bandwidth**2 underflows to 0 or overflows"
-                )
-        if self.ridge is not None and not self.ridge > 0:
-            raise InvalidConfig("ridge penalty must be > 0")
+            _check_bandwidth(self.bandwidth, "kernel bandwidth")
+        if self.ridge is not None:
+            if not -np.inf < self.ridge < np.inf:
+                raise NonFiniteValue(f"ridge penalty {self.ridge!r} is not finite")
+            if not self.ridge > 0:
+                raise InvalidConfig("ridge penalty must be > 0")
+
+
+def _check_bandwidth(bandwidth: float, what: str) -> float:
+    """Return ``bandwidth``, given or derived from the data, if it is finite,
+    positive and its rbf divisor 2 * bandwidth**2 neither underflows to 0 nor
+    overflows; raise otherwise, naming it ``what``."""
+    if not -np.inf < bandwidth < np.inf:  # also exact for an int beyond float range
+        raise NonFiniteValue(f"{what} {bandwidth!r} is not finite")
+    if not bandwidth > 0:
+        raise InvalidConfig(f"{what} must be > 0")
+    try:  # the rbf kernel's divisor, as _kernel_matrix computes it
+        in_range = 2.0 * bandwidth**2 > 0
+    except OverflowError:  # a Python float's ** raises where numpy's gives inf
+        in_range = False
+    if not in_range:
+        raise InvalidConfig(
+            f"{what} {bandwidth!r} is out of range: 2 * bandwidth**2 underflows to 0 or overflows"
+        )
+    return bandwidth
 
 
 def _kernel_matrix(family: str, bandwidth: float | None, xa: NDArray, xb: NDArray) -> NDArray:
@@ -595,7 +608,7 @@ def fit_outcome_regression(
         _check_kernel_memory(2 * largest**2, "kernel ridge")
         bandwidth = spec.bandwidth
         if spec.family == "rbf" and bandwidth is None:
-            bandwidth = median_bandwidth(x)
+            bandwidth = _check_bandwidth(median_bandwidth(x), "median-distance bandwidth")
         arms = {}
         for arm in (-1, 1):
             mask = a == arm
@@ -696,7 +709,7 @@ def fit_weights_kulsif(data: PooledDataset, spec: KernelSpec) -> WeightModel:
     _check_kernel_memory(max(n0 * n1, 2 * n1**2), "KuLSIF")
     bandwidth = spec.bandwidth
     if spec.family == "rbf" and bandwidth is None:
-        bandwidth = median_bandwidth(data.x)
+        bandwidth = _check_bandwidth(median_bandwidth(data.x), "median-distance bandwidth")
     lam = spec.ridge if spec.ridge is not None else 1.0 / min(n1, n0)
 
     with np.errstate(over="ignore"):  # an inf rhs is refused by _solve_spd
@@ -788,7 +801,10 @@ def fit_weights_entropy_balancing(data: PooledDataset) -> WeightModel:
             converged = True
             break
         centered = g1 - mean_g
-        hess = centered.T @ (centered * wts[:, None])
+        with np.errstate(over="ignore"):  # a non-finite system is refused below
+            hess = centered.T @ (centered * wts[:, None])
+        if not (np.isfinite(hess).all() and np.isfinite(grad).all()):
+            raise SolveFailure(f"entropy balancing: Newton system not finite at iteration {it}")
         try:
             step = cho_solve(cho_factor(hess, lower=True), grad)
         except np.linalg.LinAlgError:

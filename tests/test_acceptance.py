@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from shifteval import (
+    CandidateSet,
     DatasetKind,
     Estimand,
     EifVariant,
@@ -19,13 +20,13 @@ from shifteval import (
     KernelSpec,
     LinearPolicy,
     PooledDataset,
-    calib_value_covariates_only,
     eif_contribution,
     estimate_efficient,
     estimate_plugin_identification,
     fit_weights_aipsw,
     fit_weights_entropy_balancing,
     fit_weights_kulsif,
+    select_policy,
     simulate_gaussian_shift,
 )
 from shifteval.cli import main
@@ -325,7 +326,8 @@ def test_criterion_6_identification_consistency():
     for kind in (DatasetKind.TYPE1, DatasetKind.TYPE2):
         r = estimate_efficient(data, oracle, POLICY, Estimand.CONTRAST, kind=kind)
         theta1_estimates[f"theta1:eff_{kind.value}"] = (r.estimate, r.se)
-    calib_value = calib_value_covariates_only(data, oracle.outcome, POLICY)
+    single = CandidateSet(candidates=((1.0, POLICY),))
+    calib_value = select_policy(single, data, "covariates_only", oracle.outcome).table[0]["value"]
     plugin_theta1 = theta1_estimates["theta1:calibration_mean"][0]
     calib_ok = calib_value == plugin_theta1
 

@@ -9,8 +9,6 @@ from shifteval import (
     Estimand,
     LinearPolicy,
     PooledDataset,
-    calib_value_covariates_only,
-    calib_value_ipw,
     candidates_from_json,
     constant_policy,
     estimate_plugin_identification,
@@ -26,7 +24,7 @@ from shifteval.errors import (
     NonFiniteValue,
 )
 from shifteval.data_model import LinearQModel
-from shifteval.nuisance import OutcomeModel
+from shifteval.nuisance import OutcomeModel, PropensityModel
 
 from conftest import make_config
 
@@ -36,6 +34,12 @@ def outcome_with_cte(base, half_effect, p=1):
     return OutcomeModel(evaluator=LinearQModel(beta=np.asarray(base + half_effect), p=p))
 
 
+def calib_value(data, method, model, policy, stratum=1):
+    """One candidate's calibration value: select_policy on a one-candidate set."""
+    single = CandidateSet(candidates=((1.0, policy),))
+    return select_policy(single, data, method, model, ipw_propensity_stratum=stratum).table[0]["value"]
+
+
 def type1_calunited(x, a, y, s):
     return PooledDataset.from_arrays(np.asarray(x, dtype=float), a, y, s, DatasetKind.TYPE1)
 
@@ -43,13 +47,13 @@ def type1_calunited(x, a, y, s):
 class TestCovariatesOnly:
     def test_zero_cte(self):
         data, oracle = simulate_gaussian_shift(make_config(outcome_coeffs=[1, 1, 1, 0, 0, 0], n=40, seed=1))
-        assert calib_value_covariates_only(data, oracle.outcome, constant_policy(1, 2)) == 0.0
+        assert calib_value(data, "covariates_only", oracle.outcome, constant_policy(1, 2)) == 0.0
 
     def test_constant_cte(self):
         # C(x) = 2 * g0 = 1
         data, oracle = simulate_gaussian_shift(make_config(outcome_coeffs=[0, 0, 0, 0.5, 0, 0], n=40, seed=2))
-        assert calib_value_covariates_only(data, oracle.outcome, constant_policy(1, 2)) == pytest.approx(1.0)
-        assert calib_value_covariates_only(data, oracle.outcome, constant_policy(-1, 2)) == pytest.approx(-1.0)
+        assert calib_value(data, "covariates_only", oracle.outcome, constant_policy(1, 2)) == pytest.approx(1.0)
+        assert calib_value(data, "covariates_only", oracle.outcome, constant_policy(-1, 2)) == pytest.approx(-1.0)
 
     def test_three_row_hand_example(self):
         # Chat = (2, -1, 3) on the calibration rows with d = (+1, +1, -1)
@@ -70,7 +74,7 @@ class TestCovariatesOnly:
         np.testing.assert_allclose(cte, [2.0, -1.0, 3.0])
         pol = LinearPolicy(1.0, np.array([-1.0]))  # d = (+1, +1, -1) at those x
         np.testing.assert_array_equal(pol(data2.x[data2.s == 0]), [1, 1, -1])
-        assert calib_value_covariates_only(data2, outcome, pol) == pytest.approx(-2.0 / 3.0, abs=1e-14)
+        assert calib_value(data2, "covariates_only", outcome, pol) == pytest.approx(-2.0 / 3.0, abs=1e-14)
 
     def test_empty_calibration_error(self):
         data, oracle = simulate_gaussian_shift(make_config(n=40, seed=3))
@@ -79,8 +83,9 @@ class TestCovariatesOnly:
         )
         with pytest.raises(EmptyCalibration):
             # pass a dataset view with no calibration rows via monkeypatched s
-            calib_value_covariates_only(
+            calib_value(
                 PooledDataset(x=data.x, a=data.a, y=data.y, s=np.ones(data.n, dtype=np.int64), kind=DatasetKind.TYPE1),
+                "covariates_only",
                 oracle.outcome,
                 constant_policy(1, 2),
             )
@@ -99,38 +104,38 @@ class TestIpw:
     def test_zero_outcomes(self):
         data = self.toy()
         zeroed = PooledDataset.from_arrays(data.x, data.a, np.zeros(4), data.s, DatasetKind.TYPE1)
-        assert calib_value_ipw(zeroed, self.oracle_prop(), constant_policy(1, 1)) == 0.0
+        assert calib_value(zeroed, "ipw", self.oracle_prop(), constant_policy(1, 1)) == 0.0
 
     def test_hand_example(self):
         # (4 / 0.5 + 0) / 2 = 4
-        v = calib_value_ipw(self.toy(), self.oracle_prop(), constant_policy(1, 1))
+        v = calib_value(self.toy(), "ipw", self.oracle_prop(), constant_policy(1, 1))
         assert v == pytest.approx(4.0, abs=1e-14)
 
     def test_policy_matching_every_row(self):
         data = self.toy()
         match_policy = LinearPolicy(1.0, np.array([0.0]))  # +1 everywhere
         agree = PooledDataset.from_arrays(data.x, np.ones(4), data.y, data.s, DatasetKind.TYPE1)
-        v = calib_value_ipw(agree, self.oracle_prop(), match_policy)
+        v = calib_value(agree, "ipw", self.oracle_prop(), match_policy)
         calib_y = agree.y[agree.s == 0]
         assert v == pytest.approx(2 * calib_y.mean(), abs=1e-14)
 
     def test_requires_observed_calibration(self):
         data, oracle = simulate_gaussian_shift(make_config(n=40, seed=4))
         with pytest.raises(MissingTreatmentsOutcomes):
-            calib_value_ipw(data.as_type2(), oracle.propensity, constant_policy(1, 2))
+            calib_value(data.as_type2(), "ipw", oracle.propensity, constant_policy(1, 2))
 
     def test_propensity_stratum_outside_0_1_is_refused(self):
         # the constant oracle propensity ignores the stratum, so only the check can refuse it
         with pytest.raises(InvalidConfig, match="ipw_propensity_stratum"):
-            calib_value_ipw(self.toy(), self.oracle_prop(), constant_policy(1, 1), 7)
+            calib_value(self.toy(), "ipw", self.oracle_prop(), constant_policy(1, 1), 7)
 
     def test_propensity_stratum_switch(self):
         data, _ = simulate_gaussian_shift(make_config(n=400, seed=5))
         from shifteval import fit_propensity_logistic
 
         prop = fit_propensity_logistic(data)
-        v1 = calib_value_ipw(data, prop, constant_policy(1, 2), propensity_stratum=1)
-        v0 = calib_value_ipw(data, prop, constant_policy(1, 2), propensity_stratum=0)
+        v1 = calib_value(data, "ipw", prop, constant_policy(1, 2), stratum=1)
+        v0 = calib_value(data, "ipw", prop, constant_policy(1, 2), stratum=0)
         assert v1 != v0
 
 
@@ -199,9 +204,35 @@ class TestSelectPolicy:
 
     def test_cross_module_exact_equality(self, policy):
         data, nus = simulate_gaussian_shift(make_config(n=500, seed=9))
-        value = calib_value_covariates_only(data, nus.outcome, policy)
+        value = calib_value(data, "covariates_only", nus.outcome, policy)
         plugin = estimate_plugin_identification(data, nus, policy, Estimand.CONTRAST, "calibration_mean")
         assert value == plugin.estimate
+
+    @pytest.mark.parametrize("method, model_class, evaluate", [
+        ("covariates_only", OutcomeModel, "cte"),
+        ("ipw", PropensityModel, "prob"),
+    ])
+    def test_nuisance_is_evaluated_once(self, monkeypatch, method, model_class, evaluate):
+        data, nus = simulate_gaussian_shift(make_config(n=200, seed=10))
+        cands = CandidateSet(
+            candidates=(
+                (0.1, LinearPolicy(0.2, np.array([1.0, -1.0]))),
+                (0.2, constant_policy(1, 2)),
+                (0.3, constant_policy(-1, 2)),
+            )
+        )
+        calls = []
+        original = getattr(model_class, evaluate)
+
+        def spy(model, *args):
+            calls.append(args)
+            return original(model, *args)
+
+        monkeypatch.setattr(model_class, evaluate, spy)
+        model = nus.outcome if method == "covariates_only" else nus.propensity
+        res = select_policy(cands, data, method, model)
+        assert len(res.table) == 3
+        assert len(calls) == 1
 
     def test_distinct_constants_enforced(self):
         with pytest.raises(InvalidConfig):

@@ -16,11 +16,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shifteval import (
+    DatasetKind,
     Estimand,
     LinearPolicy,
+    PooledDataset,
     estimate_efficient,
     read_dataset_csv,
     simulate_gaussian_shift,
+    write_dataset_csv,
 )
 from shifteval import cli, estimators, montecarlo
 from shifteval.cli import main
@@ -588,6 +591,8 @@ class TestErrorsAndExitCodes:
         ({"ridge": 1e308}, "SolveFailure"),  # n * ridge overflows in kernel ridge
         ({"bandwidth": 1e-170}, "InvalidConfig"),  # 2 * bandwidth**2 underflows to 0
         ({"ridge": 5e-324}, "SolveFailure"),  # lambda n0 n1 is subnormal: the KuLSIF rhs overflows
+        ({"bandwidth": float("inf")}, "NonFiniteValue"),  # an all-ones kernel
+        ({"ridge": float("inf")}, "NonFiniteValue"),
     ])
     def test_non_finite_kernel_system_is_structured(self, tmp_path, capsys, kernel, error):
         sim_out = simulate_to(tmp_path)
@@ -607,6 +612,31 @@ class TestErrorsAndExitCodes:
         err = json.loads(lines[0])
         assert set(err) == {"error", "message"}
         assert err["error"] == error
+
+    @pytest.mark.parametrize("weights, outcome, error", [
+        ("eb", "linear", "SolveFailure: entropy balancing: Newton system not finite at iteration 1"),
+        ("kulsif", "linear", "NonFiniteValue: median-distance bandwidth inf is not finite"),
+    ])
+    def test_covariates_near_float_max_are_structured(self, tmp_path, capsys, weights, outcome, error):
+        # every pairwise distance and the entropy-balancing Hessian overflow to inf
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(40, 2)) * 1e200
+        a = np.where(rng.random(40) < 0.5, 1, -1)
+        data = PooledDataset.from_arrays(x, a, rng.normal(size=40), np.arange(40) % 2, DatasetKind.TYPE1)
+        write_dataset_csv(data, tmp_path / "big.csv")
+        config = write_json(tmp_path / "est.json", {
+            "dataset": str(tmp_path / "big.csv"), "policy": POLICY,
+            "weights": weights, "propensity": "logistic", "outcome": outcome,
+        })
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["estimate", "--config", config, "--out", str(tmp_path / "out")])
+        assert code == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        name, _, message = error.partition(": ")
+        assert json.loads(lines[0]) == {"error": name, "message": message}
 
     @pytest.mark.parametrize("message", ["Unable to allocate 7.45 GiB for an array", ""])
     def test_memory_error_is_structured(self, tmp_path, capsys, monkeypatch, message):

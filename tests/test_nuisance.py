@@ -25,6 +25,7 @@ from shifteval.errors import (
     InvalidConfig,
     KernelTooLarge,
     NoObservedOutcomes,
+    NonFiniteValue,
     RankDeficient,
     Separation,
     SolveFailure,
@@ -230,6 +231,23 @@ class TestKernelSpec:
     @pytest.mark.parametrize("bandwidth", [1e-150, 1e150])
     def test_extreme_bandwidth_in_range_accepted(self, bandwidth):
         assert KernelSpec(bandwidth=bandwidth).bandwidth == bandwidth
+
+    @pytest.mark.parametrize("field", ["bandwidth", "ridge"])
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_non_finite_bandwidth_or_ridge_refused(self, field, value):
+        with pytest.raises(NonFiniteValue, match="is not finite"):
+            KernelSpec(**{field: value})
+
+    @pytest.mark.parametrize("fit", [
+        lambda data: fit_weights_kulsif(data, KernelSpec()),
+        lambda data: fit_outcome_regression(data, method="kernel_ridge", spec=KernelSpec()),
+    ], ids=["kulsif", "kernel_ridge"])
+    def test_median_distance_bandwidth_is_checked(self, fit):
+        # distances near 1e200 overflow to inf, and so does their median
+        rng = np.random.default_rng(0)
+        ds = dataset_from(rng.normal(size=(20, 2)) * 1e200, [1, -1] * 10, rng.normal(size=20), [1, 0] * 10)
+        with pytest.raises(NonFiniteValue, match="median-distance bandwidth inf is not finite"):
+            fit(ds)
 
 
 class TestOutcome:
