@@ -38,7 +38,6 @@ from .estimators import (
     FitRecipe,
     TheoreticalVariance,
     assemble_nuisances,
-    cross_fit_estimate,
     eif_contribution,
     estimate_efficient,
     estimate_plugin_identification,
@@ -92,7 +91,6 @@ __all__ = [
     "FitRecipe",
     "TheoreticalVariance",
     "assemble_nuisances",
-    "cross_fit_estimate",
     "eif_contribution",
     "estimate_efficient",
     "estimate_plugin_identification",

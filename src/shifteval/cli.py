@@ -32,6 +32,7 @@ from .data_model import (
     SimulationConfig,
     read_dataset_csv,
     simulate_gaussian_shift,
+    split_cross_fit_folds,
     write_dataset_csv,
 )
 from .errors import DimensionMismatch, InvalidConfig, NonFiniteValue, ShiftEvalError
@@ -42,7 +43,7 @@ from .estimators import (
     FitRecipe,
     _fit_nuisance,
     check_level,
-    fit_and_estimate,
+    estimate_efficient,
 )
 from .montecarlo import EstimatorSpec, McConfig, run_replications
 from .nuisance import KernelSpec, gaussian_oracle_nuisances
@@ -184,9 +185,9 @@ def cmd_estimate(args) -> int:
     seed = _field(config, "seed", _int, 0)
     recipe = _recipe_from_config(config, data, ("weights", "propensity", "outcome"))
 
-    report = fit_and_estimate(
-        data, recipe, policy, estimand, kind, crossfit_k=crossfit, seed=seed, level=level
-    )
+    # split before any fit, so a stratum too small for the bags fails first
+    folds = split_cross_fit_folds(data, crossfit, seed=seed) if crossfit else None
+    report = estimate_efficient(data, recipe, policy, estimand, kind, level, folds)
     path = _emit(out, "estimate_report.json", report.to_json_dict(), config, PI_A_NOTE)
     print(f"estimate={report.estimate:.17g} se={report.se:.17g} -> {path}")
     return 0

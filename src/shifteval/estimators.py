@@ -11,9 +11,11 @@ sampling rate is always replaced by the realized n1/n (and 1 - rho by n0/n).
 
 Per-row efficient-influence-function contributions drive the reported
 standard errors; with the self-consistent point estimate their sample mean
-is zero by construction. The plain and cross-fitted efficient estimators
-share one fit-and-evaluate path: a plain fit is the one-bag case of
-cross-fitting, its nuisances fitted on all rows and evaluated at all rows.
+is zero by construction. :func:`estimate_efficient` is the one public entry
+point: it takes a fitted :class:`NuisanceSet`, or a :class:`FitRecipe` fitted
+on the data, plainly or, given folds, cross-fitted. Both share one
+fit-and-evaluate path: a plain fit is the one-bag case of cross-fitting, its
+nuisances fitted on all rows and evaluated at all rows.
 The fit alone produces and checks the estimand-free per-row values, the
 weights, propensities and residuals; each estimand's report builds and
 checks only its calibration targets.
@@ -39,7 +41,6 @@ from .data_model import (
     Policy,
     PooledDataset,
     SimulationConfig,
-    split_cross_fit_folds,
 )
 from .errors import (
     DegenerateDenominator,
@@ -72,8 +73,6 @@ __all__ = [
     "eif_contribution",
     "estimate_efficient",
     "estimate_plugin_identification",
-    "cross_fit_estimate",
-    "fit_and_estimate",
     "theoretical_variance",
     "wald_ci",
 ]
@@ -276,11 +275,16 @@ def _fit(
     A plain fit is the one-bag case of cross-fitting: the recipe is fitted
     once on all rows and evaluated at all rows, or, given ``folds``, fitted
     once per bag on the rows outside it and evaluated at the bag's rows. A
-    ``NuisanceSet`` is a recipe already fitted, evaluated as it is. Type-2
-    evaluation of Type-1 data fits with the calibration (a, y) masked, so no
-    nuisance is fitted on them.
+    ``NuisanceSet`` is a recipe already fitted, evaluated as it is, and
+    refuses ``folds``. Type-2 evaluation of Type-1 data fits with the
+    calibration (a, y) masked, so no nuisance is fitted on them.
     """
     data, train = frame.data, frame.train
+    if folds is not None:
+        if isinstance(recipe, NuisanceSet):
+            raise InvalidConfig("cross-fitting folds need a FitRecipe, not a fitted NuisanceSet")
+        if folds.bag_of.shape[0] != data.n:
+            raise InvalidConfig("fold assignment does not match dataset size")
     if kind is DatasetKind.TYPE1 and not data.observed[~train].all():
         raise MissingField("Type-1 evaluation requires observed (a, y) on calibration rows")
     every = slice(None)
@@ -422,22 +426,29 @@ def _report(parts: _PerRowParts, estimand: Estimand, level: float) -> EstimateRe
 
 def estimate_efficient(
     data: PooledDataset,
-    nuisances: NuisanceSet,
+    nuisances: FitRecipe | NuisanceSet,
     policy: Policy,
     estimand: Estimand,
     kind: DatasetKind | None = None,
     level: float = DEFAULT_LEVEL,
+    folds: FoldAssignment | None = None,
 ) -> EstimateReport:
     """Semiparametric efficient estimate of the chosen estimand.
 
+    ``nuisances`` is a fitted set, evaluated as it is, or a recipe fitted on
+    ``data``: once on all rows, or, given ``folds``, once per bag on the rows
+    outside it and evaluated at the bag's rows (cross-fitting). Folds with a
+    fitted set are refused. With a fully oracle recipe the cross-fitted
+    estimate equals the plain one exactly.
+
     The dataset kind selects the estimator form; a Type-1 dataset may be
-    evaluated with ``kind=DatasetKind.TYPE2`` to ignore calibration (a, y).
-    The standard error is the sample standard deviation of the per-row
-    influence contributions at the self-consistent estimate, divided by
-    sqrt(n).
+    evaluated with ``kind=DatasetKind.TYPE2`` to ignore calibration (a, y),
+    and a recipe is then fitted with them masked. The standard error is the
+    sample standard deviation of the per-row influence contributions at the
+    self-consistent estimate, divided by sqrt(n).
     """
     kind = data.kind if kind is None else kind
-    return _report(_fit(_frame(data, policy), kind, nuisances), estimand, level)
+    return _report(_fit(_frame(data, policy), kind, nuisances, folds), estimand, level)
 
 
 def eif_contribution(
@@ -539,7 +550,7 @@ def estimate_plugin_identification(
 
 
 # ---------------------------------------------------------------------------
-# Cross-fitting
+# Fit recipes
 # ---------------------------------------------------------------------------
 
 
@@ -592,50 +603,11 @@ def assemble_nuisances(data: PooledDataset, recipe: FitRecipe) -> NuisanceSet:
     )
 
 
-def cross_fit_estimate(
-    data: PooledDataset,
-    folds: FoldAssignment,
-    recipe: FitRecipe,
-    policy: Policy,
-    estimand: Estimand,
-    kind: DatasetKind | None = None,
-    level: float = DEFAULT_LEVEL,
-) -> EstimateReport:
-    """Cross-fitted efficient estimate with out-of-bag nuisance functions.
-
-    For each bag, nuisances are fitted on all rows outside the bag and
-    evaluated on the bag's rows; the pooled per-row values then enter the
-    same aggregation as :func:`estimate_efficient`. Type-2 evaluation of
-    Type-1 data fits every bag with the calibration (a, y) masked. With a
-    fully oracle recipe the result equals the non-cross-fitted estimate
-    exactly.
-    """
-    kind = data.kind if kind is None else kind
-    if folds.bag_of.shape[0] != data.n:
-        raise InvalidConfig("fold assignment does not match dataset size")
-    return _report(_fit(_frame(data, policy), kind, recipe, folds), estimand, level)
-
-
-def fit_and_estimate(
-    data: PooledDataset,
-    recipe: FitRecipe,
-    policy: Policy,
-    estimand: Estimand,
-    kind: DatasetKind,
-    crossfit_k: int = 0,
-    seed: int = 0,
-    level: float = DEFAULT_LEVEL,
-) -> EstimateReport:
-    """Fit ``recipe`` on ``data`` and return the efficient estimate.
-
-    Type-2 evaluation of Type-1 data masks the calibration (a, y) first, so
-    no nuisance is fitted on them. With ``crossfit_k = 0`` the nuisances are
-    fitted once on all rows; any other value cross-fits over that many
-    stratified bags drawn with ``seed``, and one below 2 is refused before
-    any fit.
-    """
-    folds = split_cross_fit_folds(data, crossfit_k, seed=seed) if crossfit_k else None
-    return _report(_fit(_frame(data, policy), kind, recipe, folds), estimand, level)
+# not public: kept only because perfbench/tracing.py TARGETS and
+# test_traced_function_resolves name it, and deleted once the benchmark stops
+# tracing it (ROADMAP item 2(b))
+def cross_fit_estimate(data, folds, recipe, policy, estimand, kind=None, level=DEFAULT_LEVEL):
+    return estimate_efficient(data, recipe, policy, estimand, kind, level, folds=folds)
 
 
 # ---------------------------------------------------------------------------

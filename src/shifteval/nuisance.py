@@ -212,7 +212,7 @@ def _check_bandwidth(bandwidth: float, what: str) -> float:
     if not bandwidth > 0:
         raise InvalidConfig(f"{what} must be > 0")
     try:  # the rbf kernel's divisor, as _kernel_matrix computes it
-        in_range = 2.0 * bandwidth**2 > 0
+        in_range = 0 < 2.0 * bandwidth**2 < np.inf
     except OverflowError:  # a Python float's ** raises where numpy's gives inf
         in_range = False
     if not in_range:
@@ -823,8 +823,9 @@ def fit_weights_entropy_balancing(data: PooledDataset) -> WeightModel:
                 t *= 0.5
             lam = lam - t * step
         f_val = dual(lam)
-        if np.linalg.norm(lam) > 1e6:
-            break
+        with np.errstate(over="ignore"):  # a diverging lambda: an inf norm still breaks
+            if np.linalg.norm(lam) > 1e6:
+                break
 
     z = g1 @ lam
     log_denom = float(logsumexp(z))

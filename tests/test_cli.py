@@ -613,6 +613,28 @@ class TestErrorsAndExitCodes:
         assert set(err) == {"error", "message"}
         assert err["error"] == error
 
+    def test_diverging_entropy_balancing_is_one_structured_line(self, tmp_path, capsys):
+        # the calibration mean lies outside the convex hull of the training
+        # rows but inside each coordinate's range: lambda diverges
+        (tmp_path / "eb.csv").write_text(
+            "x_1,x_2,a,y,s\n1.3087,-1.5063,1,0.5,1\n-1.5437,0.4960,-1,1.0,1\n"
+            "0.3750,-0.8111,1,-0.5,1\n-0.1877,-0.3653,,,0\n"
+        )
+        config = write_json(tmp_path / "est.json", {
+            "dataset": str(tmp_path / "eb.csv"), "policy": POLICY,
+            "weights": "eb", "propensity": "logistic", "outcome": "linear",
+        })
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["estimate", "--config", config, "--out", str(tmp_path / "out")])
+        assert code == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert set(err) == {"error", "message"}
+        assert err["error"] == "InfeasibleBalance"
+
     @pytest.mark.parametrize("weights, outcome, error", [
         ("eb", "linear", "SolveFailure: entropy balancing: Newton system not finite at iteration 1"),
         ("kulsif", "linear", "NonFiniteValue: median-distance bandwidth inf is not finite"),
@@ -902,3 +924,80 @@ def test_mutated_config_exits_cleanly(fuzz_inputs, case):
     if code == 1:
         assert set(json.loads(err.getvalue().splitlines()[-1])) == {"error", "message"}
 
+
+
+@st.composite
+def fuzzed_datasets(draw):
+    """A tiny Type-1 dataset: each column scaled near 1 or up to 1e+-300,
+    some columns constant or duplicated, and the strata and the treatments
+    either drawn at random or split by a covariate."""
+    n = draw(st.integers(6, 40))
+    p = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    exponents = st.one_of(st.floats(-1.0, 1.0), st.integers(-300, 300).map(float))
+    x = rng.normal(size=(n, p)) * 10.0 ** np.array(draw(st.lists(exponents, min_size=p, max_size=p)))
+    for j in range(1, p):
+        column = draw(st.sampled_from(["drawn", "constant", "duplicate"]))
+        if column == "constant":
+            x[:, j] = x[0, j]
+        elif column == "duplicate":
+            x[:, j] = x[:, 0]
+    split = x[:, draw(st.integers(0, p - 1))]
+    s = split > np.median(split) if draw(st.booleans()) else rng.random(n) < 0.5
+    s[:2], s[-2:] = True, False  # both strata non-empty
+    a = np.where(x[:, p - 1] > 0 if draw(st.booleans()) else rng.random(n) < 0.5, 1, -1)
+    y = rng.normal(size=n) * 10.0 ** draw(exponents)
+    return PooledDataset.from_arrays(x, a, y, s.astype(int), DatasetKind.TYPE1)
+
+
+def run_cli(command, config, data, tmp):
+    """Run ``command`` on ``data`` with ``config``, warnings as errors, and
+    check the artifact of a success; return the exit code and stderr lines."""
+    write_dataset_csv(data, Path(tmp) / "data.csv")
+    config = {"dataset": str(Path(tmp) / "data.csv"), **config}
+    err = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error", RuntimeWarning)
+        warnings.simplefilter("error", UserWarning)
+        code = main([command, "--config", write_json(Path(tmp) / f"{command}.json", config),
+                     "--out", str(Path(tmp) / command)])
+    if code == 0:
+        artifact = {"estimate": "estimate_report", "calibrate": "selection"}[command]
+        doc = json.loads((Path(tmp) / command / f"{artifact}.json").read_text())
+        jsonschema.validate(doc, load_schema(artifact))
+        json.dumps(doc, allow_nan=False)
+    return code, err.getvalue().splitlines()
+
+
+@given(
+    data=fuzzed_datasets(),
+    weights=st.sampled_from(["aipsw", "kulsif", "eb"]),
+    outcome=st.sampled_from(["linear", "kernel_ridge"]),
+    crossfit=st.sampled_from([0, 2, 3]),
+    kind=st.sampled_from(["type1", "type2"]),
+    estimand=st.sampled_from(["theta", "theta1"]),
+    method=st.sampled_from(["covariates_only", "ipw"]),
+)
+@settings(max_examples=60, deadline=None)
+def test_fuzzed_data_exits_cleanly(data, weights, outcome, crossfit, kind, estimand, method):
+    """Adversarial numbers through every fit: each run exits 0 with a finite,
+    schema-valid artifact, or 1 with exactly one stderr line, the structured
+    error; no warning or traceback reaches the user."""
+    rule = {"type": "linear", "intercept": 0.2, "coeffs": [1.0] + [-1.0] * (data.p - 1)}
+    recipe = {"weights": weights, "propensity": "logistic", "outcome": outcome}
+    with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / "candidates.json").write_text(json.dumps(
+            [{"c": 0.1, "rule": rule}, {"c": 1.0, "rule": {**rule, "intercept": -1.0}}]
+        ))
+        runs = [
+            run_cli("estimate", {**recipe, "policy": rule, "crossfit": crossfit, "kind": kind,
+                                 "estimand": estimand}, data, tmp),
+            run_cli("calibrate", {**recipe, "candidates": str(Path(tmp) / "candidates.json"),
+                                  "method": method}, data, tmp),
+        ]
+    for code, lines in runs:
+        assert code in (0, 1)
+        if code == 1:
+            assert len(lines) == 1
+            assert set(json.loads(lines[0])) == {"error", "message"}

@@ -10,7 +10,7 @@ from shifteval import (
     Observation,
     PooledDataset,
     constant_policy,
-    cross_fit_estimate,
+    estimate_efficient,
     LinearPolicy,
     SimulationConfig,
     read_dataset_csv,
@@ -98,7 +98,7 @@ class TestDerivedDatasets:
         type2 = data.as_type2()
         recipe = FitRecipe(weights="aipsw", propensity="logistic", outcome="linear")
         for kind in DatasetKind:
-            cross_fit_estimate(data, folds, recipe, policy, Estimand.VALUE, kind=kind)
+            estimate_efficient(data, recipe, policy, Estimand.VALUE, kind=kind, folds=folds)
         assert calls == []
         monkeypatch.undo()
         mask = folds.bag_of != 1

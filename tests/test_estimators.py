@@ -18,7 +18,6 @@ from shifteval import (
     PooledDataset,
     assemble_nuisances,
     constant_policy,
-    cross_fit_estimate,
     eif_contribution,
     estimate_efficient,
     estimate_plugin_identification,
@@ -27,9 +26,9 @@ from shifteval import (
     split_cross_fit_folds,
     theoretical_variance,
     wald_ci,
+    write_dataset_csv,
 )
 from shifteval import estimators
-from shifteval.estimators import fit_and_estimate
 from shifteval.errors import (
     InfeasibleBalance,
     InvalidConfig,
@@ -143,8 +142,8 @@ class TestEstimateEfficient:
             estimate_efficient(data, nus, policy, Estimand.VALUE)
         recipe = FitRecipe(weights="oracle", propensity="oracle", outcome="oracle", oracle=nus)
         with pytest.raises(NonFiniteValue, match="training weights"):
-            cross_fit_estimate(data, split_cross_fit_folds(data, 2, seed=0), recipe, policy,
-                               Estimand.VALUE)
+            estimate_efficient(data, recipe, policy, Estimand.VALUE,
+                               folds=split_cross_fit_folds(data, 2, seed=0))
 
     def test_fit_checks_the_shared_values(self, policy):
         # w, pi and the residuals are checked once per fit, before any
@@ -329,7 +328,7 @@ class TestCrossFit:
                 plain = estimate_efficient(data, oracle, policy, estimand, kind=kind)
                 for k, seed in ((2, 0), (5, 99)):
                     folds = split_cross_fit_folds(data, k, seed=seed)
-                    cf = cross_fit_estimate(data, folds, recipe, policy, estimand, kind=kind)
+                    cf = estimate_efficient(data, recipe, policy, estimand, kind=kind, folds=folds)
                     assert cf.estimate == plain.estimate
                     assert cf.se == plain.se
 
@@ -346,8 +345,8 @@ class TestCrossFit:
         data, oracle = simulate_gaussian_shift(make_config(n=n, seed=seed))
         recipe = FitRecipe(weights="oracle", propensity="oracle", outcome="oracle", oracle=oracle)
         plain = estimate_efficient(data, oracle, policy, estimand, kind=kind)
-        cf = cross_fit_estimate(data, split_cross_fit_folds(data, k, seed=seed), recipe, policy,
-                                estimand, kind=kind)
+        cf = estimate_efficient(data, recipe, policy, estimand, kind=kind,
+                                folds=split_cross_fit_folds(data, k, seed=seed))
         assert (cf.estimate, cf.se) == (plain.estimate, plain.se)
 
     def test_fitted_recipe_close_to_truth(self, policy):
@@ -355,7 +354,8 @@ class TestCrossFit:
         data, oracle = simulate_gaussian_shift(cfg)
         folds = split_cross_fit_folds(data, 5, seed=1)
         recipe = FitRecipe(weights="aipsw", propensity="logistic", outcome="linear")
-        cf = cross_fit_estimate(data, folds, recipe, policy, Estimand.VALUE, kind=DatasetKind.TYPE2)
+        cf = estimate_efficient(data, recipe, policy, Estimand.VALUE, kind=DatasetKind.TYPE2,
+                                folds=folds)
         ref = estimate_efficient(data, oracle, policy, Estimand.VALUE, kind=DatasetKind.TYPE2)
         assert abs(cf.estimate - ref.estimate) < 6 * ref.se
         assert cf.nuisance["crossfit_k"] == 5
@@ -371,7 +371,8 @@ class TestCrossFit:
         folds = split_cross_fit_folds(bad, 2, seed=0)
         recipe = FitRecipe(weights="aipsw", propensity="logistic", outcome="linear")
         with pytest.raises(Exception, match="bag 1"):
-            cross_fit_estimate(bad, folds, recipe, policy, Estimand.VALUE, kind=DatasetKind.TYPE2)
+            estimate_efficient(bad, recipe, policy, Estimand.VALUE, kind=DatasetKind.TYPE2,
+                               folds=folds)
 
         # the bag prefix keeps the error object: calibration x = 5 lies outside
         # the training range (0, 1), so entropy balancing on x_1 is infeasible
@@ -383,28 +384,44 @@ class TestCrossFit:
         data = PooledDataset.from_arrays(x, a, y, [1] * 40 + [0] * 40, DatasetKind.TYPE2)
         recipe = FitRecipe(weights="eb", propensity="logistic", outcome="linear")
         for crossfit_k, prefix in ((0, "calibration moment"), (2, "bag 1: calibration moment")):
+            folds = split_cross_fit_folds(data, crossfit_k, seed=0) if crossfit_k else None
             with pytest.raises(InfeasibleBalance) as err:
-                fit_and_estimate(data, recipe, constant_policy(1, 1), Estimand.VALUE,
-                                 DatasetKind.TYPE2, crossfit_k=crossfit_k)
+                estimate_efficient(data, recipe, constant_policy(1, 1), Estimand.VALUE,
+                                   DatasetKind.TYPE2, folds=folds)
             assert err.value.coordinate == "x_1"
             assert str(err.value).startswith(prefix)
 
     @pytest.mark.parametrize("crossfit_k", [1, -1])
-    def test_crossfit_below_two_refused_before_any_fit(self, policy, monkeypatch, crossfit_k):
+    def test_crossfit_below_two_refused_before_any_fit(self, monkeypatch, tmp_path, capsys,
+                                                       crossfit_k):
+        # the folds refuse a bag count below 2, and so does the CLI's
+        # `crossfit` field, both before any fit
+        from shifteval.cli import main
+
         data, _ = simulate_gaussian_shift(make_config(n=200, seed=17))
         monkeypatch.setattr(estimators, "assemble_nuisances", None)
-        recipe = FitRecipe(weights="aipsw", propensity="logistic", outcome="linear")
         with pytest.raises(InvalidConfig, match="number of bags"):
-            fit_and_estimate(data, recipe, policy, Estimand.VALUE, DatasetKind.TYPE1,
-                             crossfit_k=crossfit_k)
+            split_cross_fit_folds(data, crossfit_k, seed=0)
+        write_dataset_csv(data, tmp_path / "data.csv")
+        config = tmp_path / "est.json"
+        config.write_text(json.dumps({
+            "dataset": str(tmp_path / "data.csv"), "crossfit": crossfit_k,
+            "policy": {"type": "linear", "intercept": 0.2, "coeffs": [1.0, -1.0]},
+            "weights": "aipsw", "propensity": "logistic", "outcome": "linear",
+        }))
+        capsys.readouterr()
+        assert main(["estimate", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "InvalidConfig"
+        assert "expected 0 or an integer >= 2" in err["message"]
 
     @pytest.mark.parametrize("backends", [("oracle", "oracle", "oracle"),
                                           ("aipsw", "logistic", "linear")])
     def test_cross_fit_report_names_the_recipe_backends(self, policy, backends):
         data, oracle = simulate_gaussian_shift(make_config(n=400, seed=14))
         recipe = FitRecipe(*backends, oracle=oracle)
-        report = cross_fit_estimate(data, split_cross_fit_folds(data, 3, seed=0), recipe, policy,
-                                    Estimand.VALUE)
+        report = estimate_efficient(data, recipe, policy, Estimand.VALUE,
+                                    folds=split_cross_fit_folds(data, 3, seed=0))
         nuisance = report.nuisance
         assert report.method == "crossfit"
         assert set(nuisance) == {"weights", "propensity", "outcome", "crossfit_k", "per_bag"}
@@ -413,6 +430,20 @@ class TestCrossFit:
         for bag in nuisance["per_bag"]:
             named = bag["nuisance"]
             assert (named["weights"], named["propensity"], named["outcome"]) == backends
+
+    def test_folds_with_a_fitted_set_are_refused(self, policy):
+        # a fitted set cannot be re-fitted per bag; the folds are not ignored
+        data, oracle = simulate_gaussian_shift(make_config(n=400, seed=3))
+        folds = split_cross_fit_folds(data, 3, seed=0)
+        with pytest.raises(InvalidConfig, match="folds need a FitRecipe"):
+            estimate_efficient(data, oracle, policy, Estimand.VALUE, folds=folds)
+
+    def test_folds_of_another_dataset_are_refused(self, policy):
+        data, oracle = simulate_gaussian_shift(make_config(n=400, seed=3))
+        folds = split_cross_fit_folds(data.subset(np.arange(data.n) < 300), 3, seed=0)
+        recipe = FitRecipe(weights="oracle", propensity="oracle", outcome="oracle", oracle=oracle)
+        with pytest.raises(InvalidConfig, match="does not match dataset size"):
+            estimate_efficient(data, recipe, policy, Estimand.VALUE, folds=folds)
 
     @pytest.mark.parametrize("crossfit_k", [0, 2, 3, 5])
     @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -424,14 +455,17 @@ class TestCrossFit:
         recipe = FitRecipe(weights="aipsw", propensity="logistic", outcome="linear")
         for estimand in Estimand:
             reports = [
-                fit_and_estimate(d, recipe, policy, estimand, DatasetKind.TYPE2,
-                                 crossfit_k=crossfit_k, seed=seed)
+                estimate_efficient(
+                    d, recipe, policy, estimand, DatasetKind.TYPE2,
+                    folds=split_cross_fit_folds(d, crossfit_k, seed=seed) if crossfit_k else None,
+                )
                 for d in (data, masked)
             ]
             if crossfit_k >= 2:
                 folds = split_cross_fit_folds(data, crossfit_k, seed=seed)
                 reports += [
-                    cross_fit_estimate(d, folds, recipe, policy, estimand, kind=DatasetKind.TYPE2)
+                    estimate_efficient(d, recipe, policy, estimand, kind=DatasetKind.TYPE2,
+                                       folds=folds)
                     for d in (data, masked)
                 ]
             first = reports[0]
@@ -445,10 +479,10 @@ class TestCrossFit:
         folds = split_cross_fit_folds(data, 3, seed=4)
         recipe = FitRecipe(weights="aipsw", propensity="logistic", outcome="linear")
         type2 = DatasetKind.TYPE2
-        direct = cross_fit_estimate(data, folds, recipe, policy, Estimand.VALUE, kind=type2)
-        masked = cross_fit_estimate(data.as_type2(), folds, recipe, policy, Estimand.VALUE)
-        via_config = fit_and_estimate(data, recipe, policy, Estimand.VALUE, type2,
-                                      crossfit_k=3, seed=4)
+        direct = estimate_efficient(data, recipe, policy, Estimand.VALUE, kind=type2, folds=folds)
+        masked = estimate_efficient(data.as_type2(), recipe, policy, Estimand.VALUE, folds=folds)
+        via_config = estimate_efficient(data, recipe, policy, Estimand.VALUE, type2,
+                                        folds=split_cross_fit_folds(data, 3, seed=4))
         assert direct.estimate == masked.estimate == via_config.estimate
         assert direct.se == masked.se == via_config.se
         assert direct.estimate == pytest.approx(1.7709250914900752, rel=1e-9)
@@ -463,9 +497,11 @@ class TestCrossFit:
         monkeypatch.setattr(estimators, "assemble_nuisances",
                             lambda *args: fits.append(args) or real(*args))
         recipe = FitRecipe(weights="aipsw", propensity="logistic", outcome="linear")
+        type2 = data.as_type2()
+        folds = split_cross_fit_folds(type2, crossfit_k, seed=0) if crossfit_k else None
         with pytest.raises(MissingField):
-            fit_and_estimate(data.as_type2(), recipe, policy, Estimand.VALUE, DatasetKind.TYPE1,
-                             crossfit_k=crossfit_k)
+            estimate_efficient(type2, recipe, policy, Estimand.VALUE, DatasetKind.TYPE1,
+                               folds=folds)
         assert fits == []
 
 
@@ -480,7 +516,7 @@ class TestRowPermutation:
         shuffled = PooledDataset.from_arrays(
             data.x[perm], data.a[perm], data.y[perm], data.s[perm], data.kind
         )
-        return tuple(fit_and_estimate(d, recipe, policy, estimand, kind).estimate
+        return tuple(estimate_efficient(d, recipe, policy, estimand, kind).estimate
                      for d in (data, shuffled))
 
     @settings(max_examples=25, deadline=None)

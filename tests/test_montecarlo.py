@@ -13,12 +13,13 @@ from shifteval import (
     FitRecipe,
     TheoreticalVariance,
     constant_policy,
+    estimate_efficient,
     simulate_gaussian_shift,
+    split_cross_fit_folds,
     true_policy_values,
 )
 from shifteval import estimators, montecarlo
 from shifteval.errors import InfeasibleBalance, InvalidConfig, ShiftEvalError
-from shifteval.estimators import fit_and_estimate
 from shifteval.montecarlo import EstimatorSpec, McConfig, run_replications
 
 from conftest import make_config
@@ -182,7 +183,7 @@ class TestRunReplications:
     def test_shared_replicate_work_equals_one_fit_per_estimator(self, policy, monkeypatch):
         # estimators sharing a (kind, recipe, crossfit) share one fit per
         # replicate, cross-fitted ones all K bag fits; every estimate must
-        # equal a separate fit_and_estimate call
+        # equal a separate estimate_efficient call
         base = make_config(n=400, seed=9)
         menu = mixed_menu()
         mc = McConfig(base=base, replications=3, policy=policy, estimators=menu, crossfit_k=3,
@@ -206,10 +207,10 @@ class TestRunReplications:
             for spec in menu:
                 recipe = FitRecipe(weights=spec.weights, propensity=spec.propensity,
                                    outcome=spec.outcome, oracle=oracle)
-                row.append(fit_and_estimate(
-                    data, recipe, policy, spec.estimand, spec.kind,
-                    crossfit_k=mc.crossfit_k if spec.crossfit else 0, seed=rep_seed,
-                    level=mc.level,
+                folds = (split_cross_fit_folds(data, mc.crossfit_k, seed=rep_seed)
+                         if spec.crossfit else None)
+                row.append(estimate_efficient(
+                    data, recipe, policy, spec.estimand, spec.kind, mc.level, folds
                 ).estimate)
             assert summary.estimates[r].tolist() == row
 

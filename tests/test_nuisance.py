@@ -222,8 +222,9 @@ class TestMedianBandwidth:
 
 
 class TestKernelSpec:
-    @pytest.mark.parametrize("bandwidth", [1e-170, 1e200, 10**200],
-                             ids=["1e-170", "1e200", "int-10**200"])
+    # 1e154**2 is finite, and only the doubling overflows
+    @pytest.mark.parametrize("bandwidth", [1e-170, 1e154, 1e200, 10**200],
+                             ids=["1e-170", "1e154", "1e200", "int-10**200"])
     def test_bandwidth_whose_divisor_underflows_or_overflows_refused(self, bandwidth):
         with pytest.raises(InvalidConfig, match=r"2 \* bandwidth\*\*2 underflows to 0 or overflows"):
             KernelSpec(bandwidth=bandwidth)
@@ -247,6 +248,11 @@ class TestKernelSpec:
         rng = np.random.default_rng(0)
         ds = dataset_from(rng.normal(size=(20, 2)) * 1e200, [1, -1] * 10, rng.normal(size=20), [1, 0] * 10)
         with pytest.raises(NonFiniteValue, match="median-distance bandwidth inf is not finite"):
+            fit(ds)
+        # the median distance 1.1e154 is finite, and so is its square, but not twice that
+        x = np.tile([0.0, 0.0, 1.1e154, 1.1e154], 5)[:, None]
+        ds = dataset_from(x, [1, -1] * 10, rng.normal(size=20), [1, 0] * 10)
+        with pytest.raises(InvalidConfig, match="median-distance bandwidth .* is out of range"):
             fit(ds)
 
 
@@ -794,6 +800,20 @@ class TestEntropyBalancing:
         ds = dataset_from(x, [1, -1, np.nan, np.nan], [0.0, 0.0, np.nan, np.nan], [1, 1, 0, 0], DatasetKind.TYPE2)
         with pytest.raises(InfeasibleBalance) as err:
             fit_weights_entropy_balancing(ds)
+        assert err.value.coordinate == "x_1"
+
+    def test_diverging_dual_is_infeasible_without_warning(self):
+        # the calibration mean lies inside each coordinate's training range
+        # but outside the convex hull of the three training rows: lambda
+        # diverges until its norm overflows
+        x = np.array([[1.3087, -1.5063], [-1.5437, 0.4960], [0.3750, -0.8111],
+                      [-0.1877, -0.3653]])
+        ds = dataset_from(x, [1, -1, 1, np.nan], [0.5, 1.0, -0.5, np.nan], [1, 1, 1, 0],
+                          DatasetKind.TYPE2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InfeasibleBalance, match="convex hull") as err:
+                fit_weights_entropy_balancing(ds)
         assert err.value.coordinate == "x_1"
 
     def test_weights_positive_normalized_balanced(self):
