@@ -253,10 +253,6 @@ def run_replications(config: McConfig) -> McSummary:
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        # loaded before the fork, so the workers inherit it instead of each
-        # loading it on its first fit or interval
-        import scipy.special  # noqa: F401
-
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(worker, reps, chunksize=max(1, len(reps) // (4 * workers))))
     else:

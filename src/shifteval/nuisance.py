@@ -34,11 +34,12 @@ stays on numpy's. The median-distance bandwidth selects its
 order statistics in one partition. A dense-kernel fit whose matrices
 would exceed the least of physical memory, the cgroup memory limit less
 its working set and ``RLIMIT_AS`` less the mapped address space raises
-``KernelTooLarge`` before it allocates any of them. scipy is loaded on
-first use only: ``scipy.special`` by the logistic fit and evaluator and by
-entropy balancing, ``scipy.linalg`` and ``scipy.spatial`` by the
-dense-kernel and entropy-balancing solvers, so a process that fits none of
-them loads no scipy here.
+``KernelTooLarge`` before it allocates any of them. Only the dense-kernel
+backends load scipy, on first use: ``scipy.linalg`` for their solves and
+products, ``scipy.spatial`` (which loads ``scipy.special``) for their
+distances. The logistic, linear and entropy-balancing fits run on numpy
+alone, with numpy forms of scipy's ``expit`` and ``logsumexp``; the
+logistic ones round as numpy's SIMD ``exp`` does on the machine.
 
 Fitted models are immutable and safe to share across threads.
 """
@@ -489,11 +490,16 @@ class NuisanceSet:
 # ---------------------------------------------------------------------------
 
 
+def _expit(z: NDArray) -> NDArray:
+    """1 / (1 + exp(-z)), scipy's ``expit`` formula on numpy's ``exp``: exactly
+    0 and 1 far in the tails, where ``exp(-z)`` overflows silently."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-z))
+
+
 def _logistic(coef: NDArray, x: NDArray) -> NDArray:
     """expit([1, x] @ coef), the one evaluator of a fitted logistic model."""
-    from scipy.special import expit
-
-    return expit(coef[0] + x @ coef[1:])
+    return _expit(coef[0] + x @ coef[1:])
 
 
 def _log_likelihood(design: NDArray, b: NDArray, beta: NDArray) -> tuple:
@@ -510,8 +516,6 @@ def _fit_logistic(x: NDArray, b: NDArray):
     ``Separation`` when the data are (quasi-)separated and the likelihood has
     no finite maximizer.
     """
-    from scipy.special import expit
-
     design = np.column_stack([np.ones(x.shape[0]), x])
     n, q = design.shape
     if np.linalg.matrix_rank(design) < q:
@@ -521,7 +525,7 @@ def _fit_logistic(x: NDArray, b: NDArray):
     converged = False
     it = 0
     for it in range(1, _NEWTON_MAX_ITER + 1):
-        pr = expit(eta)
+        pr = _expit(eta)
         grad = design.T @ (b - pr)
         if np.max(np.abs(grad)) / n <= _NEWTON_TOL:
             converged = True
@@ -751,6 +755,18 @@ class EntropyBalanceWeightFn:
         return self.n1 * np.exp(x @ self.lam - self.log_denom)
 
 
+def _logsumexp(z: NDArray) -> float:
+    """log(sum(exp(z))) for a finite 1-D ``z``, scipy's ``logsumexp`` bit for
+    bit: the m entries at the maximum are separated out of the shifted sum s
+    of the rest, and the result is log1p(s / m) + log(m) + max."""
+    a_max = z.max()
+    at_max = z == a_max
+    m = float(np.count_nonzero(at_max))
+    shifted = np.exp(z - a_max)
+    shifted[at_max] = 0.0
+    return float(np.log1p(shifted.sum() / m) + np.log(m) + a_max)
+
+
 def fit_weights_entropy_balancing(data: PooledDataset) -> WeightModel:
     """Entropy-balancing weights on [1, x] (Hainmueller 2012) by damped Newton
     on the strictly convex dual.
@@ -777,15 +793,12 @@ def fit_weights_entropy_balancing(data: PooledDataset) -> WeightModel:
             coordinate=names[j + 1],
         )
 
-    from scipy.linalg import cho_factor, cho_solve
-    from scipy.special import logsumexp
-
     lam = np.zeros(data.p)
     converged = False
     it = 0
 
     def dual(lam_vec: NDArray) -> float:
-        return float(logsumexp(g1 @ lam_vec) - lam_vec @ g0bar)
+        return float(_logsumexp(g1 @ lam_vec) - lam_vec @ g0bar)
 
     f_val = dual(lam)
     grad_norm = np.inf
@@ -806,8 +819,8 @@ def fit_weights_entropy_balancing(data: PooledDataset) -> WeightModel:
         if not (np.isfinite(hess).all() and np.isfinite(grad).all()):
             raise SolveFailure(f"entropy balancing: Newton system not finite at iteration {it}")
         try:
-            step = cho_solve(cho_factor(hess, lower=True), grad)
-        except np.linalg.LinAlgError:
+            step = np.linalg.solve(hess, grad)
+        except np.linalg.LinAlgError:  # an exactly singular Hessian
             step, *_ = np.linalg.lstsq(hess, grad, rcond=None)
         if grad_norm <= 1e-6:
             # quadratic-convergence region: the Armijo decrease is below
@@ -828,7 +841,7 @@ def fit_weights_entropy_balancing(data: PooledDataset) -> WeightModel:
                 break
 
     z = g1 @ lam
-    log_denom = float(logsumexp(z))
+    log_denom = _logsumexp(z)
     wts = np.exp(z - log_denom)
     residual_full = g1_full.T @ wts - g0bar_full
     if np.max(np.abs(residual_full)) > 1e-8:

@@ -750,9 +750,9 @@ class TestErrorsAndExitCodes:
         assert err["error"] == "InvalidConfig"
 
     def test_import_loads_only_the_scipy_it_runs(self):
-        # a fresh interpreter: the CLI import loads no scipy and no process
-        # pool; a logistic fit loads scipy.special, a KuLSIF fit scipy.linalg
-        # and scipy.spatial
+        # a fresh interpreter: the CLI import and a logistic fit load no
+        # scipy and no process pool; a KuLSIF fit loads scipy.linalg and
+        # scipy.spatial, and scipy.spatial loads scipy.special
         script = (
             "import json, sys\n"
             "import shifteval.cli\n"
@@ -775,13 +775,13 @@ class TestErrorsAndExitCodes:
         assert proc.returncode == 0, proc.stderr
         at_import, after_logistic, after_kulsif = json.loads(proc.stdout)
         assert at_import == []
-        assert after_logistic == ["scipy.special"]
+        assert after_logistic == []
         assert after_kulsif == ["scipy.special", "scipy.linalg", "scipy.spatial"]
 
     def test_commands_load_only_the_scipy_they_run(self, tmp_path):
-        # each command in a fresh interpreter: simulate and a covariates-only
-        # calibrate call no scipy function, an aipsw estimate only
-        # scipy.special's (the logistic fit and the Wald interval)
+        # each command in a fresh interpreter: simulate, a covariates-only
+        # calibrate, an aipsw or eb estimate and a cross-fitted aipsw
+        # montecarlo in process call no scipy function
         script = (
             "import json, sys\n"
             "from shifteval.cli import main\n"
@@ -810,10 +810,19 @@ class TestErrorsAndExitCodes:
             "candidates": str(FIXTURES / "candidates.json"), "method": "covariates_only",
             "truth": str(sim_out / "truth.json"),
         })
+        mc_cfg = write_json(tmp_path / "mc.json", {
+            "base": sim_config_dict(n=300, seed=15), "replications": 2, "policy": POLICY,
+            "estimators": [{"name": "theta_t1", "estimand": "theta", "kind": "type1",
+                            "weights": "aipsw", "propensity": "logistic",
+                            "outcome": "linear", "crossfit": True}],
+            "n_jobs": 1, "truth_draws": 10_000, "variance_draws": 10_000,
+        })
         assert run("simulate", "--config", sim_cfg, "--out", str(sim_out)) == [0, [], []]
         assert run("calibrate", "--config", cal_cfg, "--out", str(tmp_path / "cal")) == [0, [], []]
-        code, _, packages = run("estimate", "--config", est_cfg, "--out", str(tmp_path / "est"))
-        assert (code, packages) == (0, ["scipy.special"])
+        assert run("estimate", "--config", est_cfg, "--out", str(tmp_path / "est")) == [0, [], []]
+        assert run("estimate", "--config", est_cfg, "--weights", "eb",
+                   "--out", str(tmp_path / "est_eb")) == [0, [], []]
+        assert run("montecarlo", "--config", mc_cfg, "--out", str(tmp_path / "mc")) == [0, [], []]
 
     def test_console_script_subprocess(self, tmp_path):
         config = tmp_path / "sim.json"

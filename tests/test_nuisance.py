@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -138,6 +139,40 @@ class TestPropensity:
         data, _ = simulate_gaussian_shift(make_config(n=60, propensity=p1, seed=seed))
         with pytest.raises(Separation):
             fit_propensity_logistic(data)
+
+
+class TestNumpyForms:
+    """The numpy forms of scipy's ``expit`` and ``logsumexp`` that keep the
+    logistic and entropy-balancing fits free of scipy."""
+
+    def test_expit_tails_are_exact_and_silent(self):
+        z = np.array([-1e308, -800.0, 800.0, 1e308])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = nuisance._expit(z)
+        assert out.tolist() == [0.0, 0.0, 1.0, 1.0]
+
+    def test_expit_within_4_ulps_of_scipy(self):
+        # numpy's SIMD exp differs from libm's by up to 4 ulps
+        z = np.linspace(-750.0, 750.0, 300_001)
+        ref = scipy.special.expit(z)
+        assert np.all(np.abs(nuisance._expit(z) - ref) <= 4 * np.spacing(ref))
+
+    @given(
+        n=st.integers(1, 5000),
+        log10_scale=st.floats(-3.0, np.log10(300.0)),
+        ties=st.integers(0, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=1, log10_scale=0.0, ties=0, seed=0)
+    @example(n=2, log10_scale=-3.0, ties=1, seed=1)
+    @example(n=5000, log10_scale=np.log10(300.0), ties=4, seed=2)
+    @settings(max_examples=100, deadline=None)
+    def test_logsumexp_equals_scipy_bit_for_bit(self, n, log10_scale, ties, seed):
+        rng = np.random.default_rng(seed)
+        z = 10.0**log10_scale * rng.standard_normal(n)
+        z[rng.choice(n, min(ties, n), replace=False)] = z.max()
+        assert nuisance._logsumexp(z) == scipy.special.logsumexp(z)
 
 
 class TestSolveSpd:
@@ -815,6 +850,26 @@ class TestEntropyBalancing:
             with pytest.raises(InfeasibleBalance, match="convex hull") as err:
                 fit_weights_entropy_balancing(ds)
         assert err.value.coordinate == "x_1"
+
+    def test_collinear_instruments_take_the_least_squares_step(self, monkeypatch):
+        # x_2 = 2 x_1 exactly, so every Newton system is exactly singular and
+        # each step is the least-squares one: lambda keeps no component
+        # along the Hessian's null direction (2, -1)
+        calls = []
+        lstsq = np.linalg.lstsq
+        monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: calls.append(1) or lstsq(*a, **k))
+        rng = np.random.default_rng(3)
+        x1 = np.concatenate([rng.normal(size=200), rng.normal(size=100) + 0.3])
+        x = np.column_stack([x1, 2.0 * x1])
+        ds = dataset_from(x, np.r_[rng.choice([-1, 1], 200), np.full(100, np.nan)],
+                          np.r_[rng.normal(size=200), np.full(100, np.nan)],
+                          np.r_[np.ones(200, int), np.zeros(100, int)], DatasetKind.TYPE2)
+        wm = fit_weights_entropy_balancing(ds)
+        assert wm.info["converged"] and len(calls) == wm.info["iterations"] - 1
+        lam = np.array(wm.info["lambda"])
+        assert abs(lam @ [2.0, -1.0]) <= 1e-12 * np.abs(lam).max()
+        np.testing.assert_allclose(x[:200].T @ (wm(x[:200]) / 200), x[200:].mean(axis=0),
+                                   atol=1e-12)
 
     def test_weights_positive_normalized_balanced(self):
         data, _ = simulate_gaussian_shift(make_config(n=500, seed=61))
