@@ -23,7 +23,8 @@ checks only its calibration targets.
 The closed-form asymptotic variances are integrals over the Gaussian-shift
 design that a :class:`SimulationConfig` describes; the integrands use the
 design's oracle nuisances and the same calibration-target formula as the
-estimators.
+estimators. They and the Monte Carlo truth stream their draws in fixed
+blocks and merge each block's moments, in memory bounded by one block.
 """
 
 from __future__ import annotations
@@ -79,6 +80,7 @@ __all__ = [
 
 DEFAULT_LEVEL = 0.95
 MIN_MC_DRAWS = 1000  # fewest Monte Carlo draws for a truth or variance integral
+_BLOCK_DRAWS = 1 << 16  # draws held at once by a streamed Monte Carlo integral
 
 # backend names accepted for each nuisance component
 BACKENDS = {
@@ -292,7 +294,9 @@ def _fit(
     if isinstance(recipe, NuisanceSet):
         fits = [(recipe, every, every)]
     else:
-        if kind is DatasetKind.TYPE2 and data.kind is DatasetKind.TYPE1:
+        # an all-oracle "fit" reads only n1/n, which as_type2 keeps
+        fitted = any(getattr(recipe, component) != "oracle" for component in BACKENDS)
+        if fitted and kind is DatasetKind.TYPE2 and data.kind is DatasetKind.TYPE1:
             data = data.as_type2()
         if folds is None:
             fits = [(assemble_nuisances(data, recipe), every, every)]
@@ -628,8 +632,9 @@ def theoretical_variance(
 
     Expectations over the stratum-specific covariate laws, N_p(mu, I) for
     training and N_p(0, I) for calibration, are integrated by Monte Carlo
-    with ``mc_draws`` draws per stratum; the *_se fields report the
-    integration error.
+    with ``mc_draws`` draws per stratum (at least ``MIN_MC_DRAWS``), streamed
+    in blocks of ``_BLOCK_DRAWS`` whose moments are merged, so memory does
+    not grow with ``mc_draws``; the *_se fields report the integration error.
     """
     return _theoretical_variances(config, policy, (variant,), mc_draws, seed)[variant]
 
@@ -650,16 +655,79 @@ def _sigma2_over_pi(
     return total if w2 is None else w2 * total
 
 
-def _moments(values: NDArray) -> tuple:
-    """Sample mean and standard deviation (ddof=1)."""
-    return float(np.mean(values)), float(np.std(values, ddof=1))
+@dataclass(frozen=True)
+class _Moments:
+    """Count, mean and central sums of powers 2 to 4 of one integrand's draws."""
+
+    n: int
+    mean: float
+    m2: float
+    m3: float
+    m4: float
+
+    @classmethod
+    def of(cls, values: NDArray) -> _Moments:
+        """Two-pass moments of one block of draws."""
+        mean = np.mean(values)
+        c = values - mean
+        c2 = c * c
+        m2 = float(np.sum(c2))
+        c *= c2
+        m3 = float(np.sum(c))
+        c2 *= c2
+        return cls(n=values.shape[0], mean=float(mean), m2=m2, m3=m3, m4=float(np.sum(c2)))
+
+    def merge(self, other: _Moments) -> _Moments:
+        """The moments of both sets of draws together (Chan, Golub & LeVeque
+        1979; Pebay 2008)."""
+        na, nb = self.n, other.n
+        n = na + nb
+        delta = other.mean - self.mean
+        d_n = delta / n
+        d_n2 = d_n * d_n
+        cross = delta * d_n * na * nb
+        return _Moments(
+            n=n,
+            mean=self.mean + d_n * nb,
+            m2=self.m2 + other.m2 + cross,
+            m3=self.m3 + other.m3 + cross * d_n * (na - nb)
+            + 3.0 * d_n * (na * other.m2 - nb * self.m2),
+            m4=self.m4 + other.m4 + cross * d_n2 * (na * na - na * nb + nb * nb)
+            + 6.0 * d_n2 * (na * na * other.m2 + nb * nb * self.m2)
+            + 4.0 * d_n * (na * other.m3 - nb * self.m3),
+        )
+
+    @property
+    def std(self) -> float:
+        """Sample standard deviation (ddof=1)."""
+        return float(np.sqrt(self.m2 / (self.n - 1)))
+
+    def variance(self) -> tuple:
+        """The variance (ddof=0) and its integration error."""
+        var = self.m2 / self.n
+        return var, float(np.sqrt(max(self.m4 / self.n - var**2, 0.0) / self.n))
 
 
-def _target_variance(target: NDArray, draws: int) -> tuple:
-    """Var(target) and its integration error."""
-    centered = target - np.mean(target)
-    var = float(np.mean(centered**2))
-    return var, float(np.sqrt(max(np.mean(centered**4) - var**2, 0.0) / draws))
+def _mc_moments(rng, draws: int, p: int, integrands, shift: NDArray | None = None) -> list:
+    """Moments of each per-draw integrand over ``draws`` draws of
+    x ~ N_p(shift, I) (N_p(0, I) without ``shift``) from ``rng``, streamed in
+    blocks of ``_BLOCK_DRAWS`` rows.
+
+    ``integrands(x)`` returns one array of per-draw values for each integrand
+    at a block's rows. The blocks hold, in order, the rows that one draw of
+    all ``draws`` rows would give, and the first block's two-pass moments
+    start the merge, so up to ``_BLOCK_DRAWS`` draws the moments are those of
+    the whole arrays bit for bit. Memory is bounded by one block, whatever
+    ``draws`` is.
+    """
+    acc = None
+    for start in range(0, draws, _BLOCK_DRAWS):
+        x = rng.standard_normal((min(_BLOCK_DRAWS, draws - start), p))
+        if shift is not None:
+            x += shift
+        block = [_Moments.of(values) for values in integrands(x)]
+        acc = block if acc is None else [a.merge(b) for a, b in zip(acc, block)]
+    return acc
 
 
 def _theoretical_variances(
@@ -671,12 +739,12 @@ def _theoretical_variances(
 ) -> dict:
     """:func:`theoretical_variance` of every variant in ``variants``, keyed by
     variant, from one pass over the draws a single call makes: x1 and then x0
-    from one ``default_rng(seed)``.
+    from one ``default_rng(seed)``, each stratum streamed in blocks of
+    ``_BLOCK_DRAWS`` draws, so memory does not grow with ``mc_draws``.
 
     Each estimand's training integrand and calibration target are evaluated
-    once: the Type-1 nu is rho^2 times the Type-2 nu, and both kinds share
-    Var(target). Each stratum's arrays are released before the next stratum
-    is drawn, and each estimand's before the next estimand's.
+    once per block: the Type-1 nu is rho^2 times the Type-2 nu, and both
+    kinds share Var(target).
     """
     if mc_draws < MIN_MC_DRAWS:
         raise InvalidConfig(f"mc_draws must be at least {MIN_MC_DRAWS}")
@@ -685,31 +753,33 @@ def _theoretical_variances(
     sigma2, prob = config.noise_sd**2, oracle.propensity.prob
     rng = np.random.default_rng(seed)
     estimands = tuple(dict.fromkeys(v.estimand for v in variants))
-    type1 = {v.estimand for v in variants if v.kind is DatasetKind.TYPE1}
+    type1 = tuple(e for e in estimands if EifVariant(e, DatasetKind.TYPE1) in variants)
 
-    x1 = rng.standard_normal((mc_draws, config.p)) + config.mu
-    d1 = _decisions(policy, x1)
-    w2 = np.asarray(oracle.weight(x1), dtype=float) ** 2
-    nu = {}  # estimand -> Type-2 (nu, nu_se)
-    for estimand in estimands:
-        mean, std = _moments(_sigma2_over_pi(sigma2, prob, x1, 1, d1, estimand, w2))
-        nu[estimand] = mean, float(std / np.sqrt(mc_draws))
-    del x1, d1, w2
+    def training(x):
+        d, w2 = _decisions(policy, x), np.asarray(oracle.weight(x), dtype=float) ** 2
+        return [_sigma2_over_pi(sigma2, prob, x, 1, d, e, w2) for e in estimands]
 
-    x0 = rng.standard_normal((mc_draws, config.p))
-    d0 = _decisions(policy, x0)
+    def calibration(x):
+        d = _decisions(policy, x)
+        return [_policy_target(oracle.outcome, x, d, e) for e in estimands] + [
+            _sigma2_over_pi(sigma2, prob, x, 0, d, e) for e in type1
+        ]
+
+    root_n = np.sqrt(mc_draws)
+    nu = {  # estimand -> Type-2 (nu, nu_se)
+        e: (m.mean, float(m.std / root_n))
+        for e, m in zip(estimands, _mc_moments(rng, mc_draws, config.p, training, config.mu))
+    }
+    cal = _mc_moments(rng, mc_draws, config.p, calibration)
     zeta = {}  # (estimand, kind) -> (zeta, zeta_se)
-    for estimand in estimands:
-        var_target, var_target_se = _target_variance(
-            _policy_target(oracle.outcome, x0, d0, estimand), mc_draws
+    for e, target in zip(estimands, cal):
+        zeta[e, DatasetKind.TYPE2] = target.variance()
+    for e, extra in zip(type1, cal[len(estimands):]):
+        var_target, var_target_se = zeta[e, DatasetKind.TYPE2]
+        zeta[e, DatasetKind.TYPE1] = (
+            (1.0 - rho) ** 2 * extra.mean + var_target,
+            float(np.hypot((1.0 - rho) ** 2 * extra.std / root_n, var_target_se)),
         )
-        zeta[estimand, DatasetKind.TYPE2] = var_target, var_target_se
-        if estimand in type1:
-            mean, std = _moments(_sigma2_over_pi(sigma2, prob, x0, 0, d0, estimand))
-            zeta[estimand, DatasetKind.TYPE1] = (
-                (1.0 - rho) ** 2 * mean + var_target,
-                float(np.hypot((1.0 - rho) ** 2 * std / np.sqrt(mc_draws), var_target_se)),
-            )
 
     out = {}
     for v in variants:

@@ -7,7 +7,9 @@ covariate law. Summaries report the empirical variance on both the
 sqrt(n) and sqrt(n0) scales next to the closed-form asymptotic targets, so
 a bound check is the ratio of the two on one scale.
 The true values and the variance targets are integrals over the one design
-that the base :class:`SimulationConfig` describes.
+that the base :class:`SimulationConfig` describes, streamed in blocks of
+draws, so their memory does not grow with ``truth_draws`` or
+``variance_draws``.
 
 Within a replicate, estimators that share a (kind, weights, propensity,
 outcome, crossfit) recipe share one fit, plain or cross-fitted over the
@@ -53,6 +55,7 @@ from .estimators import (
     _decisions,
     _fit,
     _frame,
+    _mc_moments,
     _policy_target,
     _report,
     _theoretical_variances,
@@ -187,14 +190,21 @@ def true_policy_values(
     """Integrate the true policy value and contrast over the testing law N_p(0, I).
 
     Each is the mean of the estimators' calibration target under the oracle
-    outcome model. Uses a dedicated deterministic stream derived from the
-    config seed.
+    outcome model, over ``draws`` draws (at least ``MIN_MC_DRAWS``) streamed
+    in blocks of ``_BLOCK_DRAWS``, so memory does not grow with ``draws``.
+    Uses a dedicated deterministic stream derived from the config seed.
     """
+    if draws < MIN_MC_DRAWS:
+        raise InvalidConfig(f"draws must be at least {MIN_MC_DRAWS}")
     rng = np.random.default_rng([config.seed, _TRUTH_STREAM])
-    x = rng.standard_normal((draws, config.p))
-    d = _decisions(policy, x)
     outcome = gaussian_oracle_nuisances(config, rho_hat=config.rho_s).outcome
-    return {e.value: float(np.mean(_policy_target(outcome, x, d, e))) for e in Estimand}
+
+    def targets(x):
+        d = _decisions(policy, x)
+        return [_policy_target(outcome, x, d, e) for e in Estimand]
+
+    moments = _mc_moments(rng, draws, config.p, targets)
+    return {e.value: m.mean for e, m in zip(Estimand, moments)}
 
 
 def _run_replicate(r: int, config: McConfig, truth: dict):

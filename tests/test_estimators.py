@@ -1,5 +1,6 @@
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,10 +26,11 @@ from shifteval import (
     simulate_gaussian_shift,
     split_cross_fit_folds,
     theoretical_variance,
+    true_policy_values,
     wald_ci,
     write_dataset_csv,
 )
-from shifteval import estimators
+from shifteval import estimators, montecarlo
 from shifteval.errors import (
     InfeasibleBalance,
     InvalidConfig,
@@ -473,6 +475,31 @@ class TestCrossFit:
                 assert (r.estimate, r.se) == (first.estimate, first.se)
                 assert r.to_json_dict() == first.to_json_dict()
 
+    @pytest.mark.parametrize("crossfit_k", [0, 3])
+    def test_all_oracle_type2_evaluation_masks_nothing(self, policy, monkeypatch, crossfit_k):
+        # an all-oracle recipe reads only n1/n, which as_type2 keeps, so the
+        # Type-1 data go unmasked and the reports stay those of the masked data
+        data, oracle = simulate_gaussian_shift(make_config(n=300, seed=5))
+        folds = split_cross_fit_folds(data, crossfit_k, seed=5) if crossfit_k else None
+        recipe = FitRecipe(weights="oracle", propensity="oracle", outcome="oracle", oracle=oracle)
+        masked = [
+            estimate_efficient(data.as_type2(), recipe, policy, e, folds=folds).to_json_dict()
+            for e in Estimand
+        ]
+        calls = []
+        real = PooledDataset.as_type2
+        monkeypatch.setattr(PooledDataset, "as_type2", lambda d: calls.append(d) or real(d))
+        direct = [
+            estimate_efficient(data, recipe, policy, e, DatasetKind.TYPE2, folds=folds)
+            .to_json_dict()
+            for e in Estimand
+        ]
+        assert calls == []
+        assert direct == masked
+        fitted = FitRecipe(weights="aipsw", propensity="oracle", outcome="oracle", oracle=oracle)
+        estimate_efficient(data, fitted, policy, Estimand.VALUE, DatasetKind.TYPE2, folds=folds)
+        assert calls == [data]
+
     def test_type2_cross_fit_of_type1_data_ignores_calibration_outcomes(self, policy):
         # bags fitted on the unmasked calibration (a, y) gave 1.7607146636674742
         data, _ = simulate_gaussian_shift(make_config(n=800, seed=11))
@@ -646,6 +673,104 @@ class TestTheoreticalVariance:
         cfg = make_config(seed=20)
         with pytest.raises(InvalidConfig):
             theoretical_variance(cfg, policy, EifVariant(Estimand.VALUE, DatasetKind.TYPE2), mc_draws=10)
+
+    @pytest.mark.parametrize("draws", [0, 10, estimators.MIN_MC_DRAWS - 1])
+    def test_truth_min_draws_enforced(self, policy, draws):
+        with pytest.raises(InvalidConfig):
+            true_policy_values(make_config(seed=20), policy, draws=draws)
+
+
+def two_pass_sums(values):
+    """Count, mean and the central sums of powers 2 to 4 of one array."""
+    mean = np.mean(values)
+    c = values - mean
+    return (values.shape[0], mean, *(float(np.sum(c**k)) for k in (2, 3, 4)))
+
+
+def reference_truth(cfg, policy, draws):
+    """The true theta and theta1 as one-array means over the truth stream's
+    draws of N_p(0, I), written out from the linear outcome model."""
+    x = np.random.default_rng([cfg.seed, montecarlo._TRUTH_STREAM]).standard_normal(
+        (draws, cfg.p)
+    )
+    d = np.asarray(policy(x), dtype=float)
+    return {
+        "theta": float(np.mean(cfg.outcome_mean(x, d))),
+        "theta1": float(np.mean((cfg.outcome_mean(x, 1.0) - cfg.outcome_mean(x, -1.0)) * d)),
+    }
+
+
+class TestStreamedIntegrals:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        values=st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=300),
+        cut=st.floats(0.0, 1.0, exclude_max=True),
+    )
+    def test_merge_matches_two_pass(self, values, cut):
+        values = np.array(values)
+        k = 1 + int(cut * (values.shape[0] - 1))  # both parts non-empty
+        merged = estimators._Moments.of(values[:k]).merge(estimators._Moments.of(values[k:]))
+        n, mean, *sums = two_pass_sums(values)
+        assert merged.n == n
+        # relative 1e-12 of the absolute central sums, plus what a rounding
+        # of the mean by delta moves the power-k sum: k delta sum |c|^(k-1)
+        delta = 1e-14 * np.max(np.abs(values))
+        assert abs(merged.mean - mean) <= delta
+        c = np.abs(values - mean)
+        for k, got, want in zip((2, 3, 4), (merged.m2, merged.m3, merged.m4), sums):
+            tol = 1e-12 * np.sum(c**k) + k * delta * np.sum(c ** (k - 1))
+            assert abs(got - want) <= tol, k
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        value=st.integers(-10**6, 10**6),
+        exponent=st.integers(-20, 20),
+        n=st.integers(2, 300),
+        cut=st.floats(0.0, 1.0, exclude_max=True),
+    )
+    def test_constant_arrays_merge_to_zero_sums(self, value, exponent, n, cut):
+        # a constant whose running sums are exact, so each part's mean is the
+        # constant itself
+        values = np.full(n, np.ldexp(float(value), exponent))
+        k = 1 + int(cut * (n - 1))
+        merged = estimators._Moments.of(values[:k]).merge(estimators._Moments.of(values[k:]))
+        assert merged.mean == values[0]
+        assert (merged.m2, merged.m3, merged.m4) == (0.0, 0.0, 0.0)
+
+    def test_partial_last_block_matches_one_array_integrals(self, policy):
+        draws = 2 * estimators._BLOCK_DRAWS + 17
+        cfg = make_config(rho_s=0.3, seed=25)
+        for v in ALL_VARIANTS:
+            tv = theoretical_variance(cfg, policy, v, mc_draws=draws, seed=6)
+            ref = reference_variance(cfg, policy, v, draws, 6)
+            assert tuple(getattr(tv, f) for f in TV_FIELDS) == pytest.approx(ref, rel=1e-12)
+        ref = reference_truth(cfg, policy, draws)
+        assert true_policy_values(cfg, policy, draws) == pytest.approx(ref, rel=1e-12)
+
+    def test_one_block_truth_equals_one_array_mean(self, policy):
+        cfg = make_config(seed=26)
+        assert true_policy_values(cfg, policy, 3000) == reference_truth(cfg, policy, 3000)
+
+    @pytest.mark.parametrize(
+        "integral",
+        [
+            lambda cfg, policy: true_policy_values(cfg, policy, 1_000_000),
+            lambda cfg, policy: estimators._theoretical_variances(
+                cfg, policy, ALL_VARIANTS, mc_draws=1_000_000
+            ),
+        ],
+        ids=["truth", "variances"],
+    )
+    def test_memory_does_not_grow_with_draws(self, policy, integral):
+        # held at once, 10^6 draws took 54 and 61 MiB of temporaries
+        cfg = make_config(seed=27)
+        tracemalloc.start()
+        try:
+            integral(cfg, policy)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestWaldCi:
