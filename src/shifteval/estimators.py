@@ -657,18 +657,23 @@ def _sigma2_over_pi(
 
 @dataclass(frozen=True)
 class _Moments:
-    """Count, mean and central sums of powers 2 to 4 of one integrand's draws."""
+    """Count, mean and central sums of powers 2 to 4 of one integrand's draws;
+    NaN sums where only the mean was accumulated."""
 
     n: int
     mean: float
-    m2: float
-    m3: float
-    m4: float
+    m2: float = np.nan
+    m3: float = np.nan
+    m4: float = np.nan
 
     @classmethod
-    def of(cls, values: NDArray) -> _Moments:
-        """Two-pass moments of one block of draws."""
+    def of(cls, values: NDArray, order: int = 4) -> _Moments:
+        """Two-pass moments of one block of draws; the mean alone at
+        ``order=1``. A merged mean reads only counts and means, so it is the
+        same bits at either order."""
         mean = np.mean(values)
+        if order == 1:
+            return cls(n=values.shape[0], mean=float(mean))
         c = values - mean
         c2 = c * c
         m2 = float(np.sum(c2))
@@ -708,10 +713,12 @@ class _Moments:
         return var, float(np.sqrt(max(self.m4 / self.n - var**2, 0.0) / self.n))
 
 
-def _mc_moments(rng, draws: int, p: int, integrands, shift: NDArray | None = None) -> list:
-    """Moments of each per-draw integrand over ``draws`` draws of
-    x ~ N_p(shift, I) (N_p(0, I) without ``shift``) from ``rng``, streamed in
-    blocks of ``_BLOCK_DRAWS`` rows.
+def _mc_moments(
+    rng, draws: int, p: int, integrands, shift: NDArray | None = None, order: int = 4
+) -> list:
+    """Moments up to ``order`` (1 or 4) of each per-draw integrand over
+    ``draws`` draws of x ~ N_p(shift, I) (N_p(0, I) without ``shift``) from
+    ``rng``, streamed in blocks of ``_BLOCK_DRAWS`` rows.
 
     ``integrands(x)`` returns one array of per-draw values for each integrand
     at a block's rows. The blocks hold, in order, the rows that one draw of
@@ -725,7 +732,7 @@ def _mc_moments(rng, draws: int, p: int, integrands, shift: NDArray | None = Non
         x = rng.standard_normal((min(_BLOCK_DRAWS, draws - start), p))
         if shift is not None:
             x += shift
-        block = [_Moments.of(values) for values in integrands(x)]
+        block = [_Moments.of(values, order) for values in integrands(x)]
         acc = block if acc is None else [a.merge(b) for a, b in zip(acc, block)]
     return acc
 

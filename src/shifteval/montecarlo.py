@@ -191,7 +191,8 @@ def true_policy_values(
 
     Each is the mean of the estimators' calibration target under the oracle
     outcome model, over ``draws`` draws (at least ``MIN_MC_DRAWS``) streamed
-    in blocks of ``_BLOCK_DRAWS``, so memory does not grow with ``draws``.
+    in blocks of ``_BLOCK_DRAWS``, so memory does not grow with ``draws``;
+    only the means are accumulated.
     Uses a dedicated deterministic stream derived from the config seed.
     """
     if draws < MIN_MC_DRAWS:
@@ -203,7 +204,7 @@ def true_policy_values(
         d = _decisions(policy, x)
         return [_policy_target(outcome, x, d, e) for e in Estimand]
 
-    moments = _mc_moments(rng, draws, config.p, targets)
+    moments = _mc_moments(rng, draws, config.p, targets, order=1)
     return {e.value: m.mean for e, m in zip(Estimand, moments)}
 
 

@@ -20,7 +20,10 @@ for bit equal to a fresh kernel evaluation, when evaluated at exactly
 those rows. The aipsw selection model and the treatment propensity
 (fitted in every stratum with observed (a, y)) are one logistic model on
 [1, x]: one Newton fit, ``_fit_logistic``, and one evaluator,
-``_logistic``. Dense kernel systems are solved by Cholesky, and every
+``_logistic``. The fit reads the rank of [1, x] from the diagonal of its QR
+R factor, and its log-likelihood, written with the softplus
+max(eta, 0) + log1p(e^-|eta|), only steers the halving line search: it is
+never reported. Dense kernel systems are solved by Cholesky, and every
 solve warns when the 1-norm condition estimate from the Cholesky factor
 exceeds 1e12, at any size; a system whose 1-norm or right-hand side is
 not finite raises ``SolveFailure``, and that 1-norm is the only
@@ -502,24 +505,42 @@ def _logistic(coef: NDArray, x: NDArray) -> NDArray:
     return _expit(coef[0] + x @ coef[1:])
 
 
+def _softplus(eta: NDArray) -> NDArray:
+    """log(1 + e^eta) as max(eta, 0) + log1p(e^-|eta|): within 2 ulps of
+    ``np.logaddexp(0, eta)``, on numpy's SIMD ``exp`` and ``log1p`` loops
+    where ``logaddexp`` runs a scalar one, and silent in both tails, where
+    e^-|eta| <= 1 cannot overflow."""
+    return np.maximum(eta, 0.0) + np.log1p(np.exp(-np.abs(eta)))
+
+
 def _log_likelihood(design: NDArray, b: NDArray, beta: NDArray) -> tuple:
     """The Bernoulli log-likelihood at ``beta`` and the linear predictor it read."""
     eta = design @ beta
-    return float(np.sum(b * eta - np.logaddexp(0.0, eta))), eta
+    return float(np.sum(b * eta - _softplus(eta))), eta
 
 
 def _fit_logistic(x: NDArray, b: NDArray):
     """Maximize the Bernoulli log-likelihood of ``b`` on [1, x] by Newton with
     a halving line search; returns (coef, info).
 
-    Raises ``RankDeficient`` when [1, x] does not have full column rank, and
+    The likelihood only steers the line search (a step is taken once it does
+    not fall by more than 1e-12), so the iterates, their count and the
+    coefficients move with its rounding only where a comparison lands within
+    rounding of that margin.
+
+    Raises ``RankDeficient`` when the n x q design [1, x] does not have full
+    column rank: n < q, or, on the diagonal of the R factor of its QR
+    decomposition, min |R_ii| <= max |R_jj| * max(n, q) * eps. Raises
     ``Separation`` when the data are (quasi-)separated and the likelihood has
     no finite maximizer.
     """
-    design = np.column_stack([np.ones(x.shape[0]), x])
-    n, q = design.shape
-    if np.linalg.matrix_rank(design) < q:
+    n, q = x.shape[0], x.shape[1] + 1
+    design = np.empty((n, q))
+    design[:, 0], design[:, 1:] = 1.0, x
+    r_ii = np.abs(np.linalg.qr(design, mode="r").diagonal())
+    if n < q or r_ii.min() <= r_ii.max() * max(n, q) * np.finfo(float).eps:
         raise RankDeficient("design matrix is rank deficient")
+    sign = 2.0 * b - 1.0
     beta = np.zeros(q)
     ll, eta = _log_likelihood(design, b, beta)
     converged = False
@@ -527,12 +548,12 @@ def _fit_logistic(x: NDArray, b: NDArray):
     for it in range(1, _NEWTON_MAX_ITER + 1):
         pr = _expit(eta)
         grad = design.T @ (b - pr)
-        if np.max(np.abs(grad)) / n <= _NEWTON_TOL:
+        if np.abs(grad).max() / n <= _NEWTON_TOL:
             converged = True
             break
         wvar = pr * (1.0 - pr)
-        aligned = np.all((2.0 * b - 1.0) * eta >= 0.0)
-        if aligned and (np.min(wvar) < 1e-12 or np.linalg.norm(beta) > 1e4):
+        aligned = (sign * eta >= 0.0).all()
+        if aligned and (wvar.min() < 1e-12 or np.linalg.norm(beta) > 1e4):
             raise Separation("perfect separation: likelihood has no finite maximizer")
         hess = design.T @ (design * wvar[:, None])
         try:
@@ -550,7 +571,7 @@ def _fit_logistic(x: NDArray, b: NDArray):
         else:
             beta = beta + t * step
             ll, eta = _log_likelihood(design, b, beta)
-    if not converged and np.all((2.0 * b - 1.0) * eta >= 0.0) and np.linalg.norm(beta) > 1e2:
+    if not converged and (sign * eta >= 0.0).all() and np.linalg.norm(beta) > 1e2:
         raise Separation("Newton iterations diverged (separated data)")
     return beta, {"iterations": it, "converged": converged}
 

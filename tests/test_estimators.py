@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
@@ -706,6 +706,9 @@ class TestStreamedIntegrals:
         values=st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=300),
         cut=st.floats(0.0, 1.0, exclude_max=True),
     )
+    @example(values=[0.0, 1.1426e-80], cut=0.0)  # m4 is subnormal
+    @example(values=[5e-324, 0.0], cut=0.0)  # a mean at the smallest subnormal
+    @example(values=[1.7670000000000001e-15] * 4, cut=0.0)  # the 3-row mean rounds
     def test_merge_matches_two_pass(self, values, cut):
         values = np.array(values)
         k = 1 + int(cut * (values.shape[0] - 1))  # both parts non-empty
@@ -714,12 +717,28 @@ class TestStreamedIntegrals:
         assert merged.n == n
         # relative 1e-12 of the absolute central sums, plus what a rounding
         # of the mean by delta moves the power-k sum: k delta sum |c|^(k-1)
+        # to first order and n delta^k at the last, where the central values
+        # are below delta; both underflow on subnormal sums, which a floor of
+        # a few subnormal units covers
         delta = 1e-14 * np.max(np.abs(values))
-        assert abs(merged.mean - mean) <= delta
+        floor = 4 * np.finfo(float).smallest_subnormal
+        assert abs(merged.mean - mean) <= delta + floor
         c = np.abs(values - mean)
         for k, got, want in zip((2, 3, 4), (merged.m2, merged.m3, merged.m4), sums):
-            tol = 1e-12 * np.sum(c**k) + k * delta * np.sum(c ** (k - 1))
-            assert abs(got - want) <= tol, k
+            tol = 1e-12 * np.sum(c**k) + k * delta * np.sum(c ** (k - 1)) + n * delta**k
+            assert abs(got - want) <= tol + floor, k
+
+    def test_mean_only_moments_merge_to_the_same_mean(self):
+        # true_policy_values accumulates means alone: a merged mean reads
+        # only counts and means, so it is the same bits at either order
+        values = np.random.default_rng(3).standard_normal(1000) * 1e3
+        for k in (1, 17, 500, 999):
+            full = estimators._Moments.of(values[:k]).merge(estimators._Moments.of(values[k:]))
+            mean_only = estimators._Moments.of(values[:k], 1).merge(
+                estimators._Moments.of(values[k:], 1)
+            )
+            assert mean_only.mean == full.mean and mean_only.n == full.n
+            assert np.isnan([mean_only.m2, mean_only.m3, mean_only.m4]).all()
 
     @settings(max_examples=50, deadline=None)
     @given(

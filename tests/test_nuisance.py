@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.special
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -143,7 +143,23 @@ class TestPropensity:
 
 class TestNumpyForms:
     """The numpy forms of scipy's ``expit`` and ``logsumexp`` that keep the
-    logistic and entropy-balancing fits free of scipy."""
+    logistic and entropy-balancing fits free of scipy, and the logistic
+    likelihood's softplus."""
+
+    def test_softplus_within_2_ulps_of_logaddexp(self):
+        eta = np.linspace(-800.0, 800.0, 1_600_001)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = nuisance._softplus(eta)
+        ref = np.logaddexp(0.0, eta)
+        assert np.all(np.abs(got - ref) <= 2 * np.spacing(ref))
+
+    def test_softplus_tails_are_exact_and_silent(self):
+        eta = np.array([-1e308, 1e308])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = nuisance._softplus(eta)
+        assert out.tolist() == np.maximum(eta, 0.0).tolist() == [0.0, 1e308]
 
     def test_expit_tails_are_exact_and_silent(self):
         z = np.array([-1e308, -800.0, 800.0, 1e308])
@@ -405,6 +421,132 @@ class TestAipsw:
         coef = np.asarray(fit_weights_aipsw(data).info["coef"])
         target = np.array([np.log(1.0) - 0.25, 0.5, 0.5])
         assert np.max(np.abs(coef - target)) < 0.08
+
+
+def reference_fit_logistic(x, b):
+    """The logistic Newton fit written with ``column_stack``, ``matrix_rank``
+    and ``np.logaddexp``, which ``nuisance._fit_logistic`` must match bit for
+    bit wherever the line search's comparisons are not within rounding."""
+    design = np.column_stack([np.ones(x.shape[0]), x])
+    n, q = design.shape
+    if np.linalg.matrix_rank(design) < q:
+        raise RankDeficient("design matrix is rank deficient")
+
+    def log_likelihood(beta):
+        eta = design @ beta
+        return float(np.sum(b * eta - np.logaddexp(0.0, eta))), eta
+
+    beta = np.zeros(q)
+    ll, eta = log_likelihood(beta)
+    converged = False
+    it = 0
+    for it in range(1, nuisance._NEWTON_MAX_ITER + 1):
+        pr = nuisance._expit(eta)
+        grad = design.T @ (b - pr)
+        if np.max(np.abs(grad)) / n <= nuisance._NEWTON_TOL:
+            converged = True
+            break
+        wvar = pr * (1.0 - pr)
+        aligned = np.all((2.0 * b - 1.0) * eta >= 0.0)
+        if aligned and (np.min(wvar) < 1e-12 or np.linalg.norm(beta) > 1e4):
+            raise Separation("perfect separation: likelihood has no finite maximizer")
+        hess = design.T @ (design * wvar[:, None])
+        try:
+            step = np.linalg.solve(hess, grad)
+        except np.linalg.LinAlgError:
+            raise Separation("singular Hessian during Newton iteration") from None
+        t = 1.0
+        for _ in range(40):
+            cand = beta + t * step
+            ll_new, eta_new = log_likelihood(cand)
+            if ll_new >= ll - 1e-12:
+                beta, ll, eta = cand, ll_new, eta_new
+                break
+            t *= 0.5
+        else:
+            beta = beta + t * step
+            ll, eta = log_likelihood(beta)
+    if not converged and np.all((2.0 * b - 1.0) * eta >= 0.0) and np.linalg.norm(beta) > 1e2:
+        raise Separation("Newton iterations diverged (separated data)")
+    return beta, {"iterations": it, "converged": converged}
+
+
+def fit_outcome(fit, x, b):
+    """Coefficient bits and info of a logistic fit, or its error's class and
+    message."""
+    try:
+        coef, info = fit(x, b)
+    except (RankDeficient, Separation) as e:
+        return type(e), str(e)
+    return coef.tobytes(), info
+
+
+class TestLogisticFit:
+    @given(
+        n=st.integers(60, 8000),
+        p=st.integers(1, 3),
+        response=st.sampled_from(["selection", "treatment"]),
+        propensity=st.sampled_from([0.3, 0.5, 0.7]),
+        seed=st.integers(0, 2**16),
+    )
+    @example(n=60, p=2, response="treatment", propensity=0.75, seed=627)  # separated
+    @example(n=8000, p=2, response="selection", propensity=0.5, seed=0)
+    @settings(max_examples=40, deadline=None)
+    def test_fit_matches_logaddexp_reference_bit_for_bit(self, n, p, response, propensity, seed):
+        data, _ = simulate_gaussian_shift(
+            make_config(p=p, mu=(0.5,) * p, n=n, propensity=propensity, seed=seed)
+        )
+        if response == "selection":  # the aipsw fit, on every row
+            x, b = data.x, data.s.astype(float)
+        else:  # the propensity fit, in the s = 1 stratum
+            rows = (data.s == 1) & data.observed
+            x, b = data.x[rows], (data.a[rows] == 1).astype(float)
+        assert fit_outcome(nuisance._fit_logistic, x, b) == fit_outcome(reference_fit_logistic, x, b)
+
+    @pytest.mark.parametrize("scale", [1e-6, 1e-3, 1.0, 1e3, 1e6])
+    @pytest.mark.parametrize("collinear", ["duplicate", "constant", "affine"])
+    def test_collinear_designs_are_refused(self, collinear, scale):
+        rng = np.random.default_rng(11)
+        x1 = scale * rng.standard_normal(200)
+        x2 = {"duplicate": x1, "constant": np.full(200, 3.0 * scale), "affine": 2.0 * x1 + 3.0}
+        s = np.where(rng.random(200) < 0.5, 1, 0)
+        ds = dataset_from(
+            np.column_stack([x1, x2[collinear]]), np.where(rng.random(200) < 0.5, 1, -1),
+            rng.standard_normal(200), s,
+        )
+        for fit in (fit_propensity_logistic, fit_weights_aipsw):
+            with pytest.raises(RankDeficient):
+                fit(ds)
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_fewer_rows_than_columns_are_refused(self, n):
+        x = np.random.default_rng(n).standard_normal((n, 2))
+        with pytest.raises(RankDeficient):
+            nuisance._fit_logistic(x, np.arange(n) % 2.0)
+
+    @given(
+        n=st.integers(20, 500),
+        log10_scales=st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=4),
+        log10_gap=st.floats(-7.0, 0.0),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_full_rank_designs_are_accepted(self, n, log10_scales, log10_gap, seed):
+        # columns on scales 1e-4 to 1e4, the last one a nearly collinear
+        # copy of the first, accepted wherever the singular values are
+        # well apart from rank deficiency
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((n, len(log10_scales)))
+        if x.shape[1] > 1:
+            x[:, -1] = x[:, 0] + 10.0**log10_gap * x[:, -1]
+        x *= 10.0 ** np.array(log10_scales)
+        design = np.column_stack([np.ones(n), x])
+        sv = np.linalg.svd(design, compute_uv=False)
+        assume(np.linalg.matrix_rank(design) == design.shape[1] and sv[-1] / sv[0] > 1e-8)
+        try:
+            nuisance._fit_logistic(x, (rng.random(n) < 0.5).astype(float))
+        except Separation:
+            pass  # past the rank test
 
 
 @pytest.mark.parametrize("cap", [1, None])
