@@ -379,7 +379,7 @@ def _finish_report(
     divided by the square root of their count."""
     m = terms.shape[0]
     with np.errstate(over="ignore"):  # an overflow is refused below
-        se = float(np.std(terms, ddof=1) / np.sqrt(m)) if m > 1 else 0.0
+        se = float(_Moments.of(terms, order=2).std / np.sqrt(m)) if m > 1 else 0.0
     if not np.isfinite(se):
         raise NonFiniteValue("standard error is not finite: the per-row terms overflow")
     return EstimateReport(
@@ -669,14 +669,16 @@ class _Moments:
     @classmethod
     def of(cls, values: NDArray, order: int = 4) -> _Moments:
         """Two-pass moments of one block of draws; the mean alone at
-        ``order=1``. A merged mean reads only counts and means, so it is the
-        same bits at either order."""
+        ``order=1``, and the mean and m2 at ``order=2``. A merged mean reads
+        only counts and means, so it is the same bits at any order."""
         mean = np.mean(values)
         if order == 1:
             return cls(n=values.shape[0], mean=float(mean))
         c = values - mean
         c2 = c * c
         m2 = float(np.sum(c2))
+        if order == 2:
+            return cls(n=values.shape[0], mean=float(mean), m2=m2)
         c *= c2
         m3 = float(np.sum(c))
         c2 *= c2
@@ -703,9 +705,15 @@ class _Moments:
         )
 
     @property
+    def var(self) -> float:
+        """Sample variance (ddof=1), ``np.var(values, ddof=1)`` bit for bit
+        for the moments of one block."""
+        return self.m2 / (self.n - 1)
+
+    @property
     def std(self) -> float:
         """Sample standard deviation (ddof=1)."""
-        return float(np.sqrt(self.m2 / (self.n - 1)))
+        return float(np.sqrt(self.var))
 
     def variance(self) -> tuple:
         """The variance (ddof=0) and its integration error."""

@@ -52,6 +52,7 @@ from .estimators import (
     Estimand,
     EifVariant,
     FitRecipe,
+    _Moments,
     _decisions,
     _fit,
     _frame,
@@ -298,8 +299,8 @@ def run_replications(config: McConfig) -> McSummary:
                 crossfit=spec.crossfit,
                 mean_estimate=float(np.mean(est[:, j])),
                 bias=float(np.mean(err)),
-                var_sqrt_n=float(np.var(np.sqrt(n) * err, ddof=1)),
-                var_sqrt_n0=float(np.var(np.sqrt(n0s) * err, ddof=1)),
+                var_sqrt_n=_Moments.of(np.sqrt(n) * err, order=2).var,
+                var_sqrt_n0=_Moments.of(np.sqrt(n0s) * err, order=2).var,
                 coverage=float(np.mean(cov[:, j])),
                 nu_eff=tv.nu_eff,
                 zeta_eff=tv.zeta_eff,

@@ -41,8 +41,8 @@ its working set and ``RLIMIT_AS`` less the mapped address space raises
 backends load scipy, on first use: ``scipy.linalg`` for their solves and
 products, ``scipy.spatial`` (which loads ``scipy.special``) for their
 distances. The logistic, linear and entropy-balancing fits run on numpy
-alone, with numpy forms of scipy's ``expit`` and ``logsumexp``; the
-logistic ones round as numpy's SIMD ``exp`` does on the machine.
+alone; the logistic ones use a numpy form of scipy's ``expit`` and round as
+numpy's SIMD ``exp`` does on the machine.
 
 Fitted models are immutable and safe to share across threads.
 """
@@ -776,102 +776,84 @@ class EntropyBalanceWeightFn:
         return self.n1 * np.exp(x @ self.lam - self.log_denom)
 
 
-def _logsumexp(z: NDArray) -> float:
-    """log(sum(exp(z))) for a finite 1-D ``z``, scipy's ``logsumexp`` bit for
-    bit: the m entries at the maximum are separated out of the shifted sum s
-    of the rest, and the result is log1p(s / m) + log(m) + max."""
-    a_max = z.max()
-    at_max = z == a_max
-    m = float(np.count_nonzero(at_max))
-    shifted = np.exp(z - a_max)
-    shifted[at_max] = 0.0
-    return float(np.log1p(shifted.sum() / m) + np.log(m) + a_max)
-
-
 def fit_weights_entropy_balancing(data: PooledDataset) -> WeightModel:
     """Entropy-balancing weights on [1, x] (Hainmueller 2012) by damped Newton
-    on the strictly convex dual.
+    on the strictly convex dual, evaluating each iterate once.
 
     The training-row weights W_i are strictly positive, sum to one, and
     balance x to within 1e-8. The weight model evaluates the n1-rescaled
     exponential-tilt form at arbitrary covariates.
     """
     x1 = data.x[data.s == 1]
-    x0 = data.x[data.s == 0]
-    g1_full = np.column_stack([np.ones(data.n1), x1])
-    g0bar_full = np.column_stack([np.ones(x0.shape[0]), x0]).mean(axis=0)
+    x0bar = data.x[data.s == 0].mean(axis=0)
     names = ["const"] + [f"x_{j + 1}" for j in range(data.p)]
-    g1, g0bar = g1_full[:, 1:], g0bar_full[1:]
 
     # the calibration moment must lie inside the per-coordinate training range
-    lo, hi = g1.min(axis=0), g1.max(axis=0)
-    outside = (g0bar < lo) | (g0bar > hi)
+    lo, hi = x1.min(axis=0), x1.max(axis=0)
+    outside = (x0bar < lo) | (x0bar > hi)
     if outside.any():
         j = int(np.argmax(outside))
         raise InfeasibleBalance(
             f"calibration moment for instrument {names[j + 1]!r} "
-            f"({g0bar[j]:.6g}) lies outside the training range [{lo[j]:.6g}, {hi[j]:.6g}]",
+            f"({x0bar[j]:.6g}) lies outside the training range [{lo[j]:.6g}, {hi[j]:.6g}]",
             coordinate=names[j + 1],
         )
 
+    def dual(lam_vec: NDArray) -> tuple:
+        """The dual objective at ``lam_vec``, its log normalizer
+        log sum_j exp(lam_vec . X_j) and the weights, which sum to one, from
+        one product and one ``exp``; the accepted line-search candidate's
+        weights give the next Newton system and the final balance check."""
+        z = x1 @ lam_vec
+        z_max = z.max()
+        shifted = np.exp(z - z_max)
+        total = shifted.sum()
+        log_denom = float(z_max + np.log(total))
+        return log_denom - float(lam_vec @ x0bar), log_denom, shifted / total
+
     lam = np.zeros(data.p)
+    f_val, log_denom, w = dual(lam)
     converged = False
     it = 0
-
-    def dual(lam_vec: NDArray) -> float:
-        return float(_logsumexp(g1 @ lam_vec) - lam_vec @ g0bar)
-
-    f_val = dual(lam)
-    grad_norm = np.inf
     for it in range(1, _EB_MAX_ITER + 1):
-        z = g1 @ lam
-        z -= z.max()
-        wts = np.exp(z)
-        wts /= wts.sum()
-        mean_g = g1.T @ wts
-        grad = mean_g - g0bar
-        grad_norm = float(np.max(np.abs(grad)))
-        if grad_norm <= _EB_GRAD_TOL:
+        mean_g = x1.T @ w
+        grad = mean_g - x0bar
+        if np.max(np.abs(grad)) <= _EB_GRAD_TOL:
             converged = True
             break
-        centered = g1 - mean_g
+        centered = x1 - mean_g
         with np.errstate(over="ignore"):  # a non-finite system is refused below
-            hess = centered.T @ (centered * wts[:, None])
+            hess = centered.T @ (centered * w[:, None])
         if not (np.isfinite(hess).all() and np.isfinite(grad).all()):
             raise SolveFailure(f"entropy balancing: Newton system not finite at iteration {it}")
         try:
             step = np.linalg.solve(hess, grad)
         except np.linalg.LinAlgError:  # an exactly singular Hessian
             step, *_ = np.linalg.lstsq(hess, grad, rcond=None)
-        if grad_norm <= 1e-6:
-            # quadratic-convergence region: the Armijo decrease is below
-            # float resolution, take the full Newton step
-            lam = lam - step
-        else:
-            t = 1.0
-            slack = 4e-16 * max(1.0, abs(f_val))
-            for _ in range(50):
-                f_new = dual(lam - t * step)
-                if f_new <= f_val - 1e-4 * t * float(grad @ step) + slack:
-                    break
-                t *= 0.5
-            lam = lam - t * step
-        f_val = dual(lam)
+        # Armijo halving from the full step, whose decrease the slack accepts
+        # once it is below float resolution; if no candidate passes, lambda
+        # takes the last one evaluated
+        slack = 4e-16 * max(1.0, abs(f_val))
+        slope = float(grad @ step)
+        for k in range(50):
+            t = 0.5**k
+            candidate = lam - t * step
+            evaluated = dual(candidate)
+            if evaluated[0] <= f_val - 1e-4 * t * slope + slack:
+                break
+        lam, (f_val, log_denom, w) = candidate, evaluated
         with np.errstate(over="ignore"):  # a diverging lambda: an inf norm still breaks
             if np.linalg.norm(lam) > 1e6:
                 break
 
-    z = g1 @ lam
-    log_denom = _logsumexp(z)
-    wts = np.exp(z - log_denom)
-    residual_full = g1_full.T @ wts - g0bar_full
-    if np.max(np.abs(residual_full)) > 1e-8:
-        j = int(np.argmax(np.abs(residual_full)))
+    residual = np.concatenate([[w.sum() - 1.0], x1.T @ w - x0bar])
+    worst = int(np.argmax(np.abs(residual)))
+    if abs(residual[worst]) > 1e-8:
         raise InfeasibleBalance(
             f"entropy balancing failed to satisfy the moment constraints; worst "
-            f"residual {residual_full[j]:.3e} on instrument {names[j]!r} "
+            f"residual {residual[worst]:.3e} on instrument {names[worst]!r} "
             f"(calibration moment at or outside the convex hull)",
-            coordinate=names[j],
+            coordinate=names[worst],
         )
 
     tilt = np.concatenate([[np.log(data.n1) - log_denom], lam])
@@ -883,7 +865,7 @@ def fit_weights_entropy_balancing(data: PooledDataset) -> WeightModel:
             "tilt": tilt.tolist(),
             "iterations": it,
             "converged": converged,
-            "max_balance_residual": float(np.max(np.abs(residual_full))),
+            "max_balance_residual": float(abs(residual[worst])),
             "instrument_names": names,
         },
     )
