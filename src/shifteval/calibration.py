@@ -18,7 +18,7 @@ import numpy as np
 
 from .data_model import LinearPolicy, Policy, PooledDataset, _cast, _field, _float, _of
 from .errors import EmptyCalibration, InvalidConfig, MissingTreatmentsOutcomes, NonFiniteValue
-from .estimators import Estimand, _coupler, _decisions
+from .estimators import Estimand, _coupler
 from .nuisance import OutcomeModel, PropensityModel
 
 __all__ = [
@@ -121,14 +121,14 @@ def select_policy(
             )
         a0 = data.a[calib]
         y0 = data.y[calib]
-        pi = np.asarray(model.prob(a0, x0, ipw_propensity_stratum), dtype=float)
+        pi = model.prob(a0, x0, ipw_propensity_stratum)
 
         def value(d):
             return float(np.mean(_coupler(Estimand.VALUE, d, a0) / pi * y0))
     table = []
     best = None
     for c, policy in sorted(candidates.candidates, key=lambda pair: pair[0]):
-        v = value(_decisions(policy, x0))
+        v = value(policy(x0))
         table.append({"c": c, "label": policy.label, "value": v})
         if best is None or v > best[2]:
             best = (c, policy, v)

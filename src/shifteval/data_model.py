@@ -265,7 +265,8 @@ def _of(*types):
 
 
 class Policy:
-    """Deterministic decision rule x -> {+1, -1} with a descriptive label."""
+    """Deterministic decision rule x -> {+1, -1} with a descriptive label;
+    ``policy(x)`` returns the float +-1.0 decisions every formula reads."""
 
     label: str = "policy"
 
@@ -273,15 +274,16 @@ class Policy:
         raise NotImplementedError
 
     def __call__(self, x: NDArray) -> NDArray:
-        """Evaluate the rule; accepts (n, p) matrices or single (p,) vectors."""
+        """Evaluate the rule: a float +-1.0 array for an (n, p) matrix, an int
+        for a single (p,) vector."""
         single = np.asarray(x).ndim == 1
-        d = self.decide(_as_matrix(x))
+        d = np.asarray(self.decide(_as_matrix(x)), dtype=float)
         return int(d[0]) if single else d
 
 
 @dataclass(frozen=True, eq=False)
 class LinearPolicy(Policy):
-    """d(x) = sign(intercept + coeffs . x), with sign(0) = +1."""
+    """d(x) = sign(intercept + coeffs . x), with sign(0) = +1, as float +-1.0."""
 
     intercept: float
     coeffs: NDArray
@@ -309,18 +311,19 @@ class LinearPolicy(Policy):
 
     def decide(self, x: NDArray) -> NDArray:
         score = self.intercept + x @ self.coeffs
-        return np.where(score >= 0.0, 1, -1).astype(np.int64)
+        return np.where(score >= 0.0, 1.0, -1.0)
 
 
 @dataclass(frozen=True, eq=False)
 class FunctionPolicy(Policy):
-    """Wrap an arbitrary deterministic rule (mainly for tests)."""
+    """Wrap an arbitrary deterministic rule (mainly for tests); ``policy(x)``
+    returns ``fn``'s +-1 decisions as a float array."""
 
     fn: Callable[[NDArray], NDArray]
     label: str = "function"
 
     def decide(self, x: NDArray) -> NDArray:
-        return np.asarray(self.fn(x), dtype=np.int64)
+        return self.fn(x)
 
 
 def constant_policy(sign: int, p: int) -> LinearPolicy:

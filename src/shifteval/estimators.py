@@ -8,6 +8,7 @@ Two estimands are supported for a fixed deterministic rule d:
 Each has a Type-1 and a Type-2 efficient estimator depending on whether
 calibration rows carry observed treatments and outcomes. The population
 sampling rate is always replaced by the realized n1/n (and 1 - rho by n0/n).
+Every formula reads d(x) as the float +-1.0 array ``policy(x)`` returns.
 
 Per-row efficient-influence-function contributions drive the reported
 standard errors; with the self-consistent point estimate their sample mean
@@ -248,17 +249,13 @@ def _check_positive(name: str, arr: NDArray) -> None:
         raise DegenerateDenominator(f"{name} contains non-positive values")
 
 
-def _decisions(policy: Policy, x: NDArray) -> NDArray:
-    return np.asarray(policy(x), dtype=float)
-
-
 def _stratum(data: PooledDataset, rows: NDArray, d: NDArray, s: int) -> _Stratum:
     return _Stratum(s=s, x=data.x[rows], d=d[rows], a=data.a[rows], y=data.y[rows])
 
 
 def _frame(data: PooledDataset, policy: Policy) -> _Frame:
     """Decide ``policy`` on every row of ``data`` and gather both strata."""
-    d = _decisions(policy, data.x)
+    d = policy(data.x)
     train = data.s == 1
     return _Frame(
         data=data, train=train, tr=_stratum(data, train, d, 1), cal=_stratum(data, ~train, d, 0)
@@ -351,24 +348,21 @@ def _fit(
 
 def _combine(parts: _PerRowParts, estimand: Estimand, target_cal: NDArray):
     """Point estimate and per-row influence contributions at the estimate,
-    given the calibration targets ``target_cal`` of ``estimand``."""
+    given the calibration targets ``target_cal`` of ``estimand``. Type-2,
+    without calibration (a, y), is Type-1 without the augmentation term."""
     frame = parts.frame
     tr, cal, train = frame.tr, frame.cal, frame.train
     n, n1, n0 = frame.data.n, frame.data.n1, frame.data.n0
     term_tr = parts.w_tr * _coupler(estimand, tr.d, tr.a) / parts.pi_tr * parts.resid_tr
-    eif = np.empty(n)
     if parts.kind is DatasetKind.TYPE2:
-        phi = float(np.mean(term_tr))
-        estimate = phi + float(np.mean(target_cal))
-        eif[train] = (n / n1) * term_tr
-        eif[~train] = (n / n0) * (target_cal - estimate)
+        term_cal, rate, scale = 0.0, 1.0, n / n1
     else:
         term_cal = _coupler(estimand, cal.d, cal.a) / parts.pi_cal * parts.resid_cal
-        estimate = (n1 / n) * float(np.mean(term_tr)) + float(
-            np.mean((n0 / n) * term_cal + target_cal)
-        )
-        eif[train] = term_tr
-        eif[~train] = term_cal + (n / n0) * (target_cal - estimate)
+        rate, scale = n1 / n, 1.0
+    estimate = rate * float(np.mean(term_tr)) + float(np.mean((n0 / n) * term_cal + target_cal))
+    eif = np.empty(n)
+    eif[train] = scale * term_tr
+    eif[~train] = term_cal + (n / n0) * (target_cal - estimate)
     return estimate, eif
 
 
@@ -529,11 +523,10 @@ def estimate_plugin_identification(
         if not (~train).any():
             raise MissingStratum("calibration_mean requires calibration rows")
         x0 = data.x[~train]
-        terms = _policy_target(nuisances.outcome, x0, _decisions(policy, x0), estimand)
+        terms = _policy_target(nuisances.outcome, x0, policy(x0), estimand)
     else:
-        d = _decisions(policy, data.x)
-        target = _policy_target(nuisances.outcome, data.x, d, estimand)
-        w = np.asarray(nuisances.weight(data.x[train]), dtype=float)
+        target = _policy_target(nuisances.outcome, data.x, policy(data.x), estimand)
+        w = nuisances.weight(data.x[train])
         if form == "weighted_pooled":
             terms = target.copy()
             terms[train] = w * target[train]
@@ -647,11 +640,8 @@ def _sigma2_over_pi(
     -1 for the contrast; times the squared weights ``w2`` when given. The
     outcome noise variance ``sigma2`` is the same at every (x, s, a)."""
     if estimand is Estimand.VALUE:
-        pi_d = np.asarray(prob(d, x, s), dtype=float)
-        return (sigma2 if w2 is None else w2 * sigma2) / pi_d
-    pi_p = np.asarray(prob(1, x, s), dtype=float)
-    pi_m = np.asarray(prob(-1, x, s), dtype=float)
-    total = sigma2 / pi_p + sigma2 / pi_m
+        return (sigma2 if w2 is None else w2 * sigma2) / prob(d, x, s)
+    total = sigma2 / prob(1, x, s) + sigma2 / prob(-1, x, s)
     return total if w2 is None else w2 * total
 
 
@@ -771,11 +761,11 @@ def _theoretical_variances(
     type1 = tuple(e for e in estimands if EifVariant(e, DatasetKind.TYPE1) in variants)
 
     def training(x):
-        d, w2 = _decisions(policy, x), np.asarray(oracle.weight(x), dtype=float) ** 2
+        d, w2 = policy(x), oracle.weight(x) ** 2
         return [_sigma2_over_pi(sigma2, prob, x, 1, d, e, w2) for e in estimands]
 
     def calibration(x):
-        d = _decisions(policy, x)
+        d = policy(x)
         return [_policy_target(oracle.outcome, x, d, e) for e in estimands] + [
             _sigma2_over_pi(sigma2, prob, x, 0, d, e) for e in type1
         ]

@@ -53,7 +53,6 @@ from .estimators import (
     EifVariant,
     FitRecipe,
     _Moments,
-    _decisions,
     _fit,
     _frame,
     _mc_moments,
@@ -202,7 +201,7 @@ def true_policy_values(
     outcome = gaussian_oracle_nuisances(config, rho_hat=config.rho_s).outcome
 
     def targets(x):
-        d = _decisions(policy, x)
+        d = policy(x)
         return [_policy_target(outcome, x, d, e) for e in Estimand]
 
     moments = _mc_moments(rng, draws, config.p, targets, order=1)

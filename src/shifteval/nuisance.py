@@ -42,7 +42,9 @@ backends load scipy, on first use: ``scipy.linalg`` for their solves and
 products, ``scipy.spatial`` (which loads ``scipy.special``) for their
 distances. The logistic, linear and entropy-balancing fits run on numpy
 alone; the logistic ones use a numpy form of scipy's ``expit`` and round as
-numpy's SIMD ``exp`` does on the machine.
+numpy's SIMD ``exp`` does on the machine. Both Newton line searches, the
+logistic and the entropy-balancing one, keep the last candidate they
+evaluate.
 
 Fitted models are immutable and safe to share across threads.
 """
@@ -521,7 +523,7 @@ def _log_likelihood(design: NDArray, b: NDArray, beta: NDArray) -> tuple:
 
 def _fit_logistic(x: NDArray, b: NDArray):
     """Maximize the Bernoulli log-likelihood of ``b`` on [1, x] by Newton with
-    a halving line search; returns (coef, info).
+    a halving line search over the steps 0.5**k, k < 40; returns (coef, info).
 
     The likelihood only steers the line search (a step is taken once it does
     not fall by more than 1e-12), so the iterates, their count and the
@@ -560,17 +562,13 @@ def _fit_logistic(x: NDArray, b: NDArray):
             step = np.linalg.solve(hess, grad)
         except np.linalg.LinAlgError:
             raise Separation("singular Hessian during Newton iteration") from None
-        t = 1.0
-        for _ in range(40):
-            cand = beta + t * step
+        # if no candidate passes, beta takes the last one evaluated
+        for k in range(40):
+            cand = beta + 0.5**k * step
             ll_new, eta_new = _log_likelihood(design, b, cand)
             if ll_new >= ll - 1e-12:
-                beta, ll, eta = cand, ll_new, eta_new
                 break
-            t *= 0.5
-        else:
-            beta = beta + t * step
-            ll, eta = _log_likelihood(design, b, beta)
+        beta, ll, eta = cand, ll_new, eta_new
     if not converged and (sign * eta >= 0.0).all() and np.linalg.norm(beta) > 1e2:
         raise Separation("Newton iterations diverged (separated data)")
     return beta, {"iterations": it, "converged": converged}
@@ -815,40 +813,43 @@ def fit_weights_entropy_balancing(data: PooledDataset) -> WeightModel:
     f_val, log_denom, w = dual(lam)
     converged = False
     it = 0
-    for it in range(1, _EB_MAX_ITER + 1):
-        mean_g = x1.T @ w
-        grad = mean_g - x0bar
-        if np.max(np.abs(grad)) <= _EB_GRAD_TOL:
-            converged = True
-            break
-        centered = x1 - mean_g
-        with np.errstate(over="ignore"):  # a non-finite system is refused below
-            hess = centered.T @ (centered * w[:, None])
-        if not (np.isfinite(hess).all() and np.isfinite(grad).all()):
-            raise SolveFailure(f"entropy balancing: Newton system not finite at iteration {it}")
-        try:
-            step = np.linalg.solve(hess, grad)
-        except np.linalg.LinAlgError:  # an exactly singular Hessian
-            step, *_ = np.linalg.lstsq(hess, grad, rcond=None)
-        # Armijo halving from the full step, whose decrease the slack accepts
-        # once it is below float resolution; if no candidate passes, lambda
-        # takes the last one evaluated
-        slack = 4e-16 * max(1.0, abs(f_val))
-        slope = float(grad @ step)
-        for k in range(50):
-            t = 0.5**k
-            candidate = lam - t * step
-            evaluated = dual(candidate)
-            if evaluated[0] <= f_val - 1e-4 * t * slope + slack:
+    # a diverging lambda overflows silently: a NaN dual value fails the Armijo
+    # test, a non-finite system is refused, and a NaN residual is not balanced
+    with np.errstate(over="ignore", invalid="ignore"):
+        for it in range(1, _EB_MAX_ITER + 1):
+            mean_g = x1.T @ w
+            grad = mean_g - x0bar
+            if np.max(np.abs(grad)) <= _EB_GRAD_TOL:
+                converged = True
                 break
-        lam, (f_val, log_denom, w) = candidate, evaluated
-        with np.errstate(over="ignore"):  # a diverging lambda: an inf norm still breaks
+            centered = x1 - mean_g
+            hess = centered.T @ (centered * w[:, None])
+            if not (np.isfinite(hess).all() and np.isfinite(grad).all()):
+                raise SolveFailure(
+                    f"entropy balancing: Newton system not finite at iteration {it}"
+                )
+            try:
+                step = np.linalg.solve(hess, grad)
+            except np.linalg.LinAlgError:  # an exactly singular Hessian
+                step, *_ = np.linalg.lstsq(hess, grad, rcond=None)
+            # Armijo halving from the full step, whose decrease the slack accepts
+            # once it is below float resolution; if no candidate passes, lambda
+            # takes the last one evaluated
+            slack = 4e-16 * max(1.0, abs(f_val))
+            slope = float(grad @ step)
+            for k in range(50):
+                t = 0.5**k
+                candidate = lam - t * step
+                evaluated = dual(candidate)
+                if evaluated[0] <= f_val - 1e-4 * t * slope + slack:
+                    break
+            lam, (f_val, log_denom, w) = candidate, evaluated
             if np.linalg.norm(lam) > 1e6:
                 break
 
     residual = np.concatenate([[w.sum() - 1.0], x1.T @ w - x0bar])
     worst = int(np.argmax(np.abs(residual)))
-    if abs(residual[worst]) > 1e-8:
+    if not abs(residual[worst]) <= 1e-8:
         raise InfeasibleBalance(
             f"entropy balancing failed to satisfy the moment constraints; worst "
             f"residual {residual[worst]:.3e} on instrument {names[worst]!r} "

@@ -238,6 +238,10 @@ class TestSelectPolicy:
         with pytest.raises(InvalidConfig):
             CandidateSet(candidates=((1.0, constant_policy(1, 2)), (1.0, constant_policy(-1, 2))))
 
+    def test_empty_candidate_set_refused(self):
+        with pytest.raises(InvalidConfig, match="candidate set must be non-empty"):
+            CandidateSet(candidates=())
+
     def test_selection_json(self):
         data, nus = self.oracle()
         res = select_policy(self.make_candidates(), data, "covariates_only", nus.outcome)

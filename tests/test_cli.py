@@ -3,6 +3,7 @@ import copy
 import dataclasses
 import io
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -445,6 +446,13 @@ BAD_VALUES = [
 ]
 
 
+BAD_CSV = {
+    "empty_csv": "",
+    "csv_header_names": "x_1,x_3,a,y,s\n0,0,1,1,1\n",
+    "csv_cell_count": "x_1,x_2,a,y,s\n0,0,1,1,1\n0,0,1,1\n",
+}
+
+
 def simulate_to(tmp_path, n=200, seed=30):
     sim_cfg = write_json(tmp_path / "sim.json", sim_config_dict(n=n, seed=seed))
     sim_out = tmp_path / "sim"
@@ -464,6 +472,10 @@ class TestErrorsAndExitCodes:
             ("dataset_is_directory", "IsADirectoryError"),
             ("config_is_directory", "IsADirectoryError"),
             ("config_not_utf8", "UnicodeDecodeError"),
+            ("empty_csv", "EmptyStratum"),
+            ("csv_header_names", "InvalidConfig"),
+            ("csv_cell_count", "DimensionMismatch"),
+            ("oracle_without_truth", "InvalidConfig"),
         ],
     )
     def test_bad_estimate_input_is_structured_before_fitting(
@@ -493,6 +505,11 @@ class TestErrorsAndExitCodes:
             lines[3] = "abc," + lines[3].split(",", 1)[1]
             bad.write_text("\n".join(lines) + "\n")
             config["dataset"] = str(bad)
+        elif case in BAD_CSV:
+            (tmp_path / "bad.csv").write_text(BAD_CSV[case])
+            config["dataset"] = str(tmp_path / "bad.csv")
+        elif case == "oracle_without_truth":
+            config["weights"] = "oracle"
         elif case == "dataset_is_directory":
             config["dataset"] = str(tmp_path)
         elif case == "top_level_list":
@@ -631,6 +648,31 @@ class TestErrorsAndExitCodes:
         assert code == 1
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert set(err) == {"error", "message"}
+        assert err["error"] == "InfeasibleBalance"
+
+    def test_overflowing_entropy_balancing_is_one_line_under_warnings_as_errors(self, tmp_path):
+        # the calibration mean lies outside the training hull on a scale at
+        # which line-search candidates overflow; a fresh interpreter, so the
+        # warnings filter applies as it does for a user's command
+        data, _ = simulate_gaussian_shift(make_config(p=4, mu=(-1.0,) * 4, n=200, seed=62))
+        scaled = PooledDataset.from_arrays(data.x * 100.0, data.a, data.y, data.s, data.kind)
+        write_dataset_csv(scaled, tmp_path / "eb.csv")
+        config = write_json(tmp_path / "est.json", {
+            "dataset": str(tmp_path / "eb.csv"),
+            "policy": {"type": "linear", "intercept": 0.2, "coeffs": [1.0, -1.0, 0.0, 0.0]},
+            "weights": "eb", "propensity": "logistic", "outcome": "linear",
+        })
+        proc = subprocess.run(
+            [sys.executable, "-m", "shifteval.cli", "estimate", "--config", config,
+             "--out", str(tmp_path / "out")],
+            capture_output=True, text=True,
+            env=os.environ | {"PYTHONWARNINGS": "error::RuntimeWarning,error::UserWarning"},
+        )
+        assert proc.returncode == 1
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, proc.stderr
         err = json.loads(lines[0])
         assert set(err) == {"error", "message"}
         assert err["error"] == "InfeasibleBalance"
@@ -780,7 +822,7 @@ class TestErrorsAndExitCodes:
 
     def test_commands_load_only_the_scipy_they_run(self, tmp_path):
         # each command in a fresh interpreter: simulate, a covariates-only
-        # calibrate, an aipsw or eb estimate and a cross-fitted aipsw
+        # or ipw calibrate, an aipsw or eb estimate and a cross-fitted aipsw
         # montecarlo in process call no scipy function
         script = (
             "import json, sys\n"
@@ -810,6 +852,11 @@ class TestErrorsAndExitCodes:
             "candidates": str(FIXTURES / "candidates.json"), "method": "covariates_only",
             "truth": str(sim_out / "truth.json"),
         })
+        ipw_cfg = write_json(tmp_path / "ipw.json", {
+            "dataset": str(sim_out / "dataset.csv"),
+            "candidates": str(FIXTURES / "candidates.json"), "method": "ipw",
+            "propensity": "logistic",
+        })
         mc_cfg = write_json(tmp_path / "mc.json", {
             "base": sim_config_dict(n=300, seed=15), "replications": 2, "policy": POLICY,
             "estimators": [{"name": "theta_t1", "estimand": "theta", "kind": "type1",
@@ -819,6 +866,7 @@ class TestErrorsAndExitCodes:
         })
         assert run("simulate", "--config", sim_cfg, "--out", str(sim_out)) == [0, [], []]
         assert run("calibrate", "--config", cal_cfg, "--out", str(tmp_path / "cal")) == [0, [], []]
+        assert run("calibrate", "--config", ipw_cfg, "--out", str(tmp_path / "ipw")) == [0, [], []]
         assert run("estimate", "--config", est_cfg, "--out", str(tmp_path / "est")) == [0, [], []]
         assert run("estimate", "--config", est_cfg, "--weights", "eb",
                    "--out", str(tmp_path / "est_eb")) == [0, [], []]

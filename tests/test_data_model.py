@@ -7,6 +7,8 @@ from shifteval import (
     DatasetKind,
     Estimand,
     FitRecipe,
+    FoldAssignment,
+    FunctionPolicy,
     Observation,
     PooledDataset,
     constant_policy,
@@ -62,6 +64,27 @@ class TestFromArrays:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             PooledDataset.from_arrays(np.zeros((2, 1)), [1.0], [1.0, np.nan], [1, 0], DatasetKind.TYPE2)
+
+    @pytest.mark.parametrize("x, a, y, s, kind, error, message", [
+        (np.zeros((2, 1, 1)), [1, 1], [1.0, 1.0], [1, 0], DatasetKind.TYPE1,
+         DimensionMismatch, "must be 2-dimensional"),
+        ([[0.0], [np.inf]], [1, 1], [1.0, 1.0], [1, 0], DatasetKind.TYPE1,
+         DimensionMismatch, "missing coordinates"),
+        ([[0.0], [1.0]], [1, 1], [1.0, 1.0], [1, 2], DatasetKind.TYPE1,
+         InvalidConfig, "selection indicator"),
+        ([[0.0], [1.0]], [1, 1], [1.0, np.nan], [1, 0], DatasetKind.TYPE1,
+         MissingnessMismatch, "missing together"),
+        ([[0.0], [1.0]], [1, 0], [1.0, 1.0], [1, 0], DatasetKind.TYPE1,
+         InvalidConfig, "observed treatments"),
+        ([[0.0], [1.0]], [1, 1], [1.0, np.inf], [1, 0], DatasetKind.TYPE1,
+         MissingnessMismatch, "observed outcomes must be finite"),
+        ([[0.0], [1.0]], [np.nan, np.nan], [np.nan, np.nan], [1, 0], DatasetKind.TYPE2,
+         MissingnessMismatch, "training rows"),
+    ], ids=["3-d-x", "non-finite-x", "s-not-binary", "a-without-y", "a-not-pm1",
+            "non-finite-y", "training-row-unobserved"])
+    def test_bad_arrays_refused(self, x, a, y, s, kind, error, message):
+        with pytest.raises(error, match=message):
+            PooledDataset.from_arrays(x, a, y, s, kind)
 
     def test_observation_invariants(self):
         with pytest.raises(MissingnessMismatch):
@@ -176,6 +199,10 @@ class TestSimulate:
             make_config(outcome_coeffs=np.zeros(5))
         with pytest.raises(InvalidConfig):
             make_config(mu=(0.5,))
+        with pytest.raises(InvalidConfig, match="n must be at least 2"):
+            make_config(n=1)
+        with pytest.raises(InvalidConfig, match="seed must be a non-negative integer"):
+            make_config(seed=-1)
 
     def test_config_json_round_trip(self):
         cfg = make_config(seed=17)
@@ -224,6 +251,15 @@ class TestFolds:
         calib_sizes = sorted(int(np.sum((folds2.bag_of == k) & (ds2.s == 0))) for k in (1, 2))
         assert train_sizes == [2, 3]
         assert calib_sizes == [1, 2]
+
+    @pytest.mark.parametrize("k, bag_of, message", [
+        (1, [1, 1], "number of bags must be >= 2"),
+        (2, [1, 3], "bag indices must lie in 1..k"),
+        (2, [0, 1], "bag indices must lie in 1..k"),
+    ])
+    def test_bad_assignment_refused(self, k, bag_of, message):
+        with pytest.raises(InvalidConfig, match=message):
+            FoldAssignment(k=k, bag_of=bag_of)
 
     def test_stratum_too_small(self):
         data, _ = simulate_gaussian_shift(make_config(n=20, seed=12))
@@ -303,6 +339,20 @@ class TestPolicy:
     def test_constant_policy(self):
         pol = constant_policy(-1, 2)
         assert np.array_equal(pol(np.random.default_rng(0).normal(size=(5, 2))), -np.ones(5))
+        with pytest.raises(InvalidConfig, match="sign must be"):
+            constant_policy(0, 2)
+
+    @pytest.mark.parametrize("pol", [
+        LinearPolicy(0.2, np.array([1.0, -1.0])),
+        FunctionPolicy(lambda x: np.where(x[:, 0] >= 0.2 - x[:, 1], 1, -1)),
+    ], ids=["linear", "function"])
+    def test_decisions_are_float_and_a_single_row_an_int(self, pol):
+        x = np.random.default_rng(2).normal(size=(20, 2))
+        d = pol(x)
+        assert d.dtype == np.float64
+        assert set(d.tolist()) == {1.0, -1.0}
+        assert [pol(row) for row in x] == d.astype(int).tolist()
+        assert all(type(pol(row)) is int for row in x)
 
     def test_deterministic(self):
         pol = LinearPolicy(0.3, np.array([1.0, -2.0]))

@@ -162,6 +162,21 @@ class TestEstimateEfficient:
         with pytest.raises(NonFiniteValue, match="training outcome residuals"):
             estimators._fit(estimators._frame(data, policy), DatasetKind.TYPE2, nan_outcome)
 
+    def test_non_finite_calibration_targets_raise_named_error(self):
+        # Q is finite at the training rows (x < 0.4), where the residuals
+        # read it, and infinite at the calibration rows, where the targets do
+        from shifteval.errors import NonFiniteValue
+        from shifteval.nuisance import NuisanceSet, OutcomeModel
+
+        base = toy_oracle()
+        nus = NuisanceSet(
+            weight=base.weight, propensity=base.propensity,
+            outcome=OutcomeModel(evaluator=lambda x, a: np.where(x[:, 0] > 0.4, np.inf, 0.0)),
+            rho_hat=0.5,
+        )
+        with pytest.raises(NonFiniteValue, match="calibration targets"):
+            estimate_efficient(toy_type2_dataset(), nus, constant_policy(1, 1), Estimand.VALUE)
+
     def test_overflowing_standard_error_raises_named_error(self, policy):
         # finite per-row terms near 1e300 whose squares overflow
         from shifteval.errors import NonFiniteValue

@@ -144,6 +144,11 @@ class TestRunReplications:
             McConfig(**{"base": make_config(n=200, seed=6), "replications": 3, "policy": policy,
                         "estimators": oracle_menu()[:1], field: value})
 
+    def test_empty_menu_refused(self, policy):
+        with pytest.raises(InvalidConfig, match="^estimator menu must be non-empty$"):
+            McConfig(base=make_config(n=200, seed=6), replications=3, policy=policy,
+                     estimators=())
+
     @pytest.mark.parametrize("n_jobs, cpus, expected", [
         (64, 8, 3),  # capped by the replicate count
         (64, 2, 2),  # capped by the usable CPUs

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.special
+from scipy.optimize import linprog
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -46,6 +47,25 @@ from conftest import make_config
 
 def dataset_from(x, a, y, s, kind=DatasetKind.TYPE1):
     return PooledDataset.from_arrays(np.asarray(x, dtype=float), a, y, s, kind)
+
+
+def max_min_weight(x1, target):
+    """The largest t for which weights w >= t with sum(w) = 1 give
+    x1.T @ w = target, by linear programming: positive exactly when
+    strictly positive weights balance ``target``, that is, when it lies in
+    the interior of the convex hull of the rows of ``x1``."""
+    n1 = x1.shape[0]
+    result = linprog(
+        c=np.r_[np.zeros(n1), -1.0],  # maximize t over (w, t)
+        A_ub=np.c_[-np.eye(n1), np.ones(n1)],  # t - w_i <= 0
+        b_ub=np.zeros(n1),
+        A_eq=np.r_[np.c_[x1.T, np.zeros(x1.shape[1])], np.c_[np.ones((1, n1)), 0.0]],
+        b_eq=np.r_[target, 1.0],
+        bounds=(None, None),
+        method="highs",
+    )
+    assert result.status == 0, result.message
+    return -result.fun
 
 
 def grid_max_loglik(x, b, bounds=(-3.0, 3.0), passes=4, width=81):
@@ -272,6 +292,17 @@ class TestKernelSpec:
     def test_non_finite_bandwidth_or_ridge_refused(self, field, value):
         with pytest.raises(NonFiniteValue, match="is not finite"):
             KernelSpec(**{field: value})
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"family": "poly"}, "unknown kernel family 'poly'"),
+        ({"ridge": 0.0}, "ridge penalty must be > 0"),
+        ({"ridge": -1.0}, "ridge penalty must be > 0"),
+        ({"bandwidth": 0.0}, "kernel bandwidth must be > 0"),
+        ({"bandwidth": -1.0}, "kernel bandwidth must be > 0"),
+    ])
+    def test_bad_family_ridge_or_bandwidth_refused(self, kwargs, message):
+        with pytest.raises(InvalidConfig, match=message):
+            KernelSpec(**kwargs)
 
     @pytest.mark.parametrize("fit", [
         lambda data: fit_weights_kulsif(data, KernelSpec()),
@@ -545,6 +576,25 @@ def test_newton_cap_is_reported_not_raised(monkeypatch, cap):
         assert info["converged"] is (cap is None)
         if cap is not None:
             assert info["iterations"] == cap
+
+
+def test_singular_newton_hessian_is_separation(monkeypatch):
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    x = np.random.default_rng(0).normal(size=(20, 1))
+    with pytest.raises(Separation, match="singular Hessian"):
+        nuisance._fit_logistic(x, (x[:, 0] + 0.5 > 0).astype(float))
+
+
+def test_diverged_newton_is_separation(monkeypatch):
+    # separated data on a small scale: one step leaves every row on its
+    # side with a large slope, before the in-loop check can see it
+    monkeypatch.setattr(nuisance, "_NEWTON_MAX_ITER", 1)
+    x = np.random.default_rng(0).normal(size=(50, 1)) * 1e-3
+    with pytest.raises(Separation, match="diverged"):
+        nuisance._fit_logistic(x, (x[:, 0] > 0).astype(float))
 
 
 class TestKulsif:
@@ -976,6 +1026,17 @@ class TestEntropyBalancing:
                 fit_weights_entropy_balancing(ds)
         assert err.value.coordinate == "x_1"
 
+    def test_overflowing_candidates_are_infeasible_without_warning(self):
+        # the calibration mean lies outside the training hull on a scale at
+        # which line-search candidates overflow x1 @ lambda before the norm
+        # guard sees lambda
+        data, _ = simulate_gaussian_shift(make_config(p=4, mu=(-1.0,) * 4, n=200, seed=62))
+        scaled = PooledDataset.from_arrays(data.x * 100.0, data.a, data.y, data.s, data.kind)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InfeasibleBalance, match="convex hull"):
+                fit_weights_entropy_balancing(scaled)
+
     def test_collinear_instruments_take_the_least_squares_step(self, monkeypatch):
         # x_2 = 2 x_1 exactly, so every Newton system is exactly singular and
         # each step is the least-squares one: lambda keeps no component
@@ -1011,12 +1072,16 @@ class TestEntropyBalancing:
         n=st.integers(200, 2000),
         mu=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
     )
+    # inside both coordinate ranges and outside the convex hull
+    @example(seed=180, n=200, mu=(-1.0, -1.0))
     @settings(max_examples=30, deadline=None)
     def test_balanced_or_infeasible_property(self, seed, n, mu):
         data, _ = simulate_gaussian_shift(make_config(mu=mu, n=n, seed=seed))
         x1 = data.x[data.s == 1]
         calib_mean = data.x[data.s == 0].mean(axis=0)
-        if np.any((calib_mean < x1.min(axis=0)) | (calib_mean > x1.max(axis=0))):
+        margin = data.n1 * max_min_weight(x1, calib_mean)
+        assume(abs(margin) > 1e-9)
+        if margin <= 0.0:
             with pytest.raises(InfeasibleBalance):
                 fit_weights_entropy_balancing(data)
             return
