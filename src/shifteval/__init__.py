@@ -20,7 +20,6 @@ from .data_model import (
     FoldAssignment,
     FunctionPolicy,
     LinearPolicy,
-    Observation,
     Policy,
     PooledDataset,
     SimulationConfig,
@@ -75,7 +74,6 @@ __all__ = [
     "FoldAssignment",
     "FunctionPolicy",
     "LinearPolicy",
-    "Observation",
     "Policy",
     "PooledDataset",
     "SimulationConfig",

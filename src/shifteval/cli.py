@@ -113,18 +113,18 @@ def _kernel_from_config(config: dict) -> KernelSpec | None:
     return KernelSpec(**_fields(k, family=_of(str), bandwidth=_float, ridge=_float))
 
 
-def _recipe_from_config(config: dict, data, components) -> FitRecipe:
+def _recipe_from_config(config: dict, components) -> FitRecipe:
     """Nuisance backends that ``config`` names for ``components``, each
     ``oracle`` by default; oracle components come from the simulation
-    recorded in the ``truth`` file, with rho_hat = n1/n of ``data``. Other
-    components keep the FitRecipe defaults, which the caller does not fit."""
+    recorded in the ``truth`` file. Other components keep the FitRecipe
+    defaults, which the caller does not fit."""
     backends = {c: _field(config, c, _of(str), "oracle") for c in components}
     oracle = None
     if "oracle" in backends.values():
         if "truth" not in config:
             raise InvalidConfig("oracle nuisances requested but no 'truth' path configured")
         sim = SimulationConfig.from_json_dict(_load_json(_field(config, "truth", _of(str))))
-        oracle = gaussian_oracle_nuisances(sim, rho_hat=data.n1 / data.n)
+        oracle = gaussian_oracle_nuisances(sim)
     return FitRecipe(**backends, oracle=oracle, kernel=_kernel_from_config(config))
 
 
@@ -183,7 +183,7 @@ def cmd_estimate(args) -> int:
     check_level(level)
     crossfit = _field(config, "crossfit", _crossfit, 0)
     seed = _field(config, "seed", _int, 0)
-    recipe = _recipe_from_config(config, data, ("weights", "propensity", "outcome"))
+    recipe = _recipe_from_config(config, ("weights", "propensity", "outcome"))
 
     # split before any fit, so a stratum too small for the bags fails first
     folds = split_cross_fit_folds(data, crossfit, seed=seed) if crossfit else None
@@ -212,7 +212,10 @@ def cmd_calibrate(args) -> int:
     check_propensity_stratum(stratum)
 
     component = METHODS[method]
-    model = _fit_nuisance(data, _recipe_from_config(config, data, (component,)), component)
+    # ipw reads the propensity of stratum s* alone: at s* = 1 the calibration
+    # stratum's model, whose fit may fail, is not fitted
+    fit_data = data.as_type2() if method == "ipw" and stratum == 1 else data
+    model = _fit_nuisance(fit_data, _recipe_from_config(config, (component,)), component)
     result = select_policy(candidates, data, method, model, ipw_propensity_stratum=stratum)
 
     path = _emit(out, "selection.json", result.to_json_dict(), config)

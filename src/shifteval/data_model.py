@@ -4,8 +4,9 @@ values, fold splitting, CSV interchange and the Gaussian-shift simulator.
 A pooled dataset mixes rows from a training population (s = 1) and a
 calibration/testing population (s = 0). Treatments a take values in {+1, -1}
 and may be missing together with the outcome y on calibration rows, depending
-on the dataset kind. ``PooledDataset.rows`` is the ``Observation`` view that
-the scalar EIF reference reads.
+on the dataset kind. ``PooledDataset.from_arrays`` is the one check of a
+dataset's values; every estimator, the scalar EIF reference included, reads
+the rows of a checked dataset, and its sampling rate n1/n.
 
 All randomness flows through ``numpy.random.Generator`` seeded with PCG64
 (``numpy.random.default_rng``), so every simulation is bitwise reproducible
@@ -33,7 +34,6 @@ from .errors import (
 
 __all__ = [
     "DatasetKind",
-    "Observation",
     "PooledDataset",
     "Policy",
     "LinearPolicy",
@@ -63,36 +63,6 @@ def _as_matrix(x: NDArray) -> NDArray:
     if x.ndim != 2:
         raise DimensionMismatch(f"covariates must be 1- or 2-dimensional, got ndim={x.ndim}")
     return x
-
-
-@dataclass(frozen=True, eq=False)
-class Observation:
-    """One pooled-data row: covariates, treatment, outcome, selection indicator.
-
-    ``a`` and ``y`` are either both present or both ``None``; rows with
-    s = 1 always carry both.
-    """
-
-    x: NDArray
-    a: int | None
-    y: float | None
-    s: int
-
-    def __post_init__(self):
-        x = np.asarray(self.x, dtype=float)
-        if x.ndim != 1:
-            raise DimensionMismatch("observation covariates must be a 1-d vector")
-        if not np.all(np.isfinite(x)):
-            raise DimensionMismatch("observation covariates contain missing coordinates")
-        object.__setattr__(self, "x", x)
-        if self.s not in (0, 1):
-            raise InvalidConfig(f"selection indicator must be 0 or 1, got {self.s}")
-        if (self.a is None) != (self.y is None):
-            raise MissingnessMismatch("treatment and outcome must be missing together")
-        if self.a is not None and self.a not in (-1, 1):
-            raise InvalidConfig(f"treatment must be +1 or -1, got {self.a}")
-        if self.s == 1 and self.a is None:
-            raise MissingnessMismatch("training rows (s = 1) must carry treatment and outcome")
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,21 +134,6 @@ class PooledDataset:
     @property
     def p(self) -> int:
         return self.x.shape[1]
-
-    @property
-    def rows(self) -> list[Observation]:
-        out = []
-        for i in range(self.n):
-            missing = np.isnan(self.a[i])
-            out.append(
-                Observation(
-                    x=self.x[i],
-                    a=None if missing else int(self.a[i]),
-                    y=None if missing else float(self.y[i]),
-                    s=int(self.s[i]),
-                )
-            )
-        return out
 
     def subset(self, mask: NDArray) -> "PooledDataset":
         """The rows where ``mask`` is true. Any subset of a valid dataset has
@@ -317,13 +272,21 @@ class LinearPolicy(Policy):
 @dataclass(frozen=True, eq=False)
 class FunctionPolicy(Policy):
     """Wrap an arbitrary deterministic rule (mainly for tests); ``policy(x)``
-    returns ``fn``'s +-1 decisions as a float array."""
+    returns ``fn``'s +-1 decisions as a float array. A rule that does not
+    return one +1 or -1 per row of ``x`` is refused."""
 
     fn: Callable[[NDArray], NDArray]
     label: str = "function"
 
     def decide(self, x: NDArray) -> NDArray:
-        return self.fn(x)
+        d = np.asarray(self.fn(x))
+        if d.shape != (x.shape[0],):
+            raise DimensionMismatch(
+                f"policy {self.label!r} returned shape {d.shape} for {x.shape[0]} rows"
+            )
+        if not np.isin(d, (-1, 1)).all():  # NaN included
+            raise InvalidConfig(f"policy {self.label!r} decisions must be +1 or -1")
+        return d
 
 
 def constant_policy(sign: int, p: int) -> LinearPolicy:
@@ -459,7 +422,8 @@ def simulate_gaussian_shift(config: SimulationConfig):
     Draw order (fixed for reproducibility): selection indicators, covariate
     noise, treatment uniforms, outcome noise. Returns the dataset (Type-1:
     every row carries (a, y)) together with the oracle nuisance set whose
-    weight, propensity, and outcome functions are the data-generating truth.
+    weight, propensity, and outcome functions are the data-generating truth,
+    which depends on ``config`` alone.
 
     Returns
     -------
@@ -477,8 +441,7 @@ def simulate_gaussian_shift(config: SimulationConfig):
     eps = config.noise_sd * rng.standard_normal(n)
     y = config.outcome_mean(x, a) + eps
     data = PooledDataset.from_arrays(x, a, y, s, DatasetKind.TYPE1)
-    oracle = gaussian_oracle_nuisances(config, rho_hat=data.n1 / data.n)
-    return data, oracle
+    return data, gaussian_oracle_nuisances(config)
 
 
 # ---------------------------------------------------------------------------

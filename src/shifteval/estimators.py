@@ -7,7 +7,9 @@ Two estimands are supported for a fixed deterministic rule d:
 
 Each has a Type-1 and a Type-2 efficient estimator depending on whether
 calibration rows carry observed treatments and outcomes. The population
-sampling rate is always replaced by the realized n1/n (and 1 - rho by n0/n).
+sampling rate is always replaced by the realized n1/n of the data evaluated
+(and 1 - rho by n0/n), which a report records as ``rho_hat``; a
+:class:`NuisanceSet` carries no rate.
 Every formula reads d(x) as the float +-1.0 array ``policy(x)`` returns.
 
 Per-row efficient-influence-function contributions drive the reported
@@ -39,7 +41,6 @@ from numpy.typing import NDArray
 from .data_model import (
     DatasetKind,
     FoldAssignment,
-    Observation,
     Policy,
     PooledDataset,
     SimulationConfig,
@@ -291,7 +292,7 @@ def _fit(
     if isinstance(recipe, NuisanceSet):
         fits = [(recipe, every, every)]
     else:
-        # an all-oracle "fit" reads only n1/n, which as_type2 keeps
+        # an all-oracle "fit" reads nothing from the data, so needs no mask
         fitted = any(getattr(recipe, component) != "oracle" for component in BACKENDS)
         if fitted and kind is DatasetKind.TYPE2 and data.kind is DatasetKind.TYPE1:
             data = data.as_type2()
@@ -401,20 +402,24 @@ def _report(parts: _PerRowParts, estimand: Estimand, level: float) -> EstimateRe
     if not np.isfinite(target_cal).all():
         raise NonFiniteValue("calibration targets contain NaN or infinite values")
     estimate, eif = _combine(parts, estimand, target_cal)
-    nuisance = parts.fits[0][0].provenance()
+    data = parts.frame.data
+    nuisance = parts.fits[0][0].provenance()  # the backend names, the same in every bag
     method = "efficient" if len(parts.fits) == 1 else "crossfit"
-    if method == "crossfit":
-        del nuisance["rho_hat"]  # leaves the backend names, the same in every bag
+    if method == "efficient":
+        nuisance["rho_hat"] = data.n1 / data.n
+    else:
         nuisance["crossfit_k"] = len(parts.fits)
         nuisance["per_bag"] = []
-        for k, (nus, _, _) in enumerate(parts.fits, start=1):
-            diag = {"bag": k, "nuisance": nus.provenance()}
+        for k, (nus, tr, cal) in enumerate(parts.fits, start=1):
+            # n1/n of the rows outside the bag, which its nuisances were fitted on
+            rho_hat = (data.n1 - tr.size) / (data.n - tr.size - cal.size)
+            diag = {"bag": k, "nuisance": {**nus.provenance(), "rho_hat": rho_hat}}
             for key in ("converged", "iterations"):
                 if key in nus.weight.info:
                     diag[f"weight_{key}"] = nus.weight.info[key]
             nuisance["per_bag"].append(diag)
     return _finish_report(
-        parts.frame.data, estimate, eif, EifVariant(estimand, parts.kind), method, nuisance, level
+        data, estimate, eif, EifVariant(estimand, parts.kind), method, nuisance, level
     )
 
 
@@ -451,32 +456,30 @@ def estimate_efficient(
 
 
 def eif_contribution(
-    obs: Observation,
+    data: PooledDataset,
+    i: int,
     nuisances: NuisanceSet,
     policy: Policy,
     variant: EifVariant,
     theta_ref: float,
 ) -> float:
-    """Influence-function value at one observation.
+    """Influence-function value at row ``i`` of ``data``.
 
     A scalar reference written independently of the vectorised aggregation
-    core, against which the core's per-row values are checked.
-
-    The sampling rate rho is taken from ``nuisances.rho_hat`` (the n1/n
-    plug-in when the set was built for a concrete dataset).
+    core, against which the core's per-row values are checked. As in the
+    core, the sampling rate rho is the realized n1/n of ``data``.
     """
-    rho = nuisances.rho_hat
-    x = obs.x[None, :]
-    d = float(policy(obs.x))
-    if obs.s == 1:
-        if obs.a is None:
-            raise MissingField("training row lacks (a, y)")
-        w = float(nuisances.weight(obs.x))
-        pi = float(nuisances.propensity.prob(obs.a, x, 1)[0])
+    rho = data.n1 / data.n
+    x = data.x[i][None, :]
+    d = float(policy(data.x[i]))
+    a, y = float(data.a[i]), float(data.y[i])  # NaN where unobserved
+    if data.s[i] == 1:  # a validated dataset's training rows carry (a, y)
+        w = float(nuisances.weight(data.x[i]))
+        pi = float(nuisances.propensity.prob(a, x, 1)[0])
         if pi <= 0.0:
             raise DegenerateDenominator("training propensity is non-positive")
-        resid = obs.y - float(nuisances.outcome.q(x, obs.a)[0])
-        coup = float(d == obs.a) if variant.estimand is Estimand.VALUE else d * obs.a
+        resid = y - float(nuisances.outcome.q(x, a)[0])
+        coup = float(d == a) if variant.estimand is Estimand.VALUE else d * a
         scale = 1.0 if variant.kind is DatasetKind.TYPE1 else 1.0 / rho
         return scale * w * coup / pi * resid
 
@@ -486,13 +489,13 @@ def eif_contribution(
         target = float(nuisances.outcome.cte(x)[0]) * d
     value = (target - theta_ref) / (1.0 - rho)
     if variant.kind is DatasetKind.TYPE1:
-        if obs.a is None:
+        if not data.observed[i]:
             raise MissingField("Type-1 influence function needs calibration (a, y)")
-        pi = float(nuisances.propensity.prob(obs.a, x, 0)[0])
+        pi = float(nuisances.propensity.prob(a, x, 0)[0])
         if pi <= 0.0:
             raise DegenerateDenominator("calibration propensity is non-positive")
-        resid = obs.y - float(nuisances.outcome.q(x, obs.a)[0])
-        coup = float(d == obs.a) if variant.estimand is Estimand.VALUE else d * obs.a
+        resid = y - float(nuisances.outcome.q(x, a)[0])
+        coup = float(d == a) if variant.estimand is Estimand.VALUE else d * a
         value += coup / pi * resid
     return value
 
@@ -534,8 +537,7 @@ def estimate_plugin_identification(
             terms = np.zeros(data.n)
             terms[train] = (data.n / data.n1) * w * target[train]
 
-    nuis = dict(nuisances.provenance())
-    nuis["form"] = form
+    nuis = {**nuisances.provenance(), "rho_hat": data.n1 / data.n, "form": form}
     return _finish_report(
         data,
         float(np.mean(terms)),
@@ -597,7 +599,6 @@ def assemble_nuisances(data: PooledDataset, recipe: FitRecipe) -> NuisanceSet:
         weight=_fit_nuisance(data, recipe, "weights"),
         propensity=_fit_nuisance(data, recipe, "propensity"),
         outcome=_fit_nuisance(data, recipe, "outcome"),
-        rho_hat=data.n1 / data.n,
     )
 
 
@@ -754,7 +755,7 @@ def _theoretical_variances(
     if mc_draws < MIN_MC_DRAWS:
         raise InvalidConfig(f"mc_draws must be at least {MIN_MC_DRAWS}")
     rho = config.rho_s
-    oracle = gaussian_oracle_nuisances(config, rho_hat=rho)
+    oracle = gaussian_oracle_nuisances(config)
     sigma2, prob = config.noise_sd**2, oracle.propensity.prob
     rng = np.random.default_rng(seed)
     estimands = tuple(dict.fromkeys(v.estimand for v in variants))

@@ -198,7 +198,7 @@ def true_policy_values(
     if draws < MIN_MC_DRAWS:
         raise InvalidConfig(f"draws must be at least {MIN_MC_DRAWS}")
     rng = np.random.default_rng([config.seed, _TRUTH_STREAM])
-    outcome = gaussian_oracle_nuisances(config, rho_hat=config.rho_s).outcome
+    outcome = gaussian_oracle_nuisances(config).outcome
 
     def targets(x):
         d = policy(x)

@@ -470,23 +470,17 @@ class WeightModel:
 
 @dataclass(frozen=True, eq=False)
 class NuisanceSet:
-    """The weight / propensity / outcome triple plus the sampling-rate plug-in."""
+    """The weight / propensity / outcome triple."""
 
     weight: WeightModel
     propensity: PropensityModel
     outcome: OutcomeModel
-    rho_hat: float
-
-    def __post_init__(self):
-        if not 0.0 < self.rho_hat < 1.0:
-            raise InvalidConfig(f"rho_hat must lie in (0, 1), got {self.rho_hat}")
 
     def provenance(self) -> dict:
         return {
             "weights": self.weight.backend,
             "propensity": self.propensity.info.get("model", "oracle"),
             "outcome": self.outcome.info.get("model", "oracle"),
-            "rho_hat": self.rho_hat,
         }
 
 
@@ -877,7 +871,7 @@ def fit_weights_entropy_balancing(data: PooledDataset) -> WeightModel:
 # ---------------------------------------------------------------------------
 
 
-def gaussian_oracle_nuisances(config: SimulationConfig, rho_hat: float) -> NuisanceSet:
+def gaussian_oracle_nuisances(config: SimulationConfig) -> NuisanceSet:
     """Oracle nuisance set for the Gaussian-shift design: the true weight,
     the constant randomization propensity, and the true linear outcome."""
     weight = WeightModel(
@@ -893,4 +887,4 @@ def gaussian_oracle_nuisances(config: SimulationConfig, rho_hat: float) -> Nuisa
         evaluator=LinearQModel(beta=config.outcome_coeffs, p=config.p),
         info={"model": "oracle", "coef": config.outcome_coeffs.tolist()},
     )
-    return NuisanceSet(weight=weight, propensity=propensity, outcome=outcome, rho_hat=rho_hat)
+    return NuisanceSet(weight=weight, propensity=propensity, outcome=outcome)

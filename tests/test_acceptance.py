@@ -128,7 +128,8 @@ def test_criterion_1_influence_function_algebra(tmp_path):
         variant = EifVariant(estimand, kind)
         mean_eif = float(
             np.mean(
-                [eif_contribution(ob, oracle, POLICY, variant, rep.estimate) for ob in data.rows]
+                [eif_contribution(data, i, oracle, POLICY, variant, rep.estimate)
+                 for i in range(data.n)]
             )
         )
         worst = max(worst, abs(mean_eif))

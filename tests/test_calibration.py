@@ -99,7 +99,7 @@ class TestIpw:
 
     def oracle_prop(self):
         cfg = make_config(p=1, mu=(0.0,), n=4, outcome_coeffs=[0, 0, 0, 0], propensity=0.5, seed=0)
-        return gaussian_oracle_nuisances(cfg, rho_hat=0.5).propensity
+        return gaussian_oracle_nuisances(cfg).propensity
 
     def test_zero_outcomes(self):
         data = self.toy()

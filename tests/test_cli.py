@@ -212,6 +212,53 @@ class TestEstimate:
         assert report["nuisance"]["outcome"] == "kernel_ridge"
 
 
+class TestReportSchema:
+    """The ``nuisance`` block of ``estimate_report.schema.json``."""
+
+    @pytest.fixture(scope="class")
+    def reports(self, tmp_path_factory):
+        tmp_path = tmp_path_factory.mktemp("schema")
+        sim_out = simulate_to(tmp_path)
+        out = {}
+        for crossfit in (0, 2):
+            config = write_json(tmp_path / f"est{crossfit}.json", {
+                "dataset": str(sim_out / "dataset.csv"), "policy": POLICY, "crossfit": crossfit,
+                "weights": "eb", "propensity": "logistic", "outcome": "linear",
+            })
+            assert main(["estimate", "--config", config, "--out", str(tmp_path / str(crossfit))]) == 0
+            report = json.loads((tmp_path / str(crossfit) / "estimate_report.json").read_text())
+            out["crossfit" if crossfit else "efficient"] = report
+        return out
+
+    def test_backend_names_are_those_of_the_estimators(self):
+        definitions = load_schema("estimate_report")["definitions"]
+        assert {c: tuple(definitions[c]["enum"]) for c in estimators.BACKENDS} == estimators.BACKENDS
+
+    def test_reports_validate(self, reports):
+        for report in reports.values():
+            jsonschema.validate(report, load_schema("estimate_report"))
+        assert "weight_converged" in reports["crossfit"]["nuisance"]["per_bag"][0]
+
+    @pytest.mark.parametrize("method, edit", [
+        ("efficient", lambda nu: nu.pop("rho_hat")),
+        ("efficient", lambda nu: nu.update(rho_hat=1.0)),
+        ("efficient", lambda nu: nu.update(weights="logistic")),
+        ("efficient", lambda nu: nu.pop("outcome")),
+        ("efficient", lambda nu: nu.update(extra=0)),
+        ("crossfit", lambda nu: nu.update(crossfit_k=1)),
+        ("crossfit", lambda nu: nu.pop("per_bag")),
+        ("crossfit", lambda nu: nu["per_bag"][0]["nuisance"].pop("rho_hat")),
+        ("crossfit", lambda nu: nu["per_bag"][0]["nuisance"].update(rho_hat=0.0)),
+        ("crossfit", lambda nu: nu["per_bag"][1].update(extra=0)),
+    ], ids=["no-rho", "rho-1", "bad-backend", "no-outcome", "extra-key", "k-1", "no-per-bag",
+            "bag-no-rho", "bag-rho-0", "bag-extra-key"])
+    def test_malformed_nuisance_refused(self, reports, method, edit):
+        report = copy.deepcopy(reports[method])
+        edit(report["nuisance"])
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(report, load_schema("estimate_report"))
+
+
 class TestCalibrate:
     def test_selection_output(self, tmp_path):
         sim_cfg = write_json(tmp_path / "sim.json", sim_config_dict(n=300, seed=11))
@@ -273,6 +320,25 @@ class TestCalibrate:
         out = tmp_path / "cal"
         assert main(["calibrate", "--config", cal_cfg, "--out", str(out)]) == 0
         assert json.loads((out / "selection.json").read_text())["chosen_c"] == 0.1
+
+    @pytest.mark.parametrize("stratum, code", [(1, 0), (0, 1)])
+    def test_ipw_fits_only_the_stratum_it_reads(self, tmp_path, capsys, stratum, code):
+        # calibration treatments sign(x_1) separate the calibration stratum's
+        # propensity fit, which ipw reads at s* = 0 and not at s* = 1
+        data, _ = simulate_gaussian_shift(make_config(n=300, seed=12))
+        a = np.where(data.s == 0, np.where(data.x[:, 0] >= 0.0, 1.0, -1.0), data.a)
+        path = tmp_path / "data.csv"
+        write_dataset_csv(
+            PooledDataset.from_arrays(data.x, a, data.y, data.s, DatasetKind.TYPE1), path
+        )
+        cal_cfg = write_json(tmp_path / "cal.json", {
+            "dataset": str(path), "candidates": str(FIXTURES / "candidates.json"),
+            "method": "ipw", "propensity": "logistic", "ipw_propensity_stratum": stratum,
+        })
+        capsys.readouterr()
+        assert main(["calibrate", "--config", cal_cfg, "--out", str(tmp_path / "cal")]) == code
+        if code:
+            assert json.loads(capsys.readouterr().err)["error"] == "Separation"
 
     def test_ipw_runs_no_outcome_kernel_fit(self, tmp_path, monkeypatch):
         from shifteval import nuisance

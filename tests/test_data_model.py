@@ -9,7 +9,6 @@ from shifteval import (
     FitRecipe,
     FoldAssignment,
     FunctionPolicy,
-    Observation,
     PooledDataset,
     constant_policy,
     estimate_efficient,
@@ -85,26 +84,6 @@ class TestFromArrays:
     def test_bad_arrays_refused(self, x, a, y, s, kind, error, message):
         with pytest.raises(error, match=message):
             PooledDataset.from_arrays(x, a, y, s, kind)
-
-    def test_observation_invariants(self):
-        with pytest.raises(MissingnessMismatch):
-            Observation(x=np.zeros(1), a=1, y=None, s=0)
-        with pytest.raises(MissingnessMismatch):
-            Observation(x=np.zeros(1), a=None, y=None, s=1)
-        with pytest.raises(InvalidConfig):
-            Observation(x=np.zeros(1), a=2, y=1.0, s=1)
-
-    def test_rows_round_trip(self):
-        data, _ = simulate_gaussian_shift(make_config(n=30, seed=4))
-        rows = data.as_type2().rows
-        assert len(rows) == data.n
-        for i, row in enumerate(rows):
-            np.testing.assert_array_equal(row.x, data.x[i])
-            assert row.s == data.s[i]
-            if data.s[i] == 1:
-                assert (row.a, row.y) == (data.a[i], data.y[i])
-            else:
-                assert row.a is None and row.y is None
 
 
 class TestDerivedDatasets:

@@ -15,7 +15,6 @@ from shifteval import (
     FitRecipe,
     FunctionPolicy,
     LinearPolicy,
-    Observation,
     PooledDataset,
     assemble_nuisances,
     constant_policy,
@@ -32,6 +31,7 @@ from shifteval import (
 )
 from shifteval import estimators, montecarlo
 from shifteval.errors import (
+    DimensionMismatch,
     InfeasibleBalance,
     InvalidConfig,
     InvalidLevel,
@@ -69,34 +69,37 @@ def toy_oracle(q_plus=0.0):
     cfg = make_config(
         p=1, mu=(0.0,), n=4, outcome_coeffs=[q_plus / 2, 0.0, q_plus / 2, 0.0], seed=0
     )
-    return gaussian_oracle_nuisances(cfg, rho_hat=0.5)
+    return gaussian_oracle_nuisances(cfg)
+
+
+def toy_row_pair():
+    """Training row 0, (x, A, Y) = (0.1, +1, 0), and calibration row 1 at x = 0.5: rho = 1/2."""
+    return PooledDataset.from_arrays(
+        [[0.1], [0.5]], [1, np.nan], [0.0, np.nan], [1, 0], DatasetKind.TYPE2
+    )
 
 
 class TestEifContribution:
     def test_training_row_zero_residual(self):
-        nus = toy_oracle()
-        ob = Observation(x=np.array([0.1]), a=1, y=0.0, s=1)  # Y equals Q = 0
-        v = eif_contribution(ob, nus, constant_policy(1, 1), EifVariant(Estimand.VALUE, DatasetKind.TYPE2), 1.0)
+        nus = toy_oracle()  # Y equals Q = 0
+        v = eif_contribution(toy_row_pair(), 0, nus, constant_policy(1, 1), EifVariant(Estimand.VALUE, DatasetKind.TYPE2), 1.0)
         assert v == 0.0
 
     def test_calibration_row_centered(self):
         nus = toy_oracle(q_plus=2.0)
-        ob = Observation(x=np.array([0.5]), a=None, y=None, s=0)
-        v = eif_contribution(ob, nus, constant_policy(1, 1), EifVariant(Estimand.VALUE, DatasetKind.TYPE2), 2.0)
+        v = eif_contribution(toy_row_pair(), 1, nus, constant_policy(1, 1), EifVariant(Estimand.VALUE, DatasetKind.TYPE2), 2.0)
         assert v == 0.0
 
     def test_calibration_row_hand_value(self):
         # Q(x, +1) = 2, theta_ref = 1, 1 - rho = 1/2 -> contribution 2
         nus = toy_oracle(q_plus=2.0)
-        ob = Observation(x=np.array([0.5]), a=None, y=None, s=0)
-        v = eif_contribution(ob, nus, constant_policy(1, 1), EifVariant(Estimand.VALUE, DatasetKind.TYPE2), 1.0)
+        v = eif_contribution(toy_row_pair(), 1, nus, constant_policy(1, 1), EifVariant(Estimand.VALUE, DatasetKind.TYPE2), 1.0)
         assert v == pytest.approx(2.0, abs=1e-14)
 
     def test_type1_needs_calibration_fields(self):
         nus = toy_oracle()
-        ob = Observation(x=np.array([0.5]), a=None, y=None, s=0)
         with pytest.raises(MissingField):
-            eif_contribution(ob, nus, constant_policy(1, 1), EifVariant(Estimand.VALUE, DatasetKind.TYPE1), 0.0)
+            eif_contribution(toy_row_pair(), 1, nus, constant_policy(1, 1), EifVariant(Estimand.VALUE, DatasetKind.TYPE1), 0.0)
 
 
 class TestEstimateEfficient:
@@ -124,9 +127,7 @@ class TestEstimateEfficient:
         base = toy_oracle()
         # an unclipped p1 = 1 gives pi_A = 0 at the training row with a = -1
         degenerate = PropensityModel(evaluator=ConstantPropensityFn(p1=1.0))
-        nus = NuisanceSet(
-            weight=base.weight, propensity=degenerate, outcome=base.outcome, rho_hat=0.5
-        )
+        nus = NuisanceSet(weight=base.weight, propensity=degenerate, outcome=base.outcome)
         with pytest.raises(DegenerateDenominator):
             estimate_efficient(data, nus, constant_policy(1, 1), Estimand.VALUE)
 
@@ -136,10 +137,7 @@ class TestEstimateEfficient:
 
         data, oracle = simulate_gaussian_shift(make_config(n=200, seed=24))
         inf_weight = WeightModel(backend="oracle", evaluator=lambda x: np.full(x.shape[0], np.inf))
-        nus = NuisanceSet(
-            weight=inf_weight, propensity=oracle.propensity, outcome=oracle.outcome,
-            rho_hat=oracle.rho_hat,
-        )
+        nus = NuisanceSet(weight=inf_weight, propensity=oracle.propensity, outcome=oracle.outcome)
         with pytest.raises(NonFiniteValue, match="training weights"):
             estimate_efficient(data, nus, policy, Estimand.VALUE)
         recipe = FitRecipe(weights="oracle", propensity="oracle", outcome="oracle", oracle=nus)
@@ -157,7 +155,6 @@ class TestEstimateEfficient:
         nan_outcome = NuisanceSet(
             weight=oracle.weight, propensity=oracle.propensity,
             outcome=OutcomeModel(evaluator=lambda x, a: np.full(x.shape[0], np.nan)),
-            rho_hat=oracle.rho_hat,
         )
         with pytest.raises(NonFiniteValue, match="training outcome residuals"):
             estimators._fit(estimators._frame(data, policy), DatasetKind.TYPE2, nan_outcome)
@@ -172,7 +169,6 @@ class TestEstimateEfficient:
         nus = NuisanceSet(
             weight=base.weight, propensity=base.propensity,
             outcome=OutcomeModel(evaluator=lambda x, a: np.where(x[:, 0] > 0.4, np.inf, 0.0)),
-            rho_hat=0.5,
         )
         with pytest.raises(NonFiniteValue, match="calibration targets"):
             estimate_efficient(toy_type2_dataset(), nus, constant_policy(1, 1), Estimand.VALUE)
@@ -279,8 +275,8 @@ class TestEstimateEfficient:
                 report = estimate_efficient(data, oracle, pol, estimand, kind=kind)
                 variant = EifVariant(estimand, kind)
                 vals = [
-                    eif_contribution(ob, oracle, pol, variant, report.estimate)
-                    for ob in data.rows
+                    eif_contribution(data, i, oracle, pol, variant, report.estimate)
+                    for i in range(data.n)
                 ]
                 assert abs(float(np.mean(vals))) <= 1e-10
 
@@ -290,8 +286,45 @@ class TestEstimateEfficient:
         data, oracle = simulate_gaussian_shift(make_config(n=200, seed=23))
         estimate, eif = core_influence(data, oracle, policy, estimand, kind)
         variant = EifVariant(estimand, kind)
-        ref = [eif_contribution(ob, oracle, policy, variant, estimate) for ob in data.rows]
+        ref = [eif_contribution(data, i, oracle, policy, variant, estimate) for i in range(data.n)]
         assert eif == pytest.approx(ref, rel=0, abs=1e-12)
+
+    def test_rate_is_that_of_the_evaluated_data(self, policy):
+        # a set fitted on another dataset carries no sampling rate: the report
+        # and the scalar reference both read n1/n of the data evaluated
+        other, _ = simulate_gaussian_shift(make_config(n=300, seed=5))
+        data, _ = simulate_gaussian_shift(make_config(n=400, seed=3))
+        assert other.n1 / other.n != data.n1 / data.n
+        nus = assemble_nuisances(other, FitRecipe())
+        for estimand, kind in itertools.product(Estimand, DatasetKind):
+            report = estimate_efficient(data, nus, policy, estimand, kind)
+            assert report.nuisance["rho_hat"] == data.n1 / data.n
+            variant = EifVariant(estimand, kind)
+            vals = [eif_contribution(data, i, nus, policy, variant, report.estimate)
+                    for i in range(data.n)]
+            assert abs(float(np.mean(vals))) <= 1e-10
+
+    @pytest.mark.parametrize("rule, estimand, error, message", [
+        (lambda x: x[:, 0] > 0, Estimand.VALUE, InvalidConfig, "must be \\+1 or -1"),
+        (lambda x: np.full(x.shape[0], 2.0), Estimand.CONTRAST, InvalidConfig, "must be \\+1 or -1"),
+        (lambda x: np.where(x[:, 0] > 0, 1.0, np.nan), Estimand.VALUE, InvalidConfig,
+         "must be \\+1 or -1"),
+        (lambda x: np.ones(x.shape[0] - 1), Estimand.VALUE, DimensionMismatch, "returned shape"),
+        (lambda x: np.ones((x.shape[0], 1)), Estimand.VALUE, DimensionMismatch, "returned shape"),
+    ], ids=["bool", "constant-2", "nan", "short", "column"])
+    def test_function_policy_refuses_decisions_other_than_pm1(
+        self, rule, estimand, error, message
+    ):
+        data, oracle = simulate_gaussian_shift(make_config(n=400, seed=3))
+        with pytest.raises(error, match=message):
+            estimate_efficient(data, oracle, FunctionPolicy(rule), estimand)
+
+    def test_function_policy_int_decisions_accepted(self, policy):
+        data, oracle = simulate_gaussian_shift(make_config(n=400, seed=3))
+        rule = FunctionPolicy(lambda x: np.where(x[:, 0] - x[:, 1] >= -0.2, 1, -1))
+        for estimand in Estimand:
+            assert (estimate_efficient(data, oracle, rule, estimand).estimate
+                    == estimate_efficient(data, oracle, policy, estimand).estimate)
 
     def test_report_json_shape(self, policy):
         data, oracle = simulate_gaussian_shift(make_config(n=100, seed=10))
@@ -444,9 +477,12 @@ class TestCrossFit:
         assert set(nuisance) == {"weights", "propensity", "outcome", "crossfit_k", "per_bag"}
         assert (nuisance["weights"], nuisance["propensity"], nuisance["outcome"]) == backends
         assert nuisance["crossfit_k"] == 3
-        for bag in nuisance["per_bag"]:
+        folds = split_cross_fit_folds(data, 3, seed=0)
+        for k, bag in enumerate(nuisance["per_bag"], start=1):
             named = bag["nuisance"]
             assert (named["weights"], named["propensity"], named["outcome"]) == backends
+            fit_rows = data.subset(folds.bag_of != k)  # the rows the bag's set was fitted on
+            assert named["rho_hat"] == fit_rows.n1 / fit_rows.n
 
     def test_folds_with_a_fitted_set_are_refused(self, policy):
         # a fitted set cannot be re-fitted per bag; the folds are not ignored
@@ -492,8 +528,8 @@ class TestCrossFit:
 
     @pytest.mark.parametrize("crossfit_k", [0, 3])
     def test_all_oracle_type2_evaluation_masks_nothing(self, policy, monkeypatch, crossfit_k):
-        # an all-oracle recipe reads only n1/n, which as_type2 keeps, so the
-        # Type-1 data go unmasked and the reports stay those of the masked data
+        # an all-oracle recipe reads nothing from the data, so the Type-1
+        # data go unmasked and the reports stay those of the masked data
         data, oracle = simulate_gaussian_shift(make_config(n=300, seed=5))
         folds = split_cross_fit_folds(data, crossfit_k, seed=5) if crossfit_k else None
         recipe = FitRecipe(weights="oracle", propensity="oracle", outcome="oracle", oracle=oracle)
