@@ -260,7 +260,7 @@ def cmd_montecarlo(args) -> int:
     summary.write_csv(out / "mc_summary.csv")
     # runtimes go to the console only so the emitted files stay reproducible
     for e in summary.estimators:
-        print(f"{e.name}: bias={e.bias:+.5f} coverage={e.coverage:.3f} "
+        print(f"{e.spec.name}: bias={e.bias:+.5f} coverage={e.coverage:.3f} "
               f"mean_runtime={e.mean_runtime_s * 1e3:.2f}ms")
     print(f"completed {mc.replications} replicates in {elapsed:.1f}s -> {out}")
     return 0
@@ -282,15 +282,15 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--config", required=True, help="SimulationConfig JSON path")
     sim.add_argument("--out", required=True, help="output directory")
     sim.add_argument("--seed", type=int, default=None, help="override the config seed")
-    sim.add_argument("--kind", choices=["type1", "type2"], default="type1")
+    sim.add_argument("--kind", choices=[k.value for k in DatasetKind], default="type1")
     sim.set_defaults(func=cmd_simulate)
 
     est = sub.add_parser("estimate", help="estimate a policy value from a dataset")
     est.add_argument("--config", required=True)
     est.add_argument("--out", required=True)
     est.add_argument("--seed", type=int, default=None)
-    est.add_argument("--kind", choices=["type1", "type2"], default=None)
-    est.add_argument("--variant", choices=["theta", "theta1"], default=None)
+    est.add_argument("--kind", choices=[k.value for k in DatasetKind], default=None)
+    est.add_argument("--variant", choices=[e.value for e in Estimand], default=None)
     est.add_argument("--weights", choices=BACKENDS["weights"], default=None)
     est.add_argument("--crossfit", type=int, default=None, metavar="K")
     est.set_defaults(func=cmd_estimate)
@@ -316,7 +316,7 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     try:
         return args.func(args)
-    except (ShiftEvalError, OSError, UnicodeDecodeError, json.JSONDecodeError) as e:
+    except (ShiftEvalError, OSError, UnicodeDecodeError, json.JSONDecodeError, Warning) as e:
         print(json.dumps({"error": type(e).__name__, "message": str(e)}), file=sys.stderr)
         return 1
     except MemoryError as e:  # numpy raises a private subclass

@@ -306,13 +306,26 @@ class LinearQModel:
     [b0, bx_1..bx_p, g0, gx_1..gx_p]."""
 
     beta: NDArray
-    p: int
 
     def __call__(self, x: NDArray, a) -> NDArray:
         b = self.beta
-        main = b[0] + x @ b[1 : self.p + 1]
-        effect = b[self.p + 1] + x @ b[self.p + 2 :]
+        p = (b.size - 2) // 2
+        main = b[0] + x @ b[1 : p + 1]
+        effect = b[p + 1] + x @ b[p + 2 :]
         return main + np.asarray(a, dtype=float) * effect
+
+
+# each SimulationConfig field -> its JSON reader, in the order fields are read
+_SIMULATION_FIELDS = {
+    "p": _int,
+    "mu": _floats,
+    "rho_s": _float,
+    "n": _int,
+    "outcome_coeffs": _floats,
+    "noise_sd": _float,
+    "propensity": _float,
+    "seed": _int,
+}
 
 
 @dataclass(frozen=True, eq=False)
@@ -370,32 +383,14 @@ class SimulationConfig:
 
     def outcome_mean(self, x: NDArray, a) -> NDArray:
         """True Q(x, a) under the linear outcome model."""
-        return LinearQModel(beta=self.outcome_coeffs, p=self.p)(_as_matrix(x), a)
+        return LinearQModel(beta=self.outcome_coeffs)(_as_matrix(x), a)
 
     def to_json_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "mu": self.mu.tolist(),
-            "rho_s": self.rho_s,
-            "n": self.n,
-            "outcome_coeffs": self.outcome_coeffs.tolist(),
-            "noise_sd": self.noise_sd,
-            "propensity": self.propensity,
-            "seed": self.seed,
-        }
+        return {k: np.asarray(getattr(self, k)).tolist() for k in _SIMULATION_FIELDS}
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "SimulationConfig":
-        return cls(
-            p=_field(d, "p", _int),
-            mu=_field(d, "mu", _floats),
-            rho_s=_field(d, "rho_s", _float),
-            n=_field(d, "n", _int),
-            outcome_coeffs=_field(d, "outcome_coeffs", _floats),
-            noise_sd=_field(d, "noise_sd", _float),
-            propensity=_field(d, "propensity", _float),
-            seed=_field(d, "seed", _int),
-        )
+        return cls(**{k: _field(d, k, cast) for k, cast in _SIMULATION_FIELDS.items()})
 
 
 def true_weight_gaussian(x: NDArray, mu: NDArray) -> NDArray:
@@ -457,11 +452,12 @@ class FoldAssignment:
     bag_of: NDArray
 
     def __post_init__(self):
-        object.__setattr__(self, "bag_of", np.asarray(self.bag_of, dtype=np.int64).ravel())
         if self.k < 2:
             raise InvalidConfig(f"number of bags must be >= 2, got {self.k}")
+        # checked before the int64 cast, which would truncate 1.7 to 1
         if not np.isin(self.bag_of, np.arange(1, self.k + 1)).all():
             raise InvalidConfig("bag indices must lie in 1..k")
+        object.__setattr__(self, "bag_of", np.asarray(self.bag_of, dtype=np.int64).ravel())
 
 
 def split_cross_fit_folds(data: PooledDataset, k: int, seed: int) -> FoldAssignment:

@@ -50,7 +50,6 @@ from .errors import (
     InvalidConfig,
     InvalidLevel,
     MissingField,
-    MissingStratum,
     NonFiniteValue,
     ShiftEvalError,
     prefix_message,
@@ -523,8 +522,6 @@ def estimate_plugin_identification(
         raise InvalidConfig(f"unknown identification form {form!r}")
     train = data.s == 1
     if form == "calibration_mean":
-        if not (~train).any():
-            raise MissingStratum("calibration_mean requires calibration rows")
         x0 = data.x[~train]
         terms = _policy_target(nuisances.outcome, x0, policy(x0), estimand)
     else:

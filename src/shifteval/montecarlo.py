@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import enum
 import os
 import time
 from dataclasses import dataclass
@@ -67,7 +68,6 @@ from .nuisance import gaussian_oracle_nuisances
 __all__ = [
     "EstimatorSpec",
     "McConfig",
-    "EstimatorSummary",
     "McSummary",
     "true_policy_values",
     "run_replications",
@@ -125,13 +125,7 @@ class McConfig:
 
 @dataclass(eq=False)
 class EstimatorSummary:
-    name: str
-    estimand: str
-    kind: str
-    weights: str
-    propensity: str
-    outcome: str
-    crossfit: bool
+    spec: EstimatorSpec
     mean_estimate: float
     bias: float
     var_sqrt_n: float
@@ -144,9 +138,11 @@ class EstimatorSummary:
     mean_runtime_s: float
 
     def to_json_dict(self) -> dict:
+        """The spec's fields, each enum as its value, then the statistics."""
         d = dataclasses.asdict(self)
         d.pop("mean_runtime_s")
-        return d
+        spec = {k: v.value if isinstance(v, enum.Enum) else v for k, v in d.pop("spec").items()}
+        return spec | d
 
 
 @dataclass(eq=False)
@@ -179,7 +175,7 @@ class McSummary:
 
     def by_name(self, name: str) -> EstimatorSummary:
         for e in self.estimators:
-            if e.name == name:
+            if e.spec.name == name:
                 return e
         raise KeyError(name)
 
@@ -289,13 +285,7 @@ def run_replications(config: McConfig) -> McSummary:
         err = est[:, j] - target
         summaries.append(
             EstimatorSummary(
-                name=spec.name,
-                estimand=spec.estimand.value,
-                kind=spec.kind.value,
-                weights=spec.weights,
-                propensity=spec.propensity,
-                outcome=spec.outcome,
-                crossfit=spec.crossfit,
+                spec=spec,
                 mean_estimate=float(np.mean(est[:, j])),
                 bias=float(np.mean(err)),
                 var_sqrt_n=_Moments.of(np.sqrt(n) * err, order=2).var,

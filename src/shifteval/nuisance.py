@@ -80,8 +80,6 @@ from .errors import (
 )
 
 __all__ = [
-    "TAU_CLIP",
-    "DELTA_CLIP",
     "KernelSpec",
     "PropensityModel",
     "OutcomeModel",
@@ -603,8 +601,6 @@ def fit_outcome_regression(
     of (K + n*lambda*I) alpha = y.
     """
     obs = data.observed
-    if not obs.any():
-        raise NoObservedOutcomes("no rows with observed (a, y)")
     x, a, y = data.x[obs], data.a[obs], data.y[obs]
 
     if method == "linear":
@@ -613,7 +609,7 @@ def fit_outcome_regression(
         if rank < design.shape[1]:
             raise RankDeficient("outcome design matrix is rank deficient")
         return OutcomeModel(
-            evaluator=LinearQModel(beta=beta, p=data.p),
+            evaluator=LinearQModel(beta=beta),
             info={"model": "linear", "coef": beta.tolist()},
         )
 
@@ -884,7 +880,7 @@ def gaussian_oracle_nuisances(config: SimulationConfig) -> NuisanceSet:
         info={"model": "oracle", "p1": config.propensity},
     )
     outcome = OutcomeModel(
-        evaluator=LinearQModel(beta=config.outcome_coeffs, p=config.p),
+        evaluator=LinearQModel(beta=config.outcome_coeffs),
         info={"model": "oracle", "coef": config.outcome_coeffs.tolist()},
     )
     return NuisanceSet(weight=weight, propensity=propensity, outcome=outcome)

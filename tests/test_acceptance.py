@@ -155,7 +155,7 @@ def test_criterion_2_variance_attainment(theorem2_run):
     for e, k in ALL_VARIANTS:
         entry = summary.by_name(f"{e.value}_{k.value}")
         ratio = entry.var_sqrt_n / entry.target_sqrt_n
-        assert abs(ratio - 1.0) <= 0.10, (entry.name, ratio)
+        assert abs(ratio - 1.0) <= 0.10, (entry.spec.name, ratio)
         worst_dev = max(worst_dev, abs(ratio - 1.0))
         targets[(e, k)] = entry.target_sqrt_n
         coverages.append(entry.coverage)

@@ -29,9 +29,9 @@ from shifteval.nuisance import OutcomeModel, PropensityModel
 from conftest import make_config
 
 
-def outcome_with_cte(base, half_effect, p=1):
+def outcome_with_cte(base, half_effect):
     """Q(x, a) = base(x) + a * half_effect(x) via explicit linear coefficients."""
-    return OutcomeModel(evaluator=LinearQModel(beta=np.asarray(base + half_effect), p=p))
+    return OutcomeModel(evaluator=LinearQModel(beta=np.asarray(base + half_effect)))
 
 
 def calib_value(data, method, model, policy, stratum=1):
@@ -63,7 +63,7 @@ class TestCovariatesOnly:
             x, [1, np.nan, np.nan, np.nan], [0.0, np.nan, np.nan, np.nan], [1, 0, 0, 0], DatasetKind.TYPE2
         )
         # C(x) = 2 * (g0 + g1 x) with g0 = 0.25, g1 = 1 -> C = 0.5 + 2x
-        outcome = outcome_with_cte([0.0, 0.0], [0.25, 1.0], p=1)
+        outcome = outcome_with_cte([0.0, 0.0], [0.25, 1.0])
         np.testing.assert_allclose(outcome.cte(data.x[data.s == 0]), [-1.0, 3.0, 0.5])
         # pick covariates so C = (2, -1, 3): solve 0.5 + 2x = c
         x2 = np.array([[9.9], [0.75], [-0.75], [1.25]])
@@ -182,7 +182,7 @@ class TestSelectPolicy:
         )
         res = select_policy(cands, data, "covariates_only", nus.outcome)
         scaled_outcome = OutcomeModel(
-            evaluator=LinearQModel(beta=3.0 * np.asarray([0, 0, 0, 0.25, 0.5, -0.5]), p=2)
+            evaluator=LinearQModel(beta=3.0 * np.asarray([0, 0, 0, 0.25, 0.5, -0.5]))
         )
         res_scaled = select_policy(cands, data, "covariates_only", scaled_outcome)
         assert res_scaled.chosen_c == res.chosen_c

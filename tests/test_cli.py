@@ -696,6 +696,27 @@ class TestErrorsAndExitCodes:
         assert set(err) == {"error", "message"}
         assert err["error"] == error
 
+    def test_warning_raised_as_error_is_one_structured_line(self, tmp_path, capsys):
+        # a near-zero ridge leaves the KuLSIF dual ill-conditioned; under a
+        # filter that raises its warning, the run ends like any other error
+        sim_out = simulate_to(tmp_path, n=300, seed=7)
+        config = write_json(tmp_path / "est.json", {
+            "dataset": str(sim_out / "dataset.csv"), "policy": POLICY,
+            "weights": "kulsif", "propensity": "logistic", "outcome": "linear",
+            "kernel": {"family": "rbf", "ridge": 1e-12},
+        })
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)
+            code = main(["estimate", "--config", config, "--out", str(tmp_path / "out")])
+        assert code == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert set(err) == {"error", "message"}
+        assert err["error"] == "UserWarning"
+        assert err["message"].startswith("KuLSIF dual: condition number")
+
     def test_diverging_entropy_balancing_is_one_structured_line(self, tmp_path, capsys):
         # the calibration mean lies outside the convex hull of the training
         # rows but inside each coordinate's range: lambda diverges

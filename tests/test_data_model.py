@@ -235,10 +235,17 @@ class TestFolds:
         (1, [1, 1], "number of bags must be >= 2"),
         (2, [1, 3], "bag indices must lie in 1..k"),
         (2, [0, 1], "bag indices must lie in 1..k"),
+        (2, [1.7, 2.9, 1.2, 2.5], "bag indices must lie in 1..k"),  # not truncated to 1, 2
+        (2, [1, float("nan")], "bag indices must lie in 1..k"),
     ])
     def test_bad_assignment_refused(self, k, bag_of, message):
         with pytest.raises(InvalidConfig, match=message):
             FoldAssignment(k=k, bag_of=bag_of)
+
+    def test_integer_valued_float_labels_accepted(self):
+        folds = FoldAssignment(k=2, bag_of=[1.0, 2.0, 2.0])
+        assert folds.bag_of.dtype == np.int64
+        assert folds.bag_of.tolist() == [1, 2, 2]
 
     def test_stratum_too_small(self):
         data, _ = simulate_gaussian_shift(make_config(n=20, seed=12))

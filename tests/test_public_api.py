@@ -25,6 +25,16 @@ def test_package_exports_resolve():
     assert missing == []
 
 
+def test_package_exports_each_module_all_once():
+    names = shifteval.__all__
+    assert len(names) == len(set(names)) == 45
+    for name in MODULES:
+        module = importlib.import_module(f"shifteval.{name}")
+        for attr in module.__all__:
+            assert attr in names, (name, attr)
+            assert getattr(shifteval, attr) is getattr(module, attr), (name, attr)
+
+
 @pytest.mark.parametrize("name", MODULES)
 def test_module_exports_resolve(name):
     module = importlib.import_module(f"shifteval.{name}")
