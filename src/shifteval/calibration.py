@@ -16,8 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data_model import LinearPolicy, Policy, PooledDataset, _cast, _field, _float, _of
-from .errors import EmptyCalibration, InvalidConfig, MissingTreatmentsOutcomes, NonFiniteValue
+from .data_model import DatasetKind, LinearPolicy, Policy, PooledDataset
+from .data_model import _cast, _field, _float, _of
+from .errors import EmptyStratum, InvalidConfig, MissingField, NonFiniteValue
 from .estimators import Estimand, _coupler
 from .nuisance import OutcomeModel, PropensityModel
 
@@ -104,10 +105,9 @@ def select_policy(
     candidate then costs its decisions and one mean.
     """
     check_method(method)
-    calib = data.s == 0
-    if not calib.any():
-        raise EmptyCalibration("no calibration rows (s = 0)")
-    x0 = data.x[calib]
+    if data.calib.size == 0:
+        raise EmptyStratum("no calibration rows (s = 0)")
+    x0 = data.x[data.calib]
     if method == "covariates_only":
         cte = model.cte(x0)
 
@@ -115,12 +115,10 @@ def select_policy(
             return float(np.mean(cte * d))
     else:
         check_propensity_stratum(ipw_propensity_stratum)
-        if not data.observed[calib].all():
-            raise MissingTreatmentsOutcomes(
-                "IPW calibration requires observed (a, y) on calibration rows"
-            )
-        a0 = data.a[calib]
-        y0 = data.y[calib]
+        if data.kind is DatasetKind.TYPE2:
+            raise MissingField("IPW calibration requires observed (a, y) on calibration rows")
+        a0 = data.a[data.calib]
+        y0 = data.y[data.calib]
         pi = model.prob(a0, x0, ipw_propensity_stratum)
 
         def value(d):

@@ -3,10 +3,12 @@ values, fold splitting, CSV interchange and the Gaussian-shift simulator.
 
 A pooled dataset mixes rows from a training population (s = 1) and a
 calibration/testing population (s = 0). Treatments a take values in {+1, -1}
-and may be missing together with the outcome y on calibration rows, depending
-on the dataset kind. ``PooledDataset.from_arrays`` is the one check of a
-dataset's values; every estimator, the scalar EIF reference included, reads
-the rows of a checked dataset, and its sampling rate n1/n.
+and may be missing together with the outcome y on calibration rows. A
+dataset reads its kind and its strata from its rows: it is Type-1 when every
+row carries (a, y) and Type-2 otherwise, and it holds the index arrays of its
+training and calibration rows. ``PooledDataset.from_arrays`` is the one check
+of a dataset's values; every estimator, the scalar EIF reference included,
+reads the rows of a checked dataset, its strata and its sampling rate n1/n.
 
 All randomness flows through ``numpy.random.Generator`` seeded with PCG64
 (``numpy.random.default_rng``), so every simulation is bitwise reproducible
@@ -70,26 +72,32 @@ class PooledDataset:
     """Immutable array-backed pooled dataset.
 
     Missing treatments/outcomes are held as NaN in the ``a``/``y`` arrays;
-    the ``observed`` mask is the authoritative missingness indicator and all
-    estimators consult it before touching ``a`` or ``y``.
+    the ``observed`` mask is the authoritative missingness indicator. The
+    kind, the strata's row indices and sizes are read from the rows once,
+    here, and every consumer reads these fields.
     """
 
     x: NDArray  # (n, p)
     a: NDArray  # (n,)  values in {-1, +1} or NaN
     y: NDArray  # (n,)  float or NaN
     s: NDArray  # (n,)  values in {0, 1}
-    kind: DatasetKind
     observed: NDArray = field(init=False)  # (n,) (a, y) observed
+    train: NDArray = field(init=False)  # (n1,) indices of the s = 1 rows
+    calib: NDArray = field(init=False)  # (n0,) indices of the s = 0 rows
     n1: int = field(init=False)
     n0: int = field(init=False)
+    kind: DatasetKind = field(init=False)  # Type-1 when every row carries (a, y)
 
     def __post_init__(self):
-        object.__setattr__(self, "observed", ~np.isnan(self.a))
-        object.__setattr__(self, "n1", int(np.sum(self.s == 1)))
-        object.__setattr__(self, "n0", self.x.shape[0] - self.n1)
+        observed = ~np.isnan(self.a)
+        train, calib = np.flatnonzero(self.s == 1), np.flatnonzero(self.s == 0)
+        kind = DatasetKind.TYPE1 if observed.all() else DatasetKind.TYPE2
+        for name, value in (("observed", observed), ("train", train), ("calib", calib),
+                            ("n1", train.size), ("n0", calib.size), ("kind", kind)):
+            object.__setattr__(self, name, value)
 
     @classmethod
-    def from_arrays(cls, x, a, y, s, kind: DatasetKind) -> "PooledDataset":
+    def from_arrays(cls, x, a, y, s) -> "PooledDataset":
         x = np.ascontiguousarray(np.asarray(x, dtype=float))
         a = np.asarray(a, dtype=float).ravel()
         y = np.asarray(y, dtype=float).ravel()
@@ -103,23 +111,22 @@ class PooledDataset:
             raise DimensionMismatch("covariates contain missing coordinates")
         if not np.isin(s, (0, 1)).all():
             raise InvalidConfig("selection indicator must be 0 or 1 on every row")
-        data = cls(x=x, a=a, y=y, s=s.astype(np.int64), kind=kind)
-        s, observed = data.s, data.observed
+        data = cls(x=x, a=a, y=y, s=s.astype(np.int64))
+        observed = data.observed
         if np.any(observed != ~np.isnan(y)):
             raise MissingnessMismatch("treatment and outcome must be missing together")
         if not np.isin(a[observed], (-1.0, 1.0)).all():
             raise InvalidConfig("observed treatments must be +1 or -1")
         if not np.all(np.isfinite(y[observed])):
             raise MissingnessMismatch("observed outcomes must be finite")
-        if np.any(~observed & (s == 1)):
+        if not observed[data.train].all():
             raise MissingnessMismatch("training rows (s = 1) must carry treatment and outcome")
-        if kind is DatasetKind.TYPE1 and not observed.all():
-            raise MissingnessMismatch("Type-1 datasets require (a, y) on every row")
-        if kind is DatasetKind.TYPE2 and np.any(observed & (s == 0)):
+        # every training row is observed, so a Type-2 dataset lacks (a, y) on
+        # some calibration row
+        if data.kind is DatasetKind.TYPE2 and observed[data.calib].any():
             raise MissingnessMismatch(
-                "Type-2 datasets must not carry (a, y) on calibration rows"
+                "calibration rows (s = 0) must all carry (a, y) or all lack it"
             )
-
         return data._check_strata()
 
     def _check_strata(self) -> "PooledDataset":
@@ -140,18 +147,17 @@ class PooledDataset:
         valid values, so only the stratum sizes are checked again."""
         mask = np.asarray(mask, dtype=bool)
         return PooledDataset(
-            x=self.x[mask], a=self.a[mask], y=self.y[mask], s=self.s[mask], kind=self.kind
+            x=self.x[mask], a=self.a[mask], y=self.y[mask], s=self.s[mask]
         )._check_strata()
 
     def as_type2(self) -> "PooledDataset":
-        """Mask calibration (a, y) and re-label the dataset as Type-2; the
-        values were checked when this dataset was built."""
+        """The Type-2 view: calibration (a, y) masked; the values were checked
+        when this dataset was built."""
         a = self.a.copy()
         y = self.y.copy()
-        calib = self.s == 0
-        a[calib] = np.nan
-        y[calib] = np.nan
-        return PooledDataset(x=self.x, a=a, y=y, s=self.s, kind=DatasetKind.TYPE2)
+        a[self.calib] = np.nan
+        y[self.calib] = np.nan
+        return PooledDataset(x=self.x, a=a, y=y, s=self.s)
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +441,7 @@ def simulate_gaussian_shift(config: SimulationConfig):
     a = np.where(u < config.propensity, 1.0, -1.0)
     eps = config.noise_sd * rng.standard_normal(n)
     y = config.outcome_mean(x, a) + eps
-    data = PooledDataset.from_arrays(x, a, y, s, DatasetKind.TYPE1)
+    data = PooledDataset.from_arrays(x, a, y, s)
     return data, gaussian_oracle_nuisances(config)
 
 
@@ -474,8 +480,7 @@ def split_cross_fit_folds(data: PooledDataset, k: int, seed: int) -> FoldAssignm
         )
     rng = np.random.default_rng(seed)
     bag_of = np.zeros(data.n, dtype=np.int64)
-    for stratum in (1, 0):
-        idx = np.flatnonzero(data.s == stratum)
+    for idx in (data.train, data.calib):
         perm = rng.permutation(idx)
         bag_of[perm] = np.arange(perm.shape[0]) % k + 1
     return FoldAssignment(k=k, bag_of=bag_of)
@@ -507,7 +512,7 @@ def write_dataset_csv(data: PooledDataset, path) -> None:
 
 
 def read_dataset_csv(path) -> PooledDataset:
-    """Read a dataset CSV, inferring Type-1 vs Type-2 from empty (a, y) cells."""
+    """Read a dataset CSV; empty a and y cells are missing (a, y)."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -533,6 +538,4 @@ def read_dataset_csv(path) -> PooledDataset:
                 ss.append(int(s_cell))
             except ValueError as e:
                 raise InvalidConfig(f"line {line_no}: {e}") from None
-    a = np.asarray(as_)
-    kind = DatasetKind.TYPE2 if np.isnan(a).any() else DatasetKind.TYPE1
-    return PooledDataset.from_arrays(np.asarray(xs), a, np.asarray(ys), np.asarray(ss), kind)
+    return PooledDataset.from_arrays(*map(np.asarray, (xs, as_, ys, ss)))

@@ -83,12 +83,3 @@ class InvalidLevel(ShiftEvalError):
 
 class NonFiniteValue(ShiftEvalError):
     """A nuisance value or report field is NaN or infinite."""
-
-
-# calibration
-class EmptyCalibration(ShiftEvalError):
-    pass
-
-
-class MissingTreatmentsOutcomes(ShiftEvalError):
-    pass

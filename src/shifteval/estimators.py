@@ -207,7 +207,6 @@ class _Frame:
     nuisances or estimand."""
 
     data: PooledDataset
-    train: NDArray  # (n,) s == 1
     tr: _Stratum
     cal: _Stratum
 
@@ -256,9 +255,8 @@ def _stratum(data: PooledDataset, rows: NDArray, d: NDArray, s: int) -> _Stratum
 def _frame(data: PooledDataset, policy: Policy) -> _Frame:
     """Decide ``policy`` on every row of ``data`` and gather both strata."""
     d = policy(data.x)
-    train = data.s == 1
     return _Frame(
-        data=data, train=train, tr=_stratum(data, train, d, 1), cal=_stratum(data, ~train, d, 0)
+        data=data, tr=_stratum(data, data.train, d, 1), cal=_stratum(data, data.calib, d, 0)
     )
 
 
@@ -279,13 +277,13 @@ def _fit(
     refuses ``folds``. Type-2 evaluation of Type-1 data fits with the
     calibration (a, y) masked, so no nuisance is fitted on them.
     """
-    data, train = frame.data, frame.train
+    data = frame.data
     if folds is not None:
         if isinstance(recipe, NuisanceSet):
             raise InvalidConfig("cross-fitting folds need a FitRecipe, not a fitted NuisanceSet")
         if folds.bag_of.shape[0] != data.n:
             raise InvalidConfig("fold assignment does not match dataset size")
-    if kind is DatasetKind.TYPE1 and not data.observed[~train].all():
+    if kind is DatasetKind.TYPE1 and data.kind is DatasetKind.TYPE2:
         raise MissingField("Type-1 evaluation requires observed (a, y) on calibration rows")
     every = slice(None)
     if isinstance(recipe, NuisanceSet):
@@ -306,7 +304,8 @@ def _fit(
                 except ShiftEvalError as e:
                     prefix_message(e, f"bag {k}")
                     raise
-                fits.append((nus, np.flatnonzero(in_bag[train]), np.flatnonzero(in_bag[~train])))
+                tr, cal = in_bag[data.train], in_bag[data.calib]
+                fits.append((nus, np.flatnonzero(tr), np.flatnonzero(cal)))
 
     n1, n0 = frame.data.n1, frame.data.n0
     type1 = kind is DatasetKind.TYPE1
@@ -351,8 +350,8 @@ def _combine(parts: _PerRowParts, estimand: Estimand, target_cal: NDArray):
     given the calibration targets ``target_cal`` of ``estimand``. Type-2,
     without calibration (a, y), is Type-1 without the augmentation term."""
     frame = parts.frame
-    tr, cal, train = frame.tr, frame.cal, frame.train
-    n, n1, n0 = frame.data.n, frame.data.n1, frame.data.n0
+    tr, cal, data = frame.tr, frame.cal, frame.data
+    n, n1, n0 = data.n, data.n1, data.n0
     term_tr = parts.w_tr * _coupler(estimand, tr.d, tr.a) / parts.pi_tr * parts.resid_tr
     if parts.kind is DatasetKind.TYPE2:
         term_cal, rate, scale = 0.0, 1.0, n / n1
@@ -361,8 +360,8 @@ def _combine(parts: _PerRowParts, estimand: Estimand, target_cal: NDArray):
         rate, scale = n1 / n, 1.0
     estimate = rate * float(np.mean(term_tr)) + float(np.mean((n0 / n) * term_cal + target_cal))
     eif = np.empty(n)
-    eif[train] = scale * term_tr
-    eif[~train] = term_cal + (n / n0) * (target_cal - estimate)
+    eif[data.train] = scale * term_tr
+    eif[data.calib] = term_cal + (n / n0) * (target_cal - estimate)
     return estimate, eif
 
 
@@ -520,9 +519,9 @@ def estimate_plugin_identification(
     """
     if form not in _PLUGIN_FORMS:
         raise InvalidConfig(f"unknown identification form {form!r}")
-    train = data.s == 1
+    train = data.train
     if form == "calibration_mean":
-        x0 = data.x[~train]
+        x0 = data.x[data.calib]
         terms = _policy_target(nuisances.outcome, x0, policy(x0), estimand)
     else:
         target = _policy_target(nuisances.outcome, data.x, policy(data.x), estimand)

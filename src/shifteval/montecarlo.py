@@ -113,6 +113,10 @@ class McConfig:
             raise InvalidConfig(f"replications must be >= 2, got {self.replications}")
         if len(self.estimators) == 0:
             raise InvalidConfig("estimator menu must be non-empty")
+        names = [spec.name for spec in self.estimators]
+        for name in names:
+            if names.count(name) > 1:
+                raise InvalidConfig(f"estimator name {name!r} is used more than once")
         if self.crossfit_k < 2:
             raise InvalidConfig(f"crossfit_k must be >= 2, got {self.crossfit_k}")
         if self.n_jobs < 1:

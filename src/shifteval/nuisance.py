@@ -60,6 +60,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .data_model import (
+    DatasetKind,
     LinearQModel,
     PooledDataset,
     SimulationConfig,
@@ -574,12 +575,11 @@ def fit_propensity_logistic(data: PooledDataset) -> PropensityModel:
     holds each stratum's Newton iterations and convergence.
     """
     coef, strata = {}, {}
-    for stratum in (1, 0):
-        mask = (data.s == stratum) & data.observed
-        if mask.any():
-            coef[stratum], strata[str(stratum)] = _fit_logistic(
-                data.x[mask], (data.a[mask] == 1).astype(float)
-            )
+    observed_strata = (1, 0) if data.kind is DatasetKind.TYPE1 else (1,)
+    for stratum, rows in zip(observed_strata, (data.train, data.calib)):
+        coef[stratum], strata[str(stratum)] = _fit_logistic(
+            data.x[rows], (data.a[rows] == 1).astype(float)
+        )
     return PropensityModel(
         evaluator=LogisticPropensityFn(coef),
         info={"model": "logistic", "strata": strata},
@@ -715,8 +715,8 @@ def fit_weights_kulsif(data: PooledDataset, spec: KernelSpec) -> WeightModel:
     reads. A ridge so small that lambda n0 n1 is subnormal overflows the
     right-hand side, which raises ``SolveFailure`` and no numpy warning.
     """
-    x1 = data.x[data.s == 1]
-    x0 = data.x[data.s == 0]
+    x1 = data.x[data.train]
+    x0 = data.x[data.calib]
     n1, n0 = x1.shape[0], x0.shape[0]
     # K(x0, x1), freed before K11 and the system's copy
     _check_kernel_memory(max(n0 * n1, 2 * n1**2), "KuLSIF")
@@ -772,8 +772,8 @@ def fit_weights_entropy_balancing(data: PooledDataset) -> WeightModel:
     balance x to within 1e-8. The weight model evaluates the n1-rescaled
     exponential-tilt form at arbitrary covariates.
     """
-    x1 = data.x[data.s == 1]
-    x0bar = data.x[data.s == 0].mean(axis=0)
+    x1 = data.x[data.train]
+    x0bar = data.x[data.calib].mean(axis=0)
     names = ["const"] + [f"x_{j + 1}" for j in range(data.p)]
 
     # the calibration moment must lie inside the per-coordinate training range

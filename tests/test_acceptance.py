@@ -249,7 +249,7 @@ def test_criterion_5_weight_backends():
 
     # (b) KuLSIF: corrected hand-solved 1x1 dual cases and dual residuals
     toy = PooledDataset.from_arrays(
-        np.array([[1.0], [1.0]]), [1, np.nan], [0.5, np.nan], [1, 0], DatasetKind.TYPE2
+        np.array([[1.0], [1.0]]), [1, np.nan], [0.5, np.nan], [1, 0]
     )
     wm1 = fit_weights_kulsif(toy, KernelSpec(family="rbf", bandwidth=1.0, ridge=1.0))
     wm2 = fit_weights_kulsif(toy, KernelSpec(family="rbf", bandwidth=1.0, ridge=2.0))
@@ -271,7 +271,6 @@ def test_criterion_5_weight_backends():
                 [1] * n_side + [np.nan] * n_side,
                 [0.0] * n_side + [np.nan] * n_side,
                 [1] * n_side + [0] * n_side,
-                DatasetKind.TYPE2,
             )
             worst_residual = max(
                 worst_residual, fit_weights_kulsif(ds, KernelSpec()).info["dual_residual"]
@@ -356,7 +355,6 @@ def test_criterion_6_identification_consistency():
         np.where(data.s == 0, -data.a, data.a),
         np.where(data.s == 0, 5.5 * data.y + 3.0, data.y),
         data.s,
-        DatasetKind.TYPE1,
     )
     blind_ok = (
         estimate_efficient(data, oracle, POLICY, Estimand.VALUE, kind=DatasetKind.TYPE2).estimate

@@ -5,7 +5,6 @@ import pytest
 
 from shifteval import (
     CandidateSet,
-    DatasetKind,
     Estimand,
     LinearPolicy,
     PooledDataset,
@@ -18,9 +17,9 @@ from shifteval import (
     true_policy_values,
 )
 from shifteval.errors import (
-    EmptyCalibration,
+    EmptyStratum,
     InvalidConfig,
-    MissingTreatmentsOutcomes,
+    MissingField,
     NonFiniteValue,
 )
 from shifteval.data_model import LinearQModel
@@ -41,7 +40,7 @@ def calib_value(data, method, model, policy, stratum=1):
 
 
 def type1_calunited(x, a, y, s):
-    return PooledDataset.from_arrays(np.asarray(x, dtype=float), a, y, s, DatasetKind.TYPE1)
+    return PooledDataset.from_arrays(np.asarray(x, dtype=float), a, y, s)
 
 
 class TestCovariatesOnly:
@@ -60,7 +59,7 @@ class TestCovariatesOnly:
         # gives (2 - 1 - 3) / 3 = -2/3
         x = np.array([[0.75], [-0.75], [1.25], [0.0]])
         data = PooledDataset.from_arrays(
-            x, [1, np.nan, np.nan, np.nan], [0.0, np.nan, np.nan, np.nan], [1, 0, 0, 0], DatasetKind.TYPE2
+            x, [1, np.nan, np.nan, np.nan], [0.0, np.nan, np.nan, np.nan], [1, 0, 0, 0]
         )
         # C(x) = 2 * (g0 + g1 x) with g0 = 0.25, g1 = 1 -> C = 0.5 + 2x
         outcome = outcome_with_cte([0.0, 0.0], [0.25, 1.0])
@@ -68,7 +67,7 @@ class TestCovariatesOnly:
         # pick covariates so C = (2, -1, 3): solve 0.5 + 2x = c
         x2 = np.array([[9.9], [0.75], [-0.75], [1.25]])
         data2 = PooledDataset.from_arrays(
-            x2, [1, np.nan, np.nan, np.nan], [0.0, np.nan, np.nan, np.nan], [1, 0, 0, 0], DatasetKind.TYPE2
+            x2, [1, np.nan, np.nan, np.nan], [0.0, np.nan, np.nan, np.nan], [1, 0, 0, 0]
         )
         cte = outcome.cte(data2.x[data2.s == 0])
         np.testing.assert_allclose(cte, [2.0, -1.0, 3.0])
@@ -78,13 +77,10 @@ class TestCovariatesOnly:
 
     def test_empty_calibration_error(self):
         data, oracle = simulate_gaussian_shift(make_config(n=40, seed=3))
-        train_only = PooledDataset.from_arrays(
-            data.x, data.a, data.y, data.s, DatasetKind.TYPE1
-        )
-        with pytest.raises(EmptyCalibration):
-            # pass a dataset view with no calibration rows via monkeypatched s
+        with pytest.raises(EmptyStratum, match="no calibration rows"):
+            # a directly constructed dataset skips the stratum checks of from_arrays
             calib_value(
-                PooledDataset(x=data.x, a=data.a, y=data.y, s=np.ones(data.n, dtype=np.int64), kind=DatasetKind.TYPE1),
+                PooledDataset(x=data.x, a=data.a, y=data.y, s=np.ones(data.n, dtype=np.int64)),
                 "covariates_only",
                 oracle.outcome,
                 constant_policy(1, 2),
@@ -103,7 +99,7 @@ class TestIpw:
 
     def test_zero_outcomes(self):
         data = self.toy()
-        zeroed = PooledDataset.from_arrays(data.x, data.a, np.zeros(4), data.s, DatasetKind.TYPE1)
+        zeroed = PooledDataset.from_arrays(data.x, data.a, np.zeros(4), data.s)
         assert calib_value(zeroed, "ipw", self.oracle_prop(), constant_policy(1, 1)) == 0.0
 
     def test_hand_example(self):
@@ -114,14 +110,14 @@ class TestIpw:
     def test_policy_matching_every_row(self):
         data = self.toy()
         match_policy = LinearPolicy(1.0, np.array([0.0]))  # +1 everywhere
-        agree = PooledDataset.from_arrays(data.x, np.ones(4), data.y, data.s, DatasetKind.TYPE1)
+        agree = PooledDataset.from_arrays(data.x, np.ones(4), data.y, data.s)
         v = calib_value(agree, "ipw", self.oracle_prop(), match_policy)
         calib_y = agree.y[agree.s == 0]
         assert v == pytest.approx(2 * calib_y.mean(), abs=1e-14)
 
     def test_requires_observed_calibration(self):
         data, oracle = simulate_gaussian_shift(make_config(n=40, seed=4))
-        with pytest.raises(MissingTreatmentsOutcomes):
+        with pytest.raises(MissingField):
             calib_value(data.as_type2(), "ipw", oracle.propensity, constant_policy(1, 2))
 
     def test_propensity_stratum_outside_0_1_is_refused(self):

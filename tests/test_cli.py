@@ -17,7 +17,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shifteval import (
-    DatasetKind,
     Estimand,
     LinearPolicy,
     PooledDataset,
@@ -329,7 +328,7 @@ class TestCalibrate:
         a = np.where(data.s == 0, np.where(data.x[:, 0] >= 0.0, 1.0, -1.0), data.a)
         path = tmp_path / "data.csv"
         write_dataset_csv(
-            PooledDataset.from_arrays(data.x, a, data.y, data.s, DatasetKind.TYPE1), path
+            PooledDataset.from_arrays(data.x, a, data.y, data.s), path
         )
         cal_cfg = write_json(tmp_path / "cal.json", {
             "dataset": str(path), "candidates": str(FIXTURES / "candidates.json"),
@@ -489,6 +488,9 @@ BAD_VALUES = [
     ("montecarlo", ("estimators", 0, "name"), 5, "InvalidConfig", ()),
     ("montecarlo", ("estimators", 1, "crossfit"), "false", "InvalidConfig", ()),
     ("montecarlo", ("estimators", 1, "weights"), "foo", "InvalidConfig", ()),
+    # by_name could only ever return the first of two entries named alike
+    ("montecarlo", ("estimators", 1, "name"), "theta_t2",
+     "InvalidConfig: estimator name 'theta_t2' is used more than once", ()),
     ("montecarlo", ("base",), [1], "InvalidConfig", ("--seed", "7")),
     ("montecarlo", ("base", "n"), 300.5, "InvalidConfig", ()),
     ("montecarlo", ("base", "noise_sd"), float("inf"), "NonFiniteValue", ()),
@@ -744,7 +746,7 @@ class TestErrorsAndExitCodes:
         # which line-search candidates overflow; a fresh interpreter, so the
         # warnings filter applies as it does for a user's command
         data, _ = simulate_gaussian_shift(make_config(p=4, mu=(-1.0,) * 4, n=200, seed=62))
-        scaled = PooledDataset.from_arrays(data.x * 100.0, data.a, data.y, data.s, data.kind)
+        scaled = PooledDataset.from_arrays(data.x * 100.0, data.a, data.y, data.s)
         write_dataset_csv(scaled, tmp_path / "eb.csv")
         config = write_json(tmp_path / "est.json", {
             "dataset": str(tmp_path / "eb.csv"),
@@ -773,7 +775,7 @@ class TestErrorsAndExitCodes:
         rng = np.random.default_rng(0)
         x = rng.normal(size=(40, 2)) * 1e200
         a = np.where(rng.random(40) < 0.5, 1, -1)
-        data = PooledDataset.from_arrays(x, a, rng.normal(size=40), np.arange(40) % 2, DatasetKind.TYPE1)
+        data = PooledDataset.from_arrays(x, a, rng.normal(size=40), np.arange(40) % 2)
         write_dataset_csv(data, tmp_path / "big.csv")
         config = write_json(tmp_path / "est.json", {
             "dataset": str(tmp_path / "big.csv"), "policy": POLICY,
@@ -1091,7 +1093,7 @@ def fuzzed_datasets(draw):
     s[:2], s[-2:] = True, False  # both strata non-empty
     a = np.where(x[:, p - 1] > 0 if draw(st.booleans()) else rng.random(n) < 0.5, 1, -1)
     y = rng.normal(size=n) * 10.0 ** draw(exponents)
-    return PooledDataset.from_arrays(x, a, y, s.astype(int), DatasetKind.TYPE1)
+    return PooledDataset.from_arrays(x, a, y, s.astype(int))
 
 
 def run_cli(command, config, data, tmp):

@@ -32,58 +32,55 @@ from shifteval.errors import (
 from conftest import make_config
 
 
-def from_rows(x, a, y, s, kind):
+def from_rows(x, a, y, s):
     """A dataset from per-row values; None marks a missing (a, y)."""
     a, y = ([np.nan if v is None else v for v in column] for column in (a, y))
-    return PooledDataset.from_arrays(np.reshape(x, (len(s), -1)), a, y, s, kind)
+    return PooledDataset.from_arrays(np.reshape(x, (len(s), -1)), a, y, s)
 
 
 class TestFromArrays:
     def test_minimal_type1(self):
-        ds = from_rows([0.0, 1.0, 2.0, 3.0], [1, -1, 1, -1], [1.0, 0.0, 2.0, 1.0], [1, 1, 0, 0], DatasetKind.TYPE1)
+        ds = from_rows([0.0, 1.0, 2.0, 3.0], [1, -1, 1, -1], [1.0, 0.0, 2.0, 1.0], [1, 1, 0, 0])
         assert (ds.n1, ds.n0) == (2, 2)
         assert ds.kind is DatasetKind.TYPE1
 
     def test_minimal_type2(self):
-        ds = from_rows([0.0, 1.0], [1, None], [1.0, None], [1, 0], DatasetKind.TYPE2)
+        ds = from_rows([0.0, 1.0], [1, None], [1.0, None], [1, 0])
         assert (ds.n1, ds.n0) == (1, 1)
+        assert ds.kind is DatasetKind.TYPE2
 
     def test_empty_stratum(self):
         with pytest.raises(EmptyStratum):
-            from_rows([0.0, 1.0], [1, -1], [1.0, 0.0], [1, 1], DatasetKind.TYPE1)
+            from_rows([0.0, 1.0], [1, -1], [1.0, 0.0], [1, 1])
 
-    def test_type2_with_observed_calibration_rejected(self):
-        with pytest.raises(MissingnessMismatch):
-            from_rows([0.0, 1.0], [1, 1], [1.0, 1.0], [1, 0], DatasetKind.TYPE2)
-
-    def test_type1_with_missing_calibration_rejected(self):
-        with pytest.raises(MissingnessMismatch):
-            from_rows([0.0, 1.0], [1, None], [1.0, None], [1, 0], DatasetKind.TYPE1)
+    def test_mixed_calibration_rejected(self):
+        with pytest.raises(MissingnessMismatch, match="all carry"):
+            from_rows([0.0, 1.0, 2.0], [1, 1, None], [1.0, 1.0, None], [1, 0, 0])
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            PooledDataset.from_arrays(np.zeros((2, 1)), [1.0], [1.0, np.nan], [1, 0], DatasetKind.TYPE2)
+            PooledDataset.from_arrays(np.zeros((2, 1)), [1.0], [1.0, np.nan], [1, 0])
 
-    @pytest.mark.parametrize("x, a, y, s, kind, error, message", [
-        (np.zeros((2, 1, 1)), [1, 1], [1.0, 1.0], [1, 0], DatasetKind.TYPE1,
+    @pytest.mark.parametrize("x, a, y, s, error, message", [
+        (np.zeros((2, 1, 1)), [1, 1], [1.0, 1.0], [1, 0],
          DimensionMismatch, "must be 2-dimensional"),
-        ([[0.0], [np.inf]], [1, 1], [1.0, 1.0], [1, 0], DatasetKind.TYPE1,
+        ([[0.0], [np.inf]], [1, 1], [1.0, 1.0], [1, 0],
          DimensionMismatch, "missing coordinates"),
-        ([[0.0], [1.0]], [1, 1], [1.0, 1.0], [1, 2], DatasetKind.TYPE1,
+        ([[0.0], [1.0]], [1, 1], [1.0, 1.0], [1, 2],
          InvalidConfig, "selection indicator"),
-        ([[0.0], [1.0]], [1, 1], [1.0, np.nan], [1, 0], DatasetKind.TYPE1,
+        ([[0.0], [1.0]], [1, 1], [1.0, np.nan], [1, 0],
          MissingnessMismatch, "missing together"),
-        ([[0.0], [1.0]], [1, 0], [1.0, 1.0], [1, 0], DatasetKind.TYPE1,
+        ([[0.0], [1.0]], [1, 0], [1.0, 1.0], [1, 0],
          InvalidConfig, "observed treatments"),
-        ([[0.0], [1.0]], [1, 1], [1.0, np.inf], [1, 0], DatasetKind.TYPE1,
+        ([[0.0], [1.0]], [1, 1], [1.0, np.inf], [1, 0],
          MissingnessMismatch, "observed outcomes must be finite"),
-        ([[0.0], [1.0]], [np.nan, np.nan], [np.nan, np.nan], [1, 0], DatasetKind.TYPE2,
+        ([[0.0], [1.0]], [np.nan, np.nan], [np.nan, np.nan], [1, 0],
          MissingnessMismatch, "training rows"),
     ], ids=["3-d-x", "non-finite-x", "s-not-binary", "a-without-y", "a-not-pm1",
             "non-finite-y", "training-row-unobserved"])
-    def test_bad_arrays_refused(self, x, a, y, s, kind, error, message):
+    def test_bad_arrays_refused(self, x, a, y, s, error, message):
         with pytest.raises(error, match=message):
-            PooledDataset.from_arrays(x, a, y, s, kind)
+            PooledDataset.from_arrays(x, a, y, s)
 
 
 class TestDerivedDatasets:
@@ -108,8 +105,8 @@ class TestDerivedDatasets:
             (type2, (data.x, type2.a, type2.y, data.s, DatasetKind.TYPE2)),
             (data.subset(mask), (data.x[mask], data.a[mask], data.y[mask], data.s[mask], data.kind)),
         ):
-            checked = PooledDataset.from_arrays(x, a, y, s, kind)
-            for name in ("x", "a", "y", "s", "observed"):
+            checked = PooledDataset.from_arrays(x, a, y, s)
+            for name in ("x", "a", "y", "s", "observed", "train", "calib"):
                 got, want = getattr(derived, name), getattr(checked, name)
                 assert got.dtype == want.dtype and np.array_equal(got, want, equal_nan=True)
             assert (derived.kind, derived.n1, derived.n0) == (kind, checked.n1, checked.n0)
@@ -219,12 +216,12 @@ class TestFolds:
 
     def test_exact_divisibility_and_remainders(self):
         x = np.arange(8.0)[:, None]
-        ds = PooledDataset.from_arrays(x, [1] * 8, [0.0] * 8, [1, 1, 1, 1, 0, 0, 0, 0], DatasetKind.TYPE1)
+        ds = PooledDataset.from_arrays(x, [1] * 8, [0.0] * 8, [1, 1, 1, 1, 0, 0, 0, 0])
         folds = split_cross_fit_folds(ds, 2, seed=1)
         for stratum in (1, 0):
             sizes = sorted(int(np.sum((folds.bag_of == k) & (ds.s == stratum))) for k in (1, 2))
             assert sizes == [2, 2]
-        ds2 = PooledDataset.from_arrays(x, [1] * 8, [0.0] * 8, [1, 1, 1, 1, 1, 0, 0, 0], DatasetKind.TYPE1)
+        ds2 = PooledDataset.from_arrays(x, [1] * 8, [0.0] * 8, [1, 1, 1, 1, 1, 0, 0, 0])
         folds2 = split_cross_fit_folds(ds2, 2, seed=1)
         train_sizes = sorted(int(np.sum((folds2.bag_of == k) & (ds2.s == 1))) for k in (1, 2))
         calib_sizes = sorted(int(np.sum((folds2.bag_of == k) & (ds2.s == 0))) for k in (1, 2))
@@ -301,11 +298,45 @@ class TestCsv:
         with pytest.raises(InvalidConfig):
             read_dataset_csv(path)
 
-    def test_half_missing_cell_rejected(self, tmp_path):
+    @pytest.mark.parametrize("rows, message", [
+        ("0.0,1,1.0,1\n1.0,,2.0,0\n", "missing together"),
+        ("0.0,1,1.0,1\n1.0,1,2.0,0\n2.0,,,0\n", "all carry"),
+    ], ids=["half-missing-cell", "mixed-calibration"])
+    def test_inconsistent_missingness_rejected(self, tmp_path, rows, message):
         path = tmp_path / "bad.csv"
-        path.write_text("x_1,a,y,s\n0.0,1,1.0,1\n1.0,,2.0,0\n")
-        with pytest.raises(MissingnessMismatch):
+        path.write_text("x_1,a,y,s\n" + rows)
+        with pytest.raises(MissingnessMismatch, match=message):
             read_dataset_csv(path)
+
+    @given(st.lists(st.tuples(st.sampled_from((0, 1)), st.booleans()), min_size=1, max_size=10),
+           st.sampled_from(("type1", "type2", "any")))
+    @settings(max_examples=60, deadline=None)
+    def test_kind_and_strata_read_from_rows(self, tmp_path_factory, rows, pattern):
+        s = np.array([row[0] for row in rows])
+        missing = {"type1": np.zeros(s.size, dtype=bool), "type2": s == 0,
+                   "any": np.array([row[1] for row in rows])}[pattern]
+        a = np.where(missing, np.nan, np.where(np.arange(s.size) % 2 == 0, 1.0, -1.0))
+        x = np.arange(s.size, dtype=float)[:, None]
+        if missing[s == 1].any():
+            refusal = (MissingnessMismatch, "training rows")
+        elif 0 < missing[s == 0].sum() < np.sum(s == 0):
+            refusal = (MissingnessMismatch, "all carry")
+        elif s.all() or not s.any():
+            refusal = (EmptyStratum, "both strata")
+        else:
+            refusal = None
+        if refusal is not None:
+            with pytest.raises(refusal[0], match=refusal[1]):
+                PooledDataset.from_arrays(x, a, a, s)
+            return
+        data = PooledDataset.from_arrays(x, a, a, s)
+        path = tmp_path_factory.mktemp("csv") / "d.csv"
+        write_dataset_csv(data, path)
+        for ds in (data, read_dataset_csv(path)):
+            assert ds.kind is (DatasetKind.TYPE2 if missing.any() else DatasetKind.TYPE1)
+            assert ds.train.tolist() == np.flatnonzero(s == 1).tolist()
+            assert ds.calib.tolist() == np.flatnonzero(s == 0).tolist()
+            assert (ds.n1, ds.n0) == (int(np.sum(s == 1)), int(np.sum(s == 0)))
 
 
 class TestPolicy:

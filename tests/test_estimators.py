@@ -52,7 +52,7 @@ def toy_type2_dataset():
     """n1=2 training rows (A, Y) = (+1, 2), (-1, 0); n0=2 calibration rows."""
     x = np.array([[0.1], [-0.3], [0.5], [0.9]])
     return PooledDataset.from_arrays(
-        x, [1, -1, np.nan, np.nan], [2.0, 0.0, np.nan, np.nan], [1, 1, 0, 0], DatasetKind.TYPE2
+        x, [1, -1, np.nan, np.nan], [2.0, 0.0, np.nan, np.nan], [1, 1, 0, 0]
     )
 
 
@@ -75,7 +75,7 @@ def toy_oracle(q_plus=0.0):
 def toy_row_pair():
     """Training row 0, (x, A, Y) = (0.1, +1, 0), and calibration row 1 at x = 0.5: rho = 1/2."""
     return PooledDataset.from_arrays(
-        [[0.1], [0.5]], [1, np.nan], [0.0, np.nan], [1, 0], DatasetKind.TYPE2
+        [[0.1], [0.5]], [1, np.nan], [0.0, np.nan], [1, 0]
     )
 
 
@@ -257,7 +257,6 @@ class TestEstimateEfficient:
             np.where(data.s == 0, -data.a, data.a),
             np.where(data.s == 0, 1e9 * data.y + 7.0, data.y),
             data.s,
-            DatasetKind.TYPE1,
         )
         for estimand in (Estimand.VALUE, Estimand.CONTRAST):
             before = estimate_efficient(data, oracle, policy, estimand, kind=DatasetKind.TYPE2)
@@ -416,7 +415,7 @@ class TestCrossFit:
         # duplicate-constant covariates make the logistic design rank deficient
         bad = PooledDataset.from_arrays(
             np.column_stack([np.ones(data.n), np.ones(data.n)]),
-            data.a, data.y, data.s, data.kind,
+            data.a, data.y, data.s,
         )
         folds = split_cross_fit_folds(bad, 2, seed=0)
         recipe = FitRecipe(weights="aipsw", propensity="logistic", outcome="linear")
@@ -431,7 +430,7 @@ class TestCrossFit:
         x = np.concatenate([rng.uniform(0, 1, 40), np.full(40, 5.0)])[:, None]
         a = np.concatenate([np.where(rng.random(40) < 0.5, 1.0, -1.0), np.full(40, np.nan)])
         y = np.concatenate([rng.normal(size=40), np.full(40, np.nan)])
-        data = PooledDataset.from_arrays(x, a, y, [1] * 40 + [0] * 40, DatasetKind.TYPE2)
+        data = PooledDataset.from_arrays(x, a, y, [1] * 40 + [0] * 40)
         recipe = FitRecipe(weights="eb", propensity="logistic", outcome="linear")
         for crossfit_k, prefix in ((0, "calibration moment"), (2, "bag 1: calibration moment")):
             folds = split_cross_fit_folds(data, crossfit_k, seed=0) if crossfit_k else None
@@ -592,7 +591,7 @@ class TestRowPermutation:
         policy = LinearPolicy(0.2, np.array([1.0, -1.0]))
         perm = np.random.default_rng(seed).permutation(data.n)
         shuffled = PooledDataset.from_arrays(
-            data.x[perm], data.a[perm], data.y[perm], data.s[perm], data.kind
+            data.x[perm], data.a[perm], data.y[perm], data.s[perm]
         )
         return tuple(estimate_efficient(d, recipe, policy, estimand, kind).estimate
                      for d in (data, shuffled))

@@ -45,8 +45,8 @@ from shifteval.nuisance import (
 from conftest import make_config
 
 
-def dataset_from(x, a, y, s, kind=DatasetKind.TYPE1):
-    return PooledDataset.from_arrays(np.asarray(x, dtype=float), a, y, s, kind)
+def dataset_from(x, a, y, s):
+    return PooledDataset.from_arrays(np.asarray(x, dtype=float), a, y, s)
 
 
 def max_min_weight(x1, target):
@@ -101,7 +101,6 @@ class TestPropensity:
         # the calibration row is unobserved, so only stratum 1 is fitted
         ds = dataset_from(
             np.r_[x, 0.2][:, None], np.r_[a, np.nan], [0.0] * 3 + [np.nan], [1, 1, 1, 0],
-            DatasetKind.TYPE2,
         )
         model = fit_propensity_logistic(ds)
         beta = model.evaluator.coef[1]
@@ -397,7 +396,7 @@ class TestOutcome:
         # treatment arm with no observations
         x = np.array([[0.0], [1.0], [2.0]])
         ds = PooledDataset.from_arrays(
-            x, [1, 1, np.nan], [0.5, 0.7, np.nan], [1, 1, 0], DatasetKind.TYPE2
+            x, [1, 1, np.nan], [0.5, 0.7, np.nan], [1, 1, 0]
         )
         with pytest.raises(NoObservedOutcomes):
             fit_outcome_regression(ds, method="kernel_ridge", spec=KernelSpec(bandwidth=1.0, ridge=0.1))
@@ -419,7 +418,6 @@ class TestAipsw:
             np.where(s == 1, 1.0, np.nan),
             np.where(s == 1, 0.0, np.nan),
             s,
-            DatasetKind.TYPE2,
         )
         wm = fit_weights_aipsw(ds)
         b0, b1, _ = grid_max_loglik(x, s.astype(float))
@@ -600,7 +598,7 @@ def test_diverged_newton_is_separation(monkeypatch):
 class TestKulsif:
     def test_hand_solved_one_by_one(self):
         ds = dataset_from(
-            np.array([[1.0], [1.0]]), [1, np.nan], [0.5, np.nan], [1, 0], DatasetKind.TYPE2
+            np.array([[1.0], [1.0]]), [1, np.nan], [0.5, np.nan], [1, 0]
         )
         wm1 = fit_weights_kulsif(ds, KernelSpec(family="rbf", bandwidth=1.0, ridge=1.0))
         assert wm1.evaluator.train.alpha[0] == pytest.approx(-0.5, abs=1e-12)
@@ -621,7 +619,6 @@ class TestKulsif:
         x = np.vstack([rng.standard_normal((n1, 2)) + 0.4, rng.standard_normal((n0, 2))])
         ds = dataset_from(
             x, [1] * n1 + [np.nan] * n0, [0.0] * n1 + [np.nan] * n0, [1] * n1 + [0] * n0,
-            DatasetKind.TYPE2,
         )
         lam, h = 0.05, 1.3
         wm = fit_weights_kulsif(ds, KernelSpec(family="rbf", bandwidth=h, ridge=lam))
@@ -642,7 +639,6 @@ class TestKulsif:
         x = np.vstack([rng.standard_normal((n1, 2)) + 0.3, rng.standard_normal((n0, 2))])
         ds = dataset_from(
             x, [1] * n1 + [np.nan] * n0, [0.0] * n1 + [np.nan] * n0, [1] * n1 + [0] * n0,
-            DatasetKind.TYPE2,
         )
         wm = fit_weights_kulsif(ds, KernelSpec())
         assert wm.info["dual_residual"] <= 1e-8
@@ -669,7 +665,6 @@ class TestKulsif:
         x = np.vstack([rng.standard_normal((n1, 2)) + 0.2, rng.standard_normal((n0, 2))])
         ds = dataset_from(
             x, [1] * n1 + [np.nan] * n0, [0.0] * n1 + [np.nan] * n0, [1] * n1 + [0] * n0,
-            DatasetKind.TYPE2,
         )
         wm = fit_weights_kulsif(ds, KernelSpec())
         ev = wm.evaluator
@@ -695,7 +690,6 @@ class TestKulsif:
         x = np.vstack([rng.standard_normal((n1, 1)) + 3.0, rng.standard_normal((n0, 1))])
         ds = dataset_from(
             x, [1] * n1 + [np.nan] * n0, [0.0] * n1 + [np.nan] * n0, [1] * n1 + [0] * n0,
-            DatasetKind.TYPE2,
         )
         wm = fit_weights_kulsif(ds, KernelSpec(family="rbf", bandwidth=0.5, ridge=0.01))
         assert (wm(x[:n1]) >= 0.0).all()
@@ -994,20 +988,20 @@ class TestMemoryCap:
 class TestEntropyBalancing:
     def test_symmetric_two_points(self):
         x = np.array([[-1.0], [1.0], [0.0], [0.0]])
-        ds = dataset_from(x, [1, -1, np.nan, np.nan], [0.0, 0.0, np.nan, np.nan], [1, 1, 0, 0], DatasetKind.TYPE2)
+        ds = dataset_from(x, [1, -1, np.nan, np.nan], [0.0, 0.0, np.nan, np.nan], [1, 1, 0, 0])
         wm = fit_weights_entropy_balancing(ds)
         np.testing.assert_allclose(wm(x[:2]) / ds.n1, [0.5, 0.5], atol=1e-12)
         np.testing.assert_allclose(wm.info["lambda"], [0.0], atol=1e-10)
 
     def test_two_point_interior_moment(self):
         x = np.array([[0.0], [1.0], [0.5], [0.5]])
-        ds = dataset_from(x, [1, -1, np.nan, np.nan], [0.0, 0.0, np.nan, np.nan], [1, 1, 0, 0], DatasetKind.TYPE2)
+        ds = dataset_from(x, [1, -1, np.nan, np.nan], [0.0, 0.0, np.nan, np.nan], [1, 1, 0, 0])
         wm = fit_weights_entropy_balancing(ds)
         np.testing.assert_allclose(wm(x[:2]) / ds.n1, [0.5, 0.5], atol=1e-10)
 
     def test_moment_outside_hull(self):
         x = np.array([[0.0], [1.0], [1.5], [1.5]])
-        ds = dataset_from(x, [1, -1, np.nan, np.nan], [0.0, 0.0, np.nan, np.nan], [1, 1, 0, 0], DatasetKind.TYPE2)
+        ds = dataset_from(x, [1, -1, np.nan, np.nan], [0.0, 0.0, np.nan, np.nan], [1, 1, 0, 0])
         with pytest.raises(InfeasibleBalance) as err:
             fit_weights_entropy_balancing(ds)
         assert err.value.coordinate == "x_1"
@@ -1018,8 +1012,7 @@ class TestEntropyBalancing:
         # diverges until its norm overflows
         x = np.array([[1.3087, -1.5063], [-1.5437, 0.4960], [0.3750, -0.8111],
                       [-0.1877, -0.3653]])
-        ds = dataset_from(x, [1, -1, 1, np.nan], [0.5, 1.0, -0.5, np.nan], [1, 1, 1, 0],
-                          DatasetKind.TYPE2)
+        ds = dataset_from(x, [1, -1, 1, np.nan], [0.5, 1.0, -0.5, np.nan], [1, 1, 1, 0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(InfeasibleBalance, match="convex hull") as err:
@@ -1031,7 +1024,7 @@ class TestEntropyBalancing:
         # which line-search candidates overflow x1 @ lambda before the norm
         # guard sees lambda
         data, _ = simulate_gaussian_shift(make_config(p=4, mu=(-1.0,) * 4, n=200, seed=62))
-        scaled = PooledDataset.from_arrays(data.x * 100.0, data.a, data.y, data.s, data.kind)
+        scaled = PooledDataset.from_arrays(data.x * 100.0, data.a, data.y, data.s)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(InfeasibleBalance, match="convex hull"):
@@ -1049,7 +1042,7 @@ class TestEntropyBalancing:
         x = np.column_stack([x1, 2.0 * x1])
         ds = dataset_from(x, np.r_[rng.choice([-1, 1], 200), np.full(100, np.nan)],
                           np.r_[rng.normal(size=200), np.full(100, np.nan)],
-                          np.r_[np.ones(200, int), np.zeros(100, int)], DatasetKind.TYPE2)
+                          np.r_[np.ones(200, int), np.zeros(100, int)])
         wm = fit_weights_entropy_balancing(ds)
         assert wm.info["converged"] and len(calls) == wm.info["iterations"] - 1
         lam = np.array(wm.info["lambda"])
@@ -1106,7 +1099,7 @@ class TestEntropyBalancing:
         # shorter) in any of these units, or the quadratic phase stalls
         data, _ = simulate_gaussian_shift(make_config(p=p, mu=mu[:p], n=n, seed=seed))
         scaled = PooledDataset.from_arrays(
-            data.x * 10.0**log10_scale, data.a, data.y, data.s, data.kind
+            data.x * 10.0**log10_scale, data.a, data.y, data.s
         )
         wm = fit_weights_entropy_balancing(scaled)
         assert wm.info["converged"] and wm.info["iterations"] <= 10
@@ -1120,7 +1113,7 @@ class TestEntropyBalancing:
 
         # richer constraint set [1, x, x1^2] is feasible for the base constraints
         augmented = PooledDataset.from_arrays(
-            np.column_stack([data.x, data.x[:, 0] ** 2]), data.a, data.y, data.s, data.kind
+            np.column_stack([data.x, data.x[:, 0] ** 2]), data.a, data.y, data.s
         )
         wr_model = fit_weights_entropy_balancing(augmented)
         wr = wr_model(augmented.x[augmented.s == 1]) / data.n1
