@@ -235,11 +235,9 @@ class Policy:
         raise NotImplementedError
 
     def __call__(self, x: NDArray) -> NDArray:
-        """Evaluate the rule: a float +-1.0 array for an (n, p) matrix, an int
-        for a single (p,) vector."""
-        single = np.asarray(x).ndim == 1
-        d = np.asarray(self.decide(_as_matrix(x)), dtype=float)
-        return int(d[0]) if single else d
+        """Evaluate the rule: the float +-1.0 decisions, one per row; a single
+        (p,) row is read as one row."""
+        return np.asarray(self.decide(_as_matrix(x)), dtype=float)
 
 
 @dataclass(frozen=True, eq=False)
@@ -404,17 +402,15 @@ def true_weight_gaussian(x: NDArray, mu: NDArray) -> NDArray:
 
     This is the testing-over-training covariate density ratio when training
     covariates are N_p(mu, I) and testing covariates are N_p(0, I); its mean
-    over the training law is 1.
+    over the training law is 1. A single (p,) row gives a one-element array.
     """
     mu = np.asarray(mu, dtype=float).ravel()
-    single = np.asarray(x).ndim == 1
-    xm = _as_matrix(x)
-    if xm.shape[1] != mu.shape[0]:
+    x = _as_matrix(x)
+    if x.shape[1] != mu.shape[0]:
         raise DimensionMismatch(
-            f"x has dimension {xm.shape[1]} but mu has dimension {mu.shape[0]}"
+            f"x has dimension {x.shape[1]} but mu has dimension {mu.shape[0]}"
         )
-    w = np.exp(0.5 * float(mu @ mu) - xm @ mu)
-    return float(w[0]) if single else w
+    return np.exp(0.5 * float(mu @ mu) - x @ mu)
 
 
 def simulate_gaussian_shift(config: SimulationConfig):
@@ -474,6 +470,8 @@ def split_cross_fit_folds(data: PooledDataset, k: int, seed: int) -> FoldAssignm
     """
     if k < 2:
         raise InvalidConfig(f"number of bags must be >= 2, got {k}")
+    if seed < 0:
+        raise InvalidConfig("seed must be a non-negative integer")
     if min(data.n1, data.n0) < k:
         raise StratumTooSmall(
             f"each stratum needs at least k={k} rows, got n1={data.n1}, n0={data.n0}"

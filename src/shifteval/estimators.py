@@ -16,9 +16,10 @@ Per-row efficient-influence-function contributions drive the reported
 standard errors; with the self-consistent point estimate their sample mean
 is zero by construction. :func:`estimate_efficient` is the one public entry
 point: it takes a fitted :class:`NuisanceSet`, or a :class:`FitRecipe` fitted
-on the data, plainly or, given folds, cross-fitted. Both share one
-fit-and-evaluate path: a plain fit is the one-bag case of cross-fitting, its
-nuisances fitted on all rows and evaluated at all rows.
+on the data, plainly or, given folds, cross-fitted. The core reads recipes
+only: a fitted set is the all-oracle recipe whose oracle is that set. One
+fit-and-evaluate path serves both: a plain fit is the one-bag case of
+cross-fitting, its nuisances fitted on all rows and evaluated at all rows.
 The fit alone produces and checks the estimand-free per-row values, the
 weights, propensities and residuals; each estimand's report builds and
 checks only its calibration targets.
@@ -26,13 +27,16 @@ checks only its calibration targets.
 The closed-form asymptotic variances are integrals over the Gaussian-shift
 design that a :class:`SimulationConfig` describes; the integrands use the
 design's oracle nuisances and the same calibration-target formula as the
-estimators. They and the Monte Carlo truth stream their draws in fixed
-blocks and merge each block's moments, in memory bounded by one block.
+estimators. :func:`theoretical_variance` integrates any set of variants in
+one pass, which the Monte Carlo harness makes once per study. It and the
+Monte Carlo truth stream their draws in fixed blocks and merge each block's
+moments, in memory bounded by one block.
 """
 
 from __future__ import annotations
 
 import enum
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -263,7 +267,7 @@ def _frame(data: PooledDataset, policy: Policy) -> _Frame:
 def _fit(
     frame: _Frame,
     kind: DatasetKind,
-    recipe: FitRecipe | NuisanceSet,
+    recipe: FitRecipe,
     folds: FoldAssignment | None = None,
 ) -> _PerRowParts:
     """Fit ``recipe`` on ``frame``'s data as ``kind`` evaluation sees it, then
@@ -272,40 +276,33 @@ def _fit(
 
     A plain fit is the one-bag case of cross-fitting: the recipe is fitted
     once on all rows and evaluated at all rows, or, given ``folds``, fitted
-    once per bag on the rows outside it and evaluated at the bag's rows. A
-    ``NuisanceSet`` is a recipe already fitted, evaluated as it is, and
-    refuses ``folds``. Type-2 evaluation of Type-1 data fits with the
-    calibration (a, y) masked, so no nuisance is fitted on them.
+    once per bag on the rows outside it and evaluated at the bag's rows.
+    Type-2 evaluation of Type-1 data fits with the calibration (a, y)
+    masked, so no nuisance is fitted on them.
     """
     data = frame.data
-    if folds is not None:
-        if isinstance(recipe, NuisanceSet):
-            raise InvalidConfig("cross-fitting folds need a FitRecipe, not a fitted NuisanceSet")
-        if folds.bag_of.shape[0] != data.n:
-            raise InvalidConfig("fold assignment does not match dataset size")
+    if folds is not None and folds.bag_of.shape[0] != data.n:
+        raise InvalidConfig("fold assignment does not match dataset size")
     if kind is DatasetKind.TYPE1 and data.kind is DatasetKind.TYPE2:
         raise MissingField("Type-1 evaluation requires observed (a, y) on calibration rows")
-    every = slice(None)
-    if isinstance(recipe, NuisanceSet):
-        fits = [(recipe, every, every)]
+    # an all-oracle "fit" reads nothing from the data, so needs no mask
+    fitted = any(getattr(recipe, component) != "oracle" for component in BACKENDS)
+    if fitted and kind is DatasetKind.TYPE2 and data.kind is DatasetKind.TYPE1:
+        data = data.as_type2()
+    if folds is None:
+        every = slice(None)
+        fits = [(assemble_nuisances(data, recipe), every, every)]
     else:
-        # an all-oracle "fit" reads nothing from the data, so needs no mask
-        fitted = any(getattr(recipe, component) != "oracle" for component in BACKENDS)
-        if fitted and kind is DatasetKind.TYPE2 and data.kind is DatasetKind.TYPE1:
-            data = data.as_type2()
-        if folds is None:
-            fits = [(assemble_nuisances(data, recipe), every, every)]
-        else:
-            fits = []
-            for k in range(1, folds.k + 1):
-                in_bag = folds.bag_of == k
-                try:
-                    nus = assemble_nuisances(data.subset(~in_bag), recipe)
-                except ShiftEvalError as e:
-                    prefix_message(e, f"bag {k}")
-                    raise
-                tr, cal = in_bag[data.train], in_bag[data.calib]
-                fits.append((nus, np.flatnonzero(tr), np.flatnonzero(cal)))
+        fits = []
+        for k in range(1, folds.k + 1):
+            in_bag = folds.bag_of == k
+            try:
+                nus = assemble_nuisances(data.subset(~in_bag), recipe)
+            except ShiftEvalError as e:
+                prefix_message(e, f"bag {k}")
+                raise
+            tr, cal = in_bag[data.train], in_bag[data.calib]
+            fits.append((nus, np.flatnonzero(tr), np.flatnonzero(cal)))
 
     n1, n0 = frame.data.n1, frame.data.n0
     type1 = kind is DatasetKind.TYPE1
@@ -437,11 +434,12 @@ def estimate_efficient(
 ) -> EstimateReport:
     """Semiparametric efficient estimate of the chosen estimand.
 
-    ``nuisances`` is a fitted set, evaluated as it is, or a recipe fitted on
-    ``data``: once on all rows, or, given ``folds``, once per bag on the rows
-    outside it and evaluated at the bag's rows (cross-fitting). Folds with a
-    fitted set are refused. With a fully oracle recipe the cross-fitted
-    estimate equals the plain one exactly.
+    ``nuisances`` is a fitted set, evaluated as it is (the all-oracle recipe
+    whose oracle is the set), or a recipe fitted on ``data``: once on all
+    rows, or, given ``folds``, once per bag on the rows outside it and
+    evaluated at the bag's rows (cross-fitting). Folds with a fitted set are
+    refused. With a fully oracle recipe the cross-fitted estimate equals the
+    plain one exactly.
 
     The dataset kind selects the estimator form; a Type-1 dataset may be
     evaluated with ``kind=DatasetKind.TYPE2`` to ignore calibration (a, y),
@@ -450,6 +448,10 @@ def estimate_efficient(
     self-consistent estimate, divided by sqrt(n).
     """
     kind = data.kind if kind is None else kind
+    if isinstance(nuisances, NuisanceSet):
+        if folds is not None:
+            raise InvalidConfig("cross-fitting folds need a FitRecipe, not a fitted NuisanceSet")
+        nuisances = FitRecipe("oracle", "oracle", "oracle", oracle=nuisances)
     return _report(_fit(_frame(data, policy), kind, nuisances, folds), estimand, level)
 
 
@@ -468,11 +470,11 @@ def eif_contribution(
     core, the sampling rate rho is the realized n1/n of ``data``.
     """
     rho = data.n1 / data.n
-    x = data.x[i][None, :]
-    d = float(policy(data.x[i]))
+    x = data.x[i : i + 1]
+    d = float(policy(x)[0])
     a, y = float(data.a[i]), float(data.y[i])  # NaN where unobserved
     if data.s[i] == 1:  # a validated dataset's training rows carry (a, y)
-        w = float(nuisances.weight(data.x[i]))
+        w = float(nuisances.weight(x)[0])
         pi = float(nuisances.propensity.prob(a, x, 1)[0])
         if pi <= 0.0:
             raise DegenerateDenominator("training propensity is non-positive")
@@ -610,25 +612,6 @@ def cross_fit_estimate(data, folds, recipe, policy, estimand, kind=None, level=D
 # ---------------------------------------------------------------------------
 
 
-def theoretical_variance(
-    config: SimulationConfig,
-    policy: Policy,
-    variant: EifVariant,
-    mc_draws: int = 1_000_000,
-    seed: int = 0,
-) -> TheoreticalVariance:
-    """Evaluate the asymptotic variance components of one estimator variant
-    under the Gaussian-shift design ``config``, at sampling rate rho_s.
-
-    Expectations over the stratum-specific covariate laws, N_p(mu, I) for
-    training and N_p(0, I) for calibration, are integrated by Monte Carlo
-    with ``mc_draws`` draws per stratum (at least ``MIN_MC_DRAWS``), streamed
-    in blocks of ``_BLOCK_DRAWS`` whose moments are merged, so memory does
-    not grow with ``mc_draws``; the *_se fields report the integration error.
-    """
-    return _theoretical_variances(config, policy, (variant,), mc_draws, seed)[variant]
-
-
 def _sigma2_over_pi(
     sigma2: float, prob, x: NDArray, s: int, d: NDArray, estimand: Estimand,
     w2: NDArray | None = None,
@@ -732,17 +715,25 @@ def _mc_moments(
     return acc
 
 
-def _theoretical_variances(
+def theoretical_variance(
     config: SimulationConfig,
     policy: Policy,
-    variants,
+    variants: Iterable[EifVariant],
     mc_draws: int = 1_000_000,
     seed: int = 0,
-) -> dict:
-    """:func:`theoretical_variance` of every variant in ``variants``, keyed by
-    variant, from one pass over the draws a single call makes: x1 and then x0
-    from one ``default_rng(seed)``, each stratum streamed in blocks of
-    ``_BLOCK_DRAWS`` draws, so memory does not grow with ``mc_draws``.
+) -> dict[EifVariant, TheoreticalVariance]:
+    """Evaluate the asymptotic variance components of every estimator variant
+    in ``variants`` under the Gaussian-shift design ``config``, at sampling
+    rate rho_s, as ``{variant: TheoreticalVariance}``.
+
+    Expectations over the stratum-specific covariate laws, N_p(mu, I) for
+    training and N_p(0, I) for calibration, are integrated by Monte Carlo
+    with ``mc_draws`` draws per stratum (at least ``MIN_MC_DRAWS``): x1 and
+    then x0 from one ``default_rng(seed)``, each streamed in blocks of
+    ``_BLOCK_DRAWS`` whose moments are merged, so memory does not grow with
+    ``mc_draws``; the *_se fields report the integration error. All the
+    variants share this one pass, and a variant's fields do not depend on
+    which others share it.
 
     Each estimand's training integrand and calibration target are evaluated
     once per block: the Type-1 nu is rho^2 times the Type-2 nu, and both
@@ -750,6 +741,7 @@ def _theoretical_variances(
     """
     if mc_draws < MIN_MC_DRAWS:
         raise InvalidConfig(f"mc_draws must be at least {MIN_MC_DRAWS}")
+    variants = tuple(dict.fromkeys(variants))
     rho = config.rho_s
     oracle = gaussian_oracle_nuisances(config)
     sigma2, prob = config.noise_sd**2, oracle.propensity.prob

@@ -16,7 +16,8 @@ outcome, crossfit) recipe share one fit, plain or cross-fitted over the
 replicate's bags: its nuisances are fitted and evaluated once, and each
 estimator then evaluates only its own estimand's targets, giving the same
 estimates, bit for bit, as one fit per estimator. The variance
-targets of all the menu's variants come from one integration pass.
+targets of all the menu's variants come from one ``theoretical_variance``
+call per study, one integration pass.
 
 Replicates are independent; they run in min(n_jobs, replications, usable
 CPUs) worker processes (a pool starts all its workers at once), serially
@@ -59,9 +60,9 @@ from .estimators import (
     _mc_moments,
     _policy_target,
     _report,
-    _theoretical_variances,
     check_backends,
     check_level,
+    theoretical_variance,
 )
 from .nuisance import gaussian_oracle_nuisances
 
@@ -275,10 +276,10 @@ def run_replications(config: McConfig) -> McSummary:
     n0s = np.array([res[2] for res in results])
     rts = np.array([res[3] for res in results])
 
-    variances = _theoretical_variances(
+    variances = theoretical_variance(
         config.base,
         config.policy,
-        tuple(dict.fromkeys(spec.variant for spec in config.estimators)),
+        [spec.variant for spec in config.estimators],
         mc_draws=config.variance_draws,
     )
     n = config.base.n

@@ -462,9 +462,7 @@ class WeightModel:
     info: dict = field(default_factory=dict)
 
     def __call__(self, x: NDArray) -> NDArray:
-        single = np.asarray(x).ndim == 1
-        w = np.asarray(self.evaluator(_as_matrix(x)), dtype=float)
-        return float(w[0]) if single else w
+        return np.asarray(self.evaluator(_as_matrix(x)), dtype=float)
 
 
 @dataclass(frozen=True, eq=False)

@@ -469,6 +469,8 @@ BAD_VALUES = [
     ("estimate", ("level",), "x", "InvalidConfig", ()),
     ("estimate", ("level",), 1.5, "InvalidLevel", ()),
     ("estimate", ("seed",), "s", "InvalidConfig", ()),
+    # the fold seed, refused by name and not by numpy's default_rng
+    ("estimate", ("seed",), -1, "InvalidConfig: seed must be a non-negative integer", ()),
     ("estimate", ("kernel",), 3, "InvalidConfig", ()),
     ("estimate", ("kernel",), {"bandwidth": 1e200}, "InvalidConfig", ()),
     ("estimate", ("dataset",), 0, "InvalidConfig", ()),

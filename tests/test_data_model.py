@@ -132,6 +132,13 @@ class TestTrueWeight:
         with pytest.raises(DimensionMismatch):
             true_weight_gaussian(np.zeros(3), np.zeros(2))
 
+    def test_single_row_one_element(self):
+        x, mu = np.random.default_rng(3).normal(size=(5, 2)), np.array([0.5, -0.25])
+        w = true_weight_gaussian(x, mu)
+        for row, want in zip(x, w):
+            got = true_weight_gaussian(row, mu)  # a (p,) row gives a one-element array
+            assert got.dtype == np.float64 and got.shape == (1,) and got[0] == want
+
 
 class TestSimulate:
     def test_no_shift_oracle_weight_is_one(self):
@@ -228,16 +235,21 @@ class TestFolds:
         assert train_sizes == [2, 3]
         assert calib_sizes == [1, 2]
 
-    @pytest.mark.parametrize("k, bag_of, message", [
-        (1, [1, 1], "number of bags must be >= 2"),
-        (2, [1, 3], "bag indices must lie in 1..k"),
-        (2, [0, 1], "bag indices must lie in 1..k"),
-        (2, [1.7, 2.9, 1.2, 2.5], "bag indices must lie in 1..k"),  # not truncated to 1, 2
-        (2, [1, float("nan")], "bag indices must lie in 1..k"),
-    ])
-    def test_bad_assignment_refused(self, k, bag_of, message):
+    @pytest.mark.parametrize("assign, message", [
+        (lambda: FoldAssignment(k=1, bag_of=[1, 1]), "number of bags must be >= 2"),
+        (lambda: FoldAssignment(k=2, bag_of=[1, 3]), "bag indices must lie in 1..k"),
+        (lambda: FoldAssignment(k=2, bag_of=[0, 1]), "bag indices must lie in 1..k"),
+        # not truncated to 1, 2
+        (lambda: FoldAssignment(k=2, bag_of=[1.7, 2.9, 1.2, 2.5]), "bag indices must lie in 1..k"),
+        (lambda: FoldAssignment(k=2, bag_of=[1, float("nan")]), "bag indices must lie in 1..k"),
+        # refused by name, not by numpy's default_rng
+        (lambda: split_cross_fit_folds(simulate_gaussian_shift(make_config(n=20, seed=12))[0],
+                                       2, seed=-1),
+         "seed must be a non-negative integer"),
+    ], ids=["one-bag", "label-3", "label-0", "fractional-labels", "nan-label", "negative-seed"])
+    def test_bad_assignment_refused(self, assign, message):
         with pytest.raises(InvalidConfig, match=message):
-            FoldAssignment(k=k, bag_of=bag_of)
+            assign()
 
     def test_integer_valued_float_labels_accepted(self):
         folds = FoldAssignment(k=2, bag_of=[1.0, 2.0, 2.0])
@@ -363,13 +375,14 @@ class TestPolicy:
         LinearPolicy(0.2, np.array([1.0, -1.0])),
         FunctionPolicy(lambda x: np.where(x[:, 0] >= 0.2 - x[:, 1], 1, -1)),
     ], ids=["linear", "function"])
-    def test_decisions_are_float_and_a_single_row_an_int(self, pol):
+    def test_decisions_are_float_and_a_single_row_one_element(self, pol):
         x = np.random.default_rng(2).normal(size=(20, 2))
         d = pol(x)
         assert d.dtype == np.float64
         assert set(d.tolist()) == {1.0, -1.0}
-        assert [pol(row) for row in x] == d.astype(int).tolist()
-        assert all(type(pol(row)) is int for row in x)
+        for row, want in zip(x, d):
+            got = pol(row)  # a (p,) row gives a one-element float array
+            assert got.dtype == np.float64 and got.shape == (1,) and got[0] == want
 
     def test_deterministic(self):
         pol = LinearPolicy(0.3, np.array([1.0, -2.0]))

@@ -56,9 +56,14 @@ def toy_type2_dataset():
     )
 
 
+def oracle_recipe(nuisances):
+    """The all-oracle recipe whose oracle is the fitted set ``nuisances``."""
+    return FitRecipe(weights="oracle", propensity="oracle", outcome="oracle", oracle=nuisances)
+
+
 def core_influence(data, nuisances, policy, estimand, kind):
     """Point estimate and per-row influence vector from the aggregation core."""
-    parts = estimators._fit(estimators._frame(data, policy), kind, nuisances)
+    parts = estimators._fit(estimators._frame(data, policy), kind, oracle_recipe(nuisances))
     cal = parts.frame.cal
     target = estimators._policy_target(nuisances.outcome, cal.x, cal.d, estimand)
     return estimators._combine(parts, estimand, target)
@@ -140,9 +145,8 @@ class TestEstimateEfficient:
         nus = NuisanceSet(weight=inf_weight, propensity=oracle.propensity, outcome=oracle.outcome)
         with pytest.raises(NonFiniteValue, match="training weights"):
             estimate_efficient(data, nus, policy, Estimand.VALUE)
-        recipe = FitRecipe(weights="oracle", propensity="oracle", outcome="oracle", oracle=nus)
         with pytest.raises(NonFiniteValue, match="training weights"):
-            estimate_efficient(data, recipe, policy, Estimand.VALUE,
+            estimate_efficient(data, oracle_recipe(nus), policy, Estimand.VALUE,
                                folds=split_cross_fit_folds(data, 2, seed=0))
 
     def test_fit_checks_the_shared_values(self, policy):
@@ -157,7 +161,9 @@ class TestEstimateEfficient:
             outcome=OutcomeModel(evaluator=lambda x, a: np.full(x.shape[0], np.nan)),
         )
         with pytest.raises(NonFiniteValue, match="training outcome residuals"):
-            estimators._fit(estimators._frame(data, policy), DatasetKind.TYPE2, nan_outcome)
+            estimators._fit(
+                estimators._frame(data, policy), DatasetKind.TYPE2, oracle_recipe(nan_outcome)
+            )
 
     def test_non_finite_calibration_targets_raise_named_error(self):
         # Q is finite at the training rows (x < 0.4), where the residuals
@@ -672,7 +678,7 @@ class TestTheoreticalVariance:
     def test_matches_reference_integrals(self, policy, rho_s):
         cfg = make_config(rho_s=rho_s, seed=23)
         for v in ALL_VARIANTS:
-            tv = theoretical_variance(cfg, policy, v, mc_draws=3000, seed=4)
+            tv = theoretical_variance(cfg, policy, [v], mc_draws=3000, seed=4)[v]
             assert tuple(getattr(tv, f) for f in TV_FIELDS) == reference_variance(
                 cfg, policy, v, 3000, 4
             )
@@ -681,13 +687,16 @@ class TestTheoreticalVariance:
     def test_one_pass_equals_one_call_per_variant(self, policy, rho_s):
         cfg = make_config(rho_s=rho_s, seed=24)
         single = {
-            v: theoretical_variance(cfg, policy, v, mc_draws=3000, seed=5)
+            v: theoretical_variance(cfg, policy, [v], mc_draws=3000, seed=5)[v]
             for v in ALL_VARIANTS
         }
         subsets = [c for r in range(1, 5) for c in itertools.combinations(ALL_VARIANTS, r)]
         subsets.append(tuple(ALL_VARIANTS[i] for i in (3, 0, 2, 1)))
         for subset in subsets:
-            joint = estimators._theoretical_variances(cfg, policy, subset, mc_draws=3000, seed=5)
+            # any iterable of variants, a repeated one included
+            joint = theoretical_variance(
+                cfg, policy, iter(subset + subset[:1]), mc_draws=3000, seed=5
+            )
             assert list(joint) == list(subset)
             for v in subset:
                 assert joint[v].variant == v
@@ -697,32 +706,30 @@ class TestTheoreticalVariance:
     def test_constant_target_zero_calibration_variance(self):
         # bx = gx = 0 makes Q(x, a) constant in x, so Var[Q(X, d) | S=0] = 0
         cfg = make_config(outcome_coeffs=[1.0, 0.0, 0.0, 0.5, 0.0, 0.0], seed=17)
-        tv = theoretical_variance(
-            cfg,
-            constant_policy(1, 2),
-            EifVariant(Estimand.VALUE, DatasetKind.TYPE2),
-            mc_draws=20_000,
-        )
+        v = EifVariant(Estimand.VALUE, DatasetKind.TYPE2)
+        tv = theoretical_variance(cfg, constant_policy(1, 2), [v], mc_draws=20_000)[v]
         assert tv.zeta_eff == pytest.approx(0.0, abs=1e-12)
 
     def test_no_shift_unit_noise_training_component(self, policy):
         # w = 1, sigma^2 = 1, pi = 0.5 -> E[w^2 sigma^2 / pi] = 2
         cfg = make_config(mu=(0.0, 0.0), noise_sd=1.0, propensity=0.5, seed=18)
-        tv = theoretical_variance(
-            cfg, policy, EifVariant(Estimand.VALUE, DatasetKind.TYPE2), mc_draws=50_000,
-        )
+        v = EifVariant(Estimand.VALUE, DatasetKind.TYPE2)
+        tv = theoretical_variance(cfg, policy, [v], mc_draws=50_000)[v]
         assert abs(tv.nu_eff - 2.0) <= max(3 * tv.nu_se, 1e-9)
 
     def test_type1_training_component_is_rho_squared_scaled(self, policy):
         cfg = make_config(rho_s=0.3, seed=19)
-        t1 = theoretical_variance(cfg, policy, EifVariant(Estimand.VALUE, DatasetKind.TYPE1), mc_draws=20_000, seed=5)
-        t2 = theoretical_variance(cfg, policy, EifVariant(Estimand.VALUE, DatasetKind.TYPE2), mc_draws=20_000, seed=5)
+        v1, v2 = (EifVariant(Estimand.VALUE, k) for k in (DatasetKind.TYPE1, DatasetKind.TYPE2))
+        t1 = theoretical_variance(cfg, policy, [v1], mc_draws=20_000, seed=5)[v1]
+        t2 = theoretical_variance(cfg, policy, [v2], mc_draws=20_000, seed=5)[v2]
         assert t1.nu_eff / t2.nu_eff == pytest.approx(0.3**2, rel=1e-12)
 
     def test_min_draws_enforced(self, policy):
         cfg = make_config(seed=20)
         with pytest.raises(InvalidConfig):
-            theoretical_variance(cfg, policy, EifVariant(Estimand.VALUE, DatasetKind.TYPE2), mc_draws=10)
+            theoretical_variance(
+                cfg, policy, [EifVariant(Estimand.VALUE, DatasetKind.TYPE2)], mc_draws=10
+            )
 
     @pytest.mark.parametrize("draws", [0, 10, estimators.MIN_MC_DRAWS - 1])
     def test_truth_min_draws_enforced(self, policy, draws):
@@ -810,7 +817,7 @@ class TestStreamedIntegrals:
         draws = 2 * estimators._BLOCK_DRAWS + 17
         cfg = make_config(rho_s=0.3, seed=25)
         for v in ALL_VARIANTS:
-            tv = theoretical_variance(cfg, policy, v, mc_draws=draws, seed=6)
+            tv = theoretical_variance(cfg, policy, [v], mc_draws=draws, seed=6)[v]
             ref = reference_variance(cfg, policy, v, draws, 6)
             assert tuple(getattr(tv, f) for f in TV_FIELDS) == pytest.approx(ref, rel=1e-12)
         ref = reference_truth(cfg, policy, draws)
@@ -824,7 +831,7 @@ class TestStreamedIntegrals:
         "integral",
         [
             lambda cfg, policy: true_policy_values(cfg, policy, 1_000_000),
-            lambda cfg, policy: estimators._theoretical_variances(
+            lambda cfg, policy: theoretical_variance(
                 cfg, policy, ALL_VARIANTS, mc_draws=1_000_000
             ),
         ],

@@ -1,6 +1,8 @@
 import concurrent.futures
+import importlib.util
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +25,8 @@ from shifteval.errors import InfeasibleBalance, InvalidConfig, ShiftEvalError
 from shifteval.montecarlo import EstimatorSpec, McConfig, run_replications
 
 from conftest import make_config
+
+TRACING = Path(__file__).parent.parent / "perfbench" / "tracing.py"
 
 
 def closed_form_values(config, policy):
@@ -249,6 +253,25 @@ class TestRunReplications:
         with pytest.raises(InfeasibleBalance, match="^replicate 0: ") as err:
             run_replications(mc)
         assert err.value.coordinate == "x_1"
+
+    def test_benchmark_tracer_sees_one_variance_pass(self, policy):
+        # the benchmark's per-layer variance metrics read the spans of the
+        # public theoretical_variance, which the study must call once
+        spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        mc = McConfig(base=make_config(n=300, seed=7), replications=2, policy=policy,
+                      estimators=oracle_menu(), truth_draws=10_000, variance_draws=2_000)
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            montecarlo.run_replications(mc)
+        finally:
+            tracer.uninstall()
+        names = [span[0] for span in tracer.spans]
+        passes = [span for span in tracer.spans if span[0] == "estimators.theoretical_variance"]
+        assert len(passes) == 1
+        assert names[passes[0][3]] == "montecarlo.run_replications"
 
     def test_runtime_not_serialized(self, policy):
         cfg = make_config(n=300, seed=7)

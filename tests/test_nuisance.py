@@ -403,6 +403,17 @@ class TestOutcome:
 
 
 class TestAipsw:
+    def test_single_row_one_element(self):
+        # a (p,) row gives a one-element float array, as a one-row matrix does
+        data, _ = simulate_gaussian_shift(make_config(n=200, seed=4))
+        wm = fit_weights_aipsw(data)
+        w = wm(data.x)
+        for row, want in zip(data.x[:20], w):
+            got = wm(row)
+            assert got.dtype == np.float64 and got.shape == (1,)
+            assert got[0] == pytest.approx(want, rel=1e-14)
+            assert np.array_equal(got, wm(row[None, :]))
+
     def test_no_shift_null(self):
         data, _ = simulate_gaussian_shift(make_config(mu=(0.0, 0.0), n=4000, seed=0))
         wm = fit_weights_aipsw(data)
